@@ -9,7 +9,7 @@ import os
 import tempfile
 
 from japdr.aiger import build_counter
-from japdr.orchestrator import Mode, TaskOptions, VerificationTask, run_separate_global
+from japdr.orchestrator import Mode, TaskOptions, VerificationTask, run
 
 built = build_counter(6, thresholds=10)
 print(f"counter bits={built.bits}, bound={built.rval}, "
@@ -19,7 +19,7 @@ task_off = VerificationTask(
     built.circuit, built.props, Mode.SEPARATE_GLOBAL,
     TaskOptions(reuse_clauses=False),
 )
-rep_off = run_separate_global(task_off)
+rep_off = run(task_off)
 
 with tempfile.TemporaryDirectory() as td:
     db = os.path.join(td, "clauses.db")
@@ -27,8 +27,8 @@ with tempfile.TemporaryDirectory() as td:
         built.circuit, built.props, Mode.SEPARATE_GLOBAL,
         TaskOptions(reuse_clauses=True, clause_db=db),
     )
-    rep_on = run_separate_global(task_on)
-    rep_on2 = run_separate_global(task_on)  # second pass over the filled store
+    rep_on = run(task_on)
+    rep_on2 = run(task_on)  # second pass over the filled store
 
     print()
     print("prop   status         frames  calls(off)  calls(on)  seeds used")

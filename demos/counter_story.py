@@ -22,8 +22,7 @@ from japdr.orchestrator import (
     Mode,
     TaskOptions,
     VerificationTask,
-    run_ja,
-    run_separate_global,
+    run,
 )
 
 
@@ -37,7 +36,7 @@ show("assume-the-rest mode, counter sizes 8..20")
 for k in (8, 12, 16, 20):
     circuit, props = gen_counter(k)
     t0 = time.monotonic()
-    rep = run_ja(VerificationTask(circuit, tuple(props), Mode.JA))
+    rep = run(VerificationTask(circuit, tuple(props), Mode.JA))
     wall = time.monotonic() - t0
     v0, v1 = rep.verdicts
     print(
@@ -50,7 +49,7 @@ print("proof never has to reason about the deep overflow path")
 
 show("global mode at k=3: the same bug, the long way around")
 circuit, props = gen_counter(3)
-rep = run_separate_global(
+rep = run(
     VerificationTask(circuit, tuple(props), Mode.SEPARATE_GLOBAL)
 )
 for v in rep.verdicts:

@@ -30,7 +30,7 @@ from .circuit import (
     TraceFrame,
     replay_trace,
 )
-from .clausedb import ClauseDbError, ClauseRecord, filter_invariant, load, save
+from .clausedb import ClauseDbError, ClauseRecord, append, filter_invariant, load
 from .oracle import CheckMode, OracleError, bmc, brute_check, brute_debug_set, reachable
 from .orchestrator import (
     Mode,
@@ -39,11 +39,7 @@ from .orchestrator import (
     Verdict,
     VerdictStatus,
     VerificationTask,
-    handle_etf,
     run,
-    run_ja,
-    run_joint,
-    run_separate_global,
 )
 from .pdr import PdrError, PdrOptions, PdrOutcome, PdrStats, PdrStatus, certify, check_property
 from .report import REPORT_SCHEMA, exit_code, format_report, validate_report_json
@@ -77,6 +73,7 @@ __all__ = [
     "Verdict",
     "VerdictStatus",
     "VerificationTask",
+    "append",
     "bmc",
     "brute_check",
     "brute_debug_set",
@@ -91,16 +88,11 @@ __all__ = [
     "format_report",
     "gen_counter",
     "gen_random_circuit",
-    "handle_etf",
     "load",
     "parse",
     "parse_file",
     "reachable",
     "replay_trace",
     "run",
-    "run_ja",
-    "run_joint",
-    "run_separate_global",
-    "save",
     "validate_report_json",
 ]

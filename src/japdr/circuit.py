@@ -9,7 +9,7 @@ input valuation), because bad literals may read inputs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, order=True)
@@ -182,19 +182,6 @@ def frame_satisfies(circuit: Circuit, frame: TraceFrame, props) -> bool:
 def constraints_hold(circuit: Circuit, frame: TraceFrame) -> bool:
     values = eval_circuit(circuit, frame)
     return all(eval_literal(values, c) for c in circuit.constraints)
-
-
-def is_valid_local_transition(
-    circuit: Circuit, props, frame: TraceFrame, next_latches: tuple[int, ...]
-) -> bool:
-    """Transition relation projected onto `props`.
-
-    A frame satisfying every property steps normally; a violating frame
-    keeps only its self-loop (latches frozen, inputs unconstrained).
-    """
-    if frame_satisfies(circuit, frame, props):
-        return eval_transition(circuit, frame) == tuple(next_latches)
-    return tuple(frame.latch_values) == tuple(next_latches)
 
 
 @dataclass(frozen=True)

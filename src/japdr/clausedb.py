@@ -17,18 +17,21 @@ followed by one record per line:
     <context indices, comma separated, or -> <origin> <signed literals>
 
 Signed literals are 1-based latch positions, negative for "latch is 0".
-The store is append-only within a run; a single writer serializes
-concurrent submissions.
+The store is append-only and every write ends on a newline, so a final
+line without one is a record a killed writer left half written: `load`
+drops it with a warning, and the next `append` cuts it off before
+writing. Nothing serializes concurrent writers.
 """
 
 from __future__ import annotations
 
+import os
 import time
 import warnings
 from dataclasses import dataclass
 
 from .circuit import Circuit
-from .encode import StepEncoding
+from .encode import constrained_step
 from .sat import Solver, Status, pos
 
 _HEADER = "japdr-clausedb v1"
@@ -67,26 +70,10 @@ def _unsigned(token: str, num_latches: int, where: str) -> int:
     return 2 * (abs(value) - 1) + (0 if value > 0 else 1)
 
 
-def save(records, path) -> None:
-    """Write records grouped into one section per circuit; ordering is
-    preserved so save/load/save is byte-stable."""
-    groups: dict[str, list[ClauseRecord]] = {}
-    for rec in records:
-        groups.setdefault(rec.fingerprint, []).append(rec)
-    lines = []
-    for fingerprint, group in groups.items():
-        width = max(max(l >> 1 for l in rec.clause) for rec in group) + 1
-        lines.append(f"{_HEADER} {fingerprint} {width}")
-        for rec in group:
-            ctx = ",".join(str(i) for i in rec.context) if rec.context else "-"
-            lits = " ".join(_signed(l) for l in rec.clause)
-            lines.append(f"{ctx} {rec.origin} {lits}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
-
-
 def append(records, path) -> None:
-    """Add records as a fresh section without touching earlier ones."""
+    """Add records after whatever the file holds, as one section per
+    circuit in first-seen order; record order is kept, so appending a
+    load to a fresh path reproduces the file byte for byte."""
     records = list(records)
     if not records:
         return
@@ -101,15 +88,26 @@ def append(records, path) -> None:
             ctx = ",".join(str(i) for i in rec.context) if rec.context else "-"
             lits = " ".join(_signed(l) for l in rec.clause)
             lines.append(f"{ctx} {rec.origin} {lits}")
-    with open(path, "a", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "ab+") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        if end:
+            fh.seek(end - 1)
+            if fh.read(1) != b"\n":
+                # a torn last record would swallow the new header
+                fh.seek(0)
+                fh.truncate(fh.read().rfind(b"\n") + 1)
+        fh.write(("\n".join(lines) + "\n").encode("ascii"))
 
 
 def load(path, fingerprint: str) -> tuple[ClauseRecord, ...]:
     """Records for the given circuit; sections for other circuits are
-    skipped with a warning, anything malformed is an error."""
+    skipped with a warning, and so is a torn last record; anything else
+    malformed is an error."""
     with open(path, "r", encoding="ascii") as fh:
         raw = fh.read()
+    if raw and not raw.endswith("\n"):
+        raw, _, torn = raw.rpartition("\n")
+        warnings.warn(f"clause store {path}: torn last record {torn!r} dropped", stacklevel=2)
     out: list[ClauseRecord] = []
     section_fp: str | None = None
     section_width = 0
@@ -193,11 +191,7 @@ def filter_invariant(
         return ()
 
     solver = Solver()
-    enc = StepEncoding(solver, circuit)
-    for constr in circuit.constraints:
-        solver.add_clause([enc.lit(constr)])
-    for prop in constraint_props:
-        solver.add_clause([enc.lit(prop.bad) ^ 1])
+    enc = constrained_step(solver, circuit, constraint_props)
     acts = []
     for cl in clauses:
         act = pos(solver.new_var())

@@ -3,13 +3,15 @@
 One StepEncoding is one combinational copy: every circuit variable maps to
 a solver literal. Latch leaves may be supplied (to chain copies, or to
 force reset values), and encoding may be restricted to the cone of a few
-root literals so a duplicated bad cone stays small.
+root literals so a duplicated bad cone stays small. `constrained_step`
+is the copy every induction query steps from: constraint section and a
+set of clean properties asserted on its present state.
 """
 
 from __future__ import annotations
 
 from .circuit import Circuit, Literal
-from .sat import Solver, neg, pos
+from .sat import Solver, pos
 
 
 def const_true(solver: Solver) -> int:
@@ -99,9 +101,6 @@ class StepEncoding:
         base = self.varmap[1 + input_pos]
         return base if value else base ^ 1
 
-    def has_input(self, input_pos: int) -> bool:
-        return (1 + input_pos) in self.varmap
-
     def read_latches(self, result) -> tuple[int, ...]:
         return tuple(
             result.value(self.varmap[v]) for v in self.circuit.latch_vars
@@ -115,10 +114,17 @@ class StepEncoding:
             out.append(result.value(lit) if lit is not None else 0)
         return tuple(out)
 
-    def read_next(self, result) -> tuple[int, ...]:
-        return tuple(
-            result.value(self.next_lit(i)) for i in range(self.circuit.num_latches)
-        )
+
+def constrained_step(solver: Solver, circuit: Circuit, props) -> StepEncoding:
+    """A step copy whose present state obeys the constraint section and
+    fires the bad of none of `props`: the relation every induction query
+    steps through."""
+    enc = StepEncoding(solver, circuit)
+    for constr in circuit.constraints:
+        solver.add_clause([enc.lit(constr)])
+    for prop in props:
+        solver.add_clause([enc.lit(prop.bad) ^ 1])
+    return enc
 
 
 class Unroller:

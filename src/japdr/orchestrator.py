@@ -1,19 +1,20 @@
 """Multi-property verification runs.
 
-Three modes over the same engine. JA mode proves each property locally,
-assuming every other expected-to-hold property on non-final frames; the
-properties that still fail form the debugging set, and if nothing fails
-the local proofs jointly imply the global claim, so every verdict is
-upgraded. Joint mode conjoins the outstanding properties into one
-aggregate check and peels off whatever each counterexample refutes.
-Separate-global mode checks each property alone with no assumptions,
-the baseline the other two are measured against.
+One driver, `run`, serves every mode. The modes differ only in the set
+of properties a check of property p assumes on non-final frames: in JA
+mode every other expected-to-hold property, in separate-global mode
+none, and for an expected-to-fail property, in any mode, every
+expected-to-hold one. Each check takes its seeds from the clause store,
+runs, becomes a verdict and hands its invariant back to the store.
 
-Expected-to-fail properties are handled after the main pass, always
-assuming the full expected-to-hold set and never each other. A found
-counterexample then demonstrates the failure without breaking any
-expected behavior before its final frame; a proof instead is flagged,
-the expectation was wrong.
+In JA mode the properties that still fail form the debugging set; if it
+is empty the local proofs jointly imply the global claim, so every
+expected-to-hold verdict is upgraded. Joint mode is the one special
+case: it conjoins the outstanding expected-to-hold properties into one
+aggregate check and peels off whatever each counterexample refutes.
+Expected-to-fail properties come last. A counterexample for one
+demonstrates the failure without breaking any expected behavior before
+its final frame; a proof instead is flagged, the expectation was wrong.
 
 Counterexamples produced under ignore-mode lifting may violate an
 assumed property mid-trace. Every trace is replayed; a spurious one
@@ -258,14 +259,14 @@ def _prop_deadline(opts: TaskOptions, total_deadline: float | None) -> float | N
 
 
 def _verdict_from(
-    prop: PropertySpec,
-    res: _SingleOutcome,
-    holds: VerdictStatus,
-    fails: VerdictStatus,
-    *,
-    seeds_used: int = 0,
-    unexpected_on_holds: bool = False,
+    mode: Mode, prop: PropertySpec, res: _SingleOutcome, seeds_used: int
 ) -> Verdict:
+    if prop.kind is PropertyKind.ETF:
+        holds, fails = VerdictStatus.ETF_HOLDS_LOCAL, VerdictStatus.ETF_CONFIRMED
+    elif mode is Mode.JA:
+        holds, fails = VerdictStatus.HOLDS_LOCAL, VerdictStatus.FAILS_LOCAL
+    else:
+        holds, fails = VerdictStatus.HOLDS_GLOBAL, VerdictStatus.FAILS_GLOBAL
     if res.kind == "holds":
         status, evidence = holds, len(res.invariant)
     elif res.kind == "fails":
@@ -282,7 +283,7 @@ def _verdict_from(
         certified=res.certified,
         retried_respect=res.retried,
         seeds_used=seeds_used,
-        unexpected=unexpected_on_holds and res.kind == "holds",
+        unexpected=prop.kind is PropertyKind.ETF and res.kind == "holds",
     )
 
 
@@ -291,7 +292,8 @@ class _ClauseStore:
 
     Records learned earlier in the run seed later properties; the file,
     when configured, is written through on every harvest so nothing is
-    lost to an abort. A single writer serializes appends.
+    lost to an abort. Each harvest is one `append` call; nothing guards
+    against a second process appending at the same time.
     """
 
     def __init__(self, task: VerificationTask):
@@ -327,7 +329,7 @@ class _ClauseStore:
             append(new, self.path)
 
 
-def _finish(task, verdicts_by_index, t0, conclusion_eth) -> RunReport:
+def _finish(task, verdicts_by_index, t0, clauses_learned: int) -> RunReport:
     verdicts = tuple(verdicts_by_index[i] for i in sorted(verdicts_by_index))
     debugging = tuple(
         v.property_index for v in verdicts if v.status is VerdictStatus.FAILS_LOCAL
@@ -335,11 +337,9 @@ def _finish(task, verdicts_by_index, t0, conclusion_eth) -> RunReport:
     totals = RunTotals(
         wall_s=time.monotonic() - t0,
         sat_calls=sum(v.sat_calls for v in verdicts),
-        clauses_learned=sum(
-            v.evidence for v in verdicts if isinstance(v.evidence, int)
-        ),
+        clauses_learned=clauses_learned,
     )
-    return RunReport(task, verdicts, debugging, conclusion_eth, totals)
+    return RunReport(task, verdicts, debugging, _conclusion(task, verdicts_by_index), totals)
 
 
 def _conclusion(task, verdicts_by_index) -> str:
@@ -362,83 +362,6 @@ def _conclusion(task, verdicts_by_index) -> str:
             head = "no expected-to-hold properties"
     parts = [f"{n} {s.value}" for s, n in sorted(counts.items(), key=lambda kv: kv[0].value)]
     return head + " (" + ", ".join(parts) + ")"
-
-
-def run_ja(task: VerificationTask) -> RunReport:
-    """Local proofs under mutual assumption.
-
-    Each expected-to-hold property is checked assuming all the others.
-    The still-failing ones form the debugging set. When every local
-    check succeeds the projected systems compose, so all verdicts
-    become global.
-    """
-    if task.mode is not Mode.JA:
-        raise ValueError("task mode is not JA")
-    t0 = time.monotonic()
-    total_deadline = (
-        t0 + task.options.total_timeout_s if task.options.total_timeout_s else None
-    )
-    circuit = task.circuit
-    eth = task.eth_properties
-    store = _ClauseStore(task)
-    verdicts: dict[int, Verdict] = {}
-    for prop in ordered_eth(task):
-        prop_deadline = _prop_deadline(task.options, total_deadline)
-        ctx = tuple(p for p in eth if p.index != prop.index)
-        pre = PdrStats()
-        seeds = store.seeds(circuit, ctx, prop_deadline, pre)
-        res = _check_one(circuit, prop, ctx, seeds, task.options, prop_deadline)
-        res.stats.sat_calls += pre.sat_calls
-        verdicts[prop.index] = _verdict_from(
-            prop, res, VerdictStatus.HOLDS_LOCAL, VerdictStatus.FAILS_LOCAL,
-            seeds_used=len(seeds),
-        )
-        store.harvest(prop, ctx, res.invariant)
-    if eth and all(
-        verdicts[p.index].status is VerdictStatus.HOLDS_LOCAL for p in eth
-    ):
-        for p in eth:
-            verdicts[p.index].status = VerdictStatus.HOLDS_GLOBAL
-    _run_etf(task, verdicts, store, total_deadline)
-    return _finish(task, verdicts, t0, _conclusion(task, verdicts))
-
-
-def run_separate_global(task: VerificationTask) -> RunReport:
-    """Each property alone against the unrestricted system."""
-    if task.mode is not Mode.SEPARATE_GLOBAL:
-        raise ValueError("task mode is not SeparateGlobal")
-    t0 = time.monotonic()
-    total_deadline = (
-        t0 + task.options.total_timeout_s if task.options.total_timeout_s else None
-    )
-    circuit = task.circuit
-    store = _ClauseStore(task)
-    verdicts: dict[int, Verdict] = {}
-    for prop in ordered_eth(task):
-        prop_deadline = _prop_deadline(task.options, total_deadline)
-        # only globally valid records may seed a global check; a local
-        # record's invariance was earned under assumptions absent here
-        seeds = ()
-        if store.enabled:
-            seen = set()
-            picked = []
-            for rec in store.records:
-                if (
-                    rec.fingerprint == store.fingerprint
-                    and rec.context == ()
-                    and rec.clause not in seen
-                ):
-                    seen.add(rec.clause)
-                    picked.append(rec.clause)
-            seeds = tuple(picked)
-        res = _check_one(circuit, prop, (), seeds, task.options, prop_deadline)
-        verdicts[prop.index] = _verdict_from(
-            prop, res, VerdictStatus.HOLDS_GLOBAL, VerdictStatus.FAILS_GLOBAL,
-            seeds_used=len(seeds),
-        )
-        store.harvest(prop, (), res.invariant)
-    _run_etf(task, verdicts, store, total_deadline)
-    return _finish(task, verdicts, t0, _conclusion(task, verdicts))
 
 
 def _split(total: int, ways: int) -> list[int]:
@@ -471,22 +394,24 @@ def aggregate_bad(circuit: Circuit, props) -> tuple[Circuit, PropertySpec]:
     return extended, PropertySpec(index, ~acc, PropertyKind.ETH)
 
 
-def run_joint(task: VerificationTask) -> RunReport:
-    """One aggregate check over the conjunction, repeated.
+def _assumed(task: VerificationTask, prop: PropertySpec) -> tuple[PropertySpec, ...]:
+    """The properties a check of `prop` assumes on non-final frames."""
+    eth = task.eth_properties
+    if prop.kind is PropertyKind.ETF:
+        return eth
+    if task.mode is Mode.JA:
+        return tuple(p for p in eth if p.index != prop.index)
+    return ()
 
-    Each counterexample refutes every property whose bad fires on its
-    final frame; those leave the aggregate and the rest is re-checked,
-    until a proof covers the survivors or the budget runs out.
-    """
-    if task.mode is not Mode.JOINT:
-        raise ValueError("task mode is not Joint")
-    t0 = time.monotonic()
-    total_deadline = (
-        t0 + task.options.total_timeout_s if task.options.total_timeout_s else None
-    )
+
+def _peel(task: VerificationTask, verdicts: dict, total_deadline) -> int:
+    """Joint mode's expected-to-hold pass: one aggregate check over the
+    conjunction, repeated. Each counterexample refutes every property
+    whose bad fires on its final frame; those leave the aggregate and the
+    rest is re-checked, until a proof covers the survivors or the budget
+    runs out. Returns the clauses the engine learned."""
     circuit = task.circuit
-    store = _ClauseStore(task)
-    verdicts: dict[int, Verdict] = {}
+    learned = 0
     unsolved = list(ordered_eth(task))
     while unsolved:
         prop_deadline = _prop_deadline(task.options, total_deadline)
@@ -495,21 +420,15 @@ def run_joint(task: VerificationTask) -> RunReport:
         else:
             check_circuit, agg = aggregate_bad(circuit, unsolved)
         res = _check_one(check_circuit, agg, (), (), task.options, prop_deadline)
-        if res.kind == "unknown":
+        learned += res.stats.clauses_learned
+        if res.kind != "fails":
+            holds = res.kind == "holds"
             calls = _split(res.stats.sat_calls, len(unsolved))
             for p, c in zip(unsolved, calls):
                 verdicts[p.index] = Verdict(
-                    p.index, VerdictStatus.UNKNOWN,
-                    wall_s=res.wall_s / len(unsolved), frames=res.frames,
-                    sat_calls=c,
-                )
-            break
-        if res.kind == "holds":
-            calls = _split(res.stats.sat_calls, len(unsolved))
-            for p, c in zip(unsolved, calls):
-                verdicts[p.index] = Verdict(
-                    p.index, VerdictStatus.HOLDS_GLOBAL,
-                    evidence=len(res.invariant),
+                    p.index,
+                    VerdictStatus.HOLDS_GLOBAL if holds else VerdictStatus.UNKNOWN,
+                    evidence=len(res.invariant) if holds else None,
                     wall_s=res.wall_s / len(unsolved), frames=res.frames,
                     sat_calls=c, certified=res.certified,
                 )
@@ -528,52 +447,43 @@ def run_joint(task: VerificationTask) -> RunReport:
                 sat_calls=c,
             )
         unsolved = [p for p in unsolved if p not in confirmed]
-    _run_etf(task, verdicts, store, total_deadline)
-    return _finish(task, verdicts, t0, _conclusion(task, verdicts))
-
-
-def _run_etf(task, verdicts, store: _ClauseStore, total_deadline) -> None:
-    """Hunt counterexamples for the expected-to-fail properties.
-
-    Every expected-to-hold property is assumed, whatever its own verdict
-    came out as; other expected-to-fail properties are not. A proof here
-    contradicts the expectation and is flagged rather than celebrated.
-    """
-    eth = task.eth_properties
-    for prop in task.etf_properties:
-        prop_deadline = _prop_deadline(task.options, total_deadline)
-        pre = PdrStats()
-        seeds = store.seeds(task.circuit, eth, prop_deadline, pre)
-        res = _check_one(task.circuit, prop, eth, seeds, task.options, prop_deadline)
-        res.stats.sat_calls += pre.sat_calls
-        verdicts[prop.index] = _verdict_from(
-            prop, res, VerdictStatus.ETF_HOLDS_LOCAL, VerdictStatus.ETF_CONFIRMED,
-            seeds_used=len(seeds), unexpected_on_holds=True,
-        )
-        store.harvest(prop, eth, res.invariant)
-
-
-def handle_etf(task: VerificationTask, eth_verdicts=()) -> tuple[Verdict, ...]:
-    """Standalone expected-to-fail pass.
-
-    `eth_verdicts` is accepted for callers that ran the main pass first;
-    the assumptions do not depend on it, every expected-to-hold property
-    is assumed regardless of how its own check went.
-    """
-    total_deadline = (
-        time.monotonic() + task.options.total_timeout_s
-        if task.options.total_timeout_s
-        else None
-    )
-    verdicts: dict[int, Verdict] = {}
-    _run_etf(task, verdicts, _ClauseStore(task), total_deadline)
-    return tuple(verdicts[i] for i in sorted(verdicts))
+    return learned
 
 
 def run(task: VerificationTask) -> RunReport:
-    """Dispatch on the task's mode."""
-    if task.mode is Mode.JA:
-        return run_ja(task)
+    """Check every property of the task, each under `_assumed(task, p)`.
+
+    Expected-to-hold properties go first, in `ordered_eth` order (joint
+    mode peels them instead), then the expected-to-fail ones. In JA mode
+    an empty debugging set upgrades every expected-to-hold verdict to
+    HoldsGlobal.
+    """
+    opts = task.options
+    t0 = time.monotonic()
+    total_deadline = t0 + opts.total_timeout_s if opts.total_timeout_s else None
+    circuit = task.circuit
+    store = _ClauseStore(task)
+    verdicts: dict[int, Verdict] = {}
+    learned = 0
     if task.mode is Mode.JOINT:
-        return run_joint(task)
-    return run_separate_global(task)
+        learned += _peel(task, verdicts, total_deadline)
+        singles = list(task.etf_properties)
+    else:
+        singles = [*ordered_eth(task), *task.etf_properties]
+    for prop in singles:
+        prop_deadline = _prop_deadline(opts, total_deadline)
+        ctx = _assumed(task, prop)
+        pre = PdrStats()
+        seeds = store.seeds(circuit, ctx, prop_deadline, pre)
+        res = _check_one(circuit, prop, ctx, seeds, opts, prop_deadline)
+        res.stats.sat_calls += pre.sat_calls
+        learned += res.stats.clauses_learned
+        verdicts[prop.index] = _verdict_from(task.mode, prop, res, len(seeds))
+        store.harvest(prop, ctx, res.invariant)
+    eth = task.eth_properties
+    if task.mode is Mode.JA and eth and all(
+        verdicts[p.index].status is VerdictStatus.HOLDS_LOCAL for p in eth
+    ):
+        for p in eth:
+            verdicts[p.index].status = VerdictStatus.HOLDS_GLOBAL
+    return _finish(task, verdicts, t0, learned)

@@ -21,20 +21,11 @@ from __future__ import annotations
 import enum
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .circuit import (
-    Circuit,
-    Counterexample,
-    PropertySpec,
-    TraceFrame,
-    constraints_hold,
-    eval_transition,
-    frame_satisfies,
-    property_violated,
-)
-from .encode import StepEncoding
-from .sat import Solver, Status, neg, pos
+from .circuit import Circuit, Counterexample, PropertySpec, TraceFrame, eval_transition
+from .encode import StepEncoding, constrained_step
+from .sat import Solver, Status, pos
 
 
 class PdrError(Exception):
@@ -147,11 +138,9 @@ class PdrEngine:
         self._nl = circuit.num_latches
 
         self._step = Solver()
-        self._enc_step = StepEncoding(self._step, circuit)
-        for constr in circuit.constraints:
-            self._step.add_clause([self._enc_step.lit(constr)])
-        for prop in (target, *self.constraint_props):
-            self._step.add_clause([self._enc_step.lit(prop.bad) ^ 1])
+        self._enc_step = constrained_step(
+            self._step, circuit, (target, *self.constraint_props)
+        )
 
         self._bad = Solver()
         self._enc_bad = StepEncoding(self._bad, circuit)
@@ -180,8 +169,6 @@ class PdrEngine:
         self._obq: list[tuple[int, int, ProofObligation]] = []
         self._obseq = 0
         self._deadline: float | None = None
-        self._fixpoint_level: int | None = None
-        self._invariant: tuple[tuple[int, ...], ...] | None = None
         self._ran = False
 
     # ------------------------------------------------------------- plumbing
@@ -333,35 +320,6 @@ class PdrEngine:
                 strict.append(enc.lit(prop.bad))
         return self._lift_core(state, inputs, goal, strict)
 
-    def lift(self, pred_frame: TraceFrame, succ_cube, respect_constraints=None):
-        """Cube of predecessor states that all step into `succ_cube` under
-        the frame's inputs; in respect mode the cube also stays clean of
-        the constraint section and every property."""
-        respect = (
-            self.options.respect_constraints
-            if respect_constraints is None
-            else respect_constraints
-        )
-        succ_cube = tuple(sorted(succ_cube))
-        nxt = eval_transition(self.circuit, pred_frame)
-        for l in succ_cube:
-            if nxt[l >> 1] != 1 - (l & 1):
-                raise ValueError("frame does not step into the successor cube")
-        if not constraints_hold(self.circuit, pred_frame):
-            raise ValueError("predecessor frame breaks the constraint section")
-        if respect and not frame_satisfies(
-            self.circuit, pred_frame, (self.target, *self.constraint_props)
-        ):
-            raise ValueError("respect-mode lifting needs a clean predecessor frame")
-        saved = self.options.respect_constraints
-        self.options.respect_constraints = respect
-        try:
-            return self._lift_pred(
-                pred_frame.latch_values, pred_frame.input_values, succ_cube
-            )
-        finally:
-            self.options.respect_constraints = saved
-
     # ------------------------------------------------------- generalization
 
     def generalize(self, cube, level: int) -> tuple[int, ...]:
@@ -394,40 +352,6 @@ class PdrEngine:
                 break
         return tuple(sorted(cur))
 
-    # ------------------------------------------------------- public helpers
-
-    def relative_induction_check(self, clause, level: int | None):
-        """(holds, support): support is the sub-clause the unsat core kept
-        when the consecution side goes through, None otherwise."""
-        if level is not None and not 0 <= level <= self.frontier:
-            raise ValueError(f"level {level} outside 0..{self.frontier}")
-        clause = tuple(sorted(clause))
-        if not any(self._true_at_init(l) for l in clause):
-            return False, None
-        cube = negate_lits(clause)
-        result, pairs = self._consecution(cube, level, exclude_cube=True)
-        if result.status is Status.SAT:
-            return False, None
-        kept = self._core_cube(result, pairs, cube)
-        return True, negate_lits(kept)
-
-    def frame_clauses(self, level: int | None) -> tuple[tuple[int, ...], ...]:
-        """Semantic clause set of a frame under the delta encoding."""
-        if level is None:
-            return tuple(self._inf)
-        if not 1 <= level <= self.frontier:
-            raise ValueError(f"level {level} outside 1..{self.frontier}")
-        out = []
-        for j in range(level, self.frontier + 1):
-            out.extend(self._owned[j])
-        out.extend(self._inf)
-        return tuple(out)
-
-    def extract_invariant(self) -> tuple[tuple[int, ...], ...]:
-        if self._invariant is None:
-            raise PdrError("no inductive fixpoint available")
-        return self._invariant
-
     # ------------------------------------------------------------ main loop
 
     def run(self) -> PdrOutcome:
@@ -445,10 +369,8 @@ class PdrEngine:
                 cex = Counterexample((frame,), self.target.index)
                 return PdrOutcome(PdrStatus.FAILS, self.stats, cex=cex)
             if self._induction_precheck():
-                self._invariant = tuple(self._inf)
-                self._fixpoint_level = 1
                 return PdrOutcome(
-                    PdrStatus.HOLDS, self.stats, invariant=self._invariant
+                    PdrStatus.HOLDS, self.stats, invariant=tuple(self._inf)
                 )
             while True:
                 if (
@@ -471,7 +393,6 @@ class PdrEngine:
                     self.stats.frames_opened = self.frontier
                     invariant = self._propagate_clauses()
                     if invariant is not None:
-                        self._invariant = invariant
                         return PdrOutcome(
                             PdrStatus.HOLDS, self.stats, invariant=invariant
                         )
@@ -484,33 +405,13 @@ class PdrEngine:
     def _induction_precheck(self) -> bool:
         """One-shot induction of target plus the inductive-frame clauses;
         catches already-inductive properties without growing frames."""
-        solver = Solver()
-        enc = StepEncoding(solver, self.circuit)
-        for constr in self.circuit.constraints:
-            solver.add_clause([enc.lit(constr)])
-        for prop in (self.target, *self.constraint_props):
-            solver.add_clause([enc.lit(prop.bad) ^ 1])
-        for clause in self._inf:
-            solver.add_clause(
-                [enc.latch_lit(l >> 1, 1 - (l & 1)) for l in clause]
-            )
-        enc_next = StepEncoding(
-            solver,
+        return _inductive(
             self.circuit,
-            latch_lits=[enc.next_lit(i) for i in range(self._nl)],
-            cone_roots=[self.target.bad],
+            self.target,
+            self.constraint_props,
+            self._inf,
+            lambda solver, assumps: self._solve(solver, assumps).status is Status.UNSAT,
         )
-        result = self._solve(solver, [enc_next.lit(self.target.bad)])
-        if result.status is not Status.UNSAT:
-            return False
-        for clause in self._inf:
-            assumps = [
-                enc.next_lit(l >> 1) ^ (1 - (l & 1)) for l in clause
-            ]
-            result = self._solve(solver, assumps)
-            if result.status is not Status.UNSAT:
-                return False
-        return True
 
     def _enqueue(self, ob: ProofObligation) -> None:
         if self._cube_holds_init(ob.cube):
@@ -570,7 +471,6 @@ class PdrEngine:
                     self._owned[j].remove(clause)
                     self._store_clause(clause, j + 1)
             if not self._owned[j]:
-                self._fixpoint_level = j
                 out = []
                 for l in range(j + 1, self.frontier + 1):
                     out.extend(self._owned[l])
@@ -651,13 +551,17 @@ def certify(
     ]
     if not run(init_solver, [*assumps, enc_init.lit(target.bad)]):
         return False
+    return _inductive(circuit, target, constraint_props, clauses, run)
 
+
+def _inductive(circuit, target, constraint_props, clauses, unsat) -> bool:
+    """Whether target plus `clauses` survive one constrained step: from a
+    state satisfying the clauses on which neither target nor any
+    constraint property fires, the successor neither fires target nor
+    breaks a clause. `unsat(solver, assumptions)` runs one query and says
+    whether it came back UNSAT; budgets and accounting are the caller's."""
     solver = Solver()
-    enc = StepEncoding(solver, circuit)
-    for constr in circuit.constraints:
-        solver.add_clause([enc.lit(constr)])
-    for prop in (target, *constraint_props):
-        solver.add_clause([enc.lit(prop.bad) ^ 1])
+    enc = constrained_step(solver, circuit, (target, *constraint_props))
     for clause in clauses:
         solver.add_clause([enc.latch_lit(l >> 1, 1 - (l & 1)) for l in clause])
     enc_next = StepEncoding(
@@ -666,10 +570,9 @@ def certify(
         latch_lits=[enc.next_lit(i) for i in range(circuit.num_latches)],
         cone_roots=[target.bad],
     )
-    if not run(solver, [enc_next.lit(target.bad)]):
+    if not unsat(solver, [enc_next.lit(target.bad)]):
         return False
-    for clause in clauses:
-        assumps = [enc.next_lit(l >> 1) ^ (1 - (l & 1)) for l in clause]
-        if not run(solver, assumps):
-            return False
-    return True
+    return all(
+        unsat(solver, [enc.next_lit(l >> 1) ^ (1 - (l & 1)) for l in clause])
+        for clause in clauses
+    )

@@ -3,8 +3,7 @@
 Two-literal watching with blocker literals, first-UIP learning, VSIDS-style
 variable activity on an indexed heap, phase saving, and Luby restarts.
 Assumptions are handled as forced decisions; failed-assumption analysis
-yields an unsat core. Retractable clauses are guarded by fresh activation
-variables that are never reused.
+yields an unsat core.
 
 Literals are packed ints: 2*var for the positive phase, 2*var+1 for the
 negative one.
@@ -73,8 +72,6 @@ class Solver:
         self.n_solves = 0
         self.n_conflicts = 0
         self._seen: list[bool] = []
-        self._retract_acts: dict[int, int] = {}  # handle -> activation var
-        self._next_handle = 0
 
     # ------------------------------------------------------------------ heap
 
@@ -184,19 +181,6 @@ class Solver:
         self.watches[out[0] ^ 1].extend((idx, out[1]))
         self.watches[out[1] ^ 1].extend((idx, out[0]))
         return True
-
-    def add_retractable(self, lits) -> int:
-        """Clause that participates in every solve until retracted."""
-        act = self.new_var()
-        self.add_clause([neg(act)] + list(lits))
-        handle = self._next_handle
-        self._next_handle += 1
-        self._retract_acts[handle] = act
-        return handle
-
-    def retract(self, handle: int) -> None:
-        act = self._retract_acts.pop(handle)  # KeyError on unknown handle
-        self.add_clause([neg(act)])
 
     # ------------------------------------------------------------- main loop
 
@@ -409,11 +393,9 @@ class Solver:
         """
         self.n_solves += 1
         assumptions = list(assumptions)
-        user_assumptions = frozenset(assumptions)
+        assumption_set = frozenset(assumptions)
         if not self.ok:
             return SolveResult(Status.UNSAT, core=frozenset())
-        assumed = [pos(a) for a in sorted(self._retract_acts.values())]
-        assumed.extend(assumptions)
         conflicts_allowed = conflict_limit
         restart_unit = 100
         luby_index = 1
@@ -456,18 +438,13 @@ class Solver:
                     self._cancel_until(0)
                     continue
                 depth = len(self.trail_lim)
-                if depth < len(assumed):
-                    p = assumed[depth]
+                if depth < len(assumptions):
+                    p = assumptions[depth]
                     v = self.value(p)
                     if v == 1:
                         self.trail_lim.append(len(self.trail))  # dummy level
                     elif v == 0:
-                        if p in user_assumptions:
-                            core = self._analyze_final(p, user_assumptions)
-                        else:
-                            # an activation literal of a live retractable
-                            # clause got forced; the store itself is unsat
-                            core = frozenset()
+                        core = self._analyze_final(p, assumption_set)
                         return SolveResult(Status.UNSAT, core=core)
                     else:
                         self.trail_lim.append(len(self.trail))
@@ -481,15 +458,6 @@ class Solver:
                 self._enqueue(lit, _UNDEF)
         finally:
             self._cancel_until(0)
-
-    # ---------------------------------------------------------------- extras
-
-    def write_dimacs(self, fh) -> None:
-        """Dump the current clause store (problem and learned) as DIMACS."""
-        fh.write(f"p cnf {self.n_vars} {len(self.clauses)}\n")
-        for clause in self.clauses:
-            row = " ".join(str((l >> 1) + 1 if not l & 1 else -((l >> 1) + 1)) for l in clause)
-            fh.write(row + " 0\n")
 
 
 def _luby(x: int) -> int:

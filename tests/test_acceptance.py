@@ -31,7 +31,7 @@ from japdr.circuit import (
     property_violated,
     replay_trace,
 )
-from japdr.clausedb import load as db_load, save as db_save
+from japdr.clausedb import append as db_append, load as db_load
 from japdr.cli import main
 from japdr.oracle import CheckMode, ExplicitModel, bmc
 from japdr.orchestrator import (
@@ -39,8 +39,7 @@ from japdr.orchestrator import (
     TaskOptions,
     VerdictStatus as S,
     VerificationTask,
-    run_ja,
-    run_separate_global,
+    run,
 )
 from japdr.pdr import PdrOptions, PdrStatus, certify, check_property
 
@@ -187,7 +186,7 @@ def random_sweep():
                 if out.status is not PdrStatus.HOLDS or out.invariant != ():
                     flag(f"P{i} relative induction did not close at once")
 
-        rep_ja = run_ja(VerificationTask(c, tuple(props), Mode.JA))
+        rep_ja = run(VerificationTask(c, tuple(props), Mode.JA))
         ja_statuses.append({v.property_index: v.status for v in rep_ja.verdicts})
         if set(rep_ja.debugging_set) != dbg:
             flag("driver debugging set mismatch")
@@ -207,7 +206,7 @@ def random_sweep():
             if v.status in (S.HOLDS_LOCAL, S.HOLDS_GLOBAL) and not v.certified:
                 flag(f"driver skipped certification for P{v.property_index}")
 
-        rep_sep = run_separate_global(
+        rep_sep = run(
             VerificationTask(c, tuple(props), Mode.SEPARATE_GLOBAL)
         )
         for v in rep_sep.verdicts:
@@ -242,7 +241,7 @@ def test_criterion_1_counter_scaling():
         times = []
         for _ in range(5):
             t0 = time.monotonic()
-            rep = run_ja(VerificationTask(c, tuple(props), Mode.JA))
+            rep = run(VerificationTask(c, tuple(props), Mode.JA))
             times.append(time.monotonic() - t0)
         medians[k] = statistics.median(times)
         v0, v1 = rep.verdicts
@@ -327,7 +326,7 @@ def test_criterion_5_reuse_neutrality_and_benefit(tmp_path):
     for n in picked:
         seed, c, props = sweep.systems[n]
         db = tmp_path / f"{n}.db"
-        rep = run_ja(
+        rep = run(
             VerificationTask(
                 c,
                 tuple(props),
@@ -339,11 +338,11 @@ def test_criterion_5_reuse_neutrality_and_benefit(tmp_path):
         assert got == sweep.ja_statuses[n], seed
 
     thr = build_counter(6, thresholds=10)
-    rep_off = run_separate_global(
+    rep_off = run(
         VerificationTask(thr.circuit, thr.props, Mode.SEPARATE_GLOBAL)
     )
     db = tmp_path / "thresholds.db"
-    rep_on = run_separate_global(
+    rep_on = run(
         VerificationTask(
             thr.circuit,
             thr.props,
@@ -440,7 +439,7 @@ def test_criterion_6_format_fidelity(tmp_path):
     # the clause store reproduces itself byte for byte
     thr = build_counter(5, thresholds=6)
     db = tmp_path / "fidelity.db"
-    run_separate_global(
+    run(
         VerificationTask(
             thr.circuit,
             thr.props,
@@ -452,8 +451,8 @@ def test_criterion_6_format_fidelity(tmp_path):
     records = db_load(db, fp)
     assert records
     a, b = tmp_path / "rt_a.db", tmp_path / "rt_b.db"
-    db_save(records, a)
-    db_save(db_load(a, fp), b)
+    db_append(records, a)
+    db_append(db_load(a, fp), b)
     assert a.read_bytes() == b.read_bytes()
     print(
         "criterion 6 (format fidelity): PASS - 100x100 roundtrip simulations, "
@@ -469,7 +468,7 @@ def test_criterion_7_many_property_smoke(tmp_path):
     path.write_bytes(emit_binary(built.circuit))
     circuit, props = parse_file(path)
     assert len(props) == 100
-    rep = run_ja(
+    rep = run(
         VerificationTask(
             circuit,
             tuple(props),

@@ -21,7 +21,6 @@ from japdr.circuit import (
     eval_literal,
     eval_transition,
     frame_satisfies,
-    is_valid_local_transition,
     property_violated,
     replay_trace,
 )
@@ -82,27 +81,6 @@ def test_frame_satisfies_and_constraints():
     constrained = Circuit(c.num_inputs, c.latches, c.ands, c.bads, (Literal(2),))
     assert constraints_hold(constrained, frame((0, 0, 0), (0, 1)))
     assert not constraints_hold(constrained, frame((0, 0, 0), (0, 0)))
-
-
-def test_local_transition_self_loop_law():
-    # violating frames may only loop on their latches; clean frames step
-    rng = random.Random(42)
-    for _ in range(60):
-        rr = random.Random(rng.randrange(1 << 30))
-        c, props = gen_random_circuit(rr, num_inputs=2, num_latches=4, num_gates=8,
-                                      num_props=2)
-        latches = tuple(rr.randint(0, 1) for _ in range(4))
-        inputs = tuple(rr.randint(0, 1) for _ in range(2))
-        f = frame(latches, inputs)
-        stepped = eval_transition(c, f)
-        if frame_satisfies(c, f, props):
-            assert is_valid_local_transition(c, props, f, stepped)
-            if stepped != latches:
-                assert not is_valid_local_transition(c, props, f, latches)
-        else:
-            assert is_valid_local_transition(c, props, f, latches)
-            if stepped != latches:
-                assert not is_valid_local_transition(c, props, f, stepped)
 
 
 def test_cone_latches_counter():

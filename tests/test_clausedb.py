@@ -20,7 +20,6 @@ from japdr.clausedb import (
     append,
     filter_invariant,
     load,
-    save,
     seeds_for_context,
 )
 from japdr.pdr import PdrStats, PdrStatus, check_property
@@ -46,7 +45,7 @@ def test_save_load_roundtrip_is_byte_stable(tmp_path):
     ]
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
-    save(recs, a)
+    append(recs, a)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         here = load(a, fp)
@@ -58,7 +57,7 @@ def test_save_load_roundtrip_is_byte_stable(tmp_path):
         foreign = load(a, OTHER_FP)
         assert len(caught) == 1 and "skipped" in str(caught[0].message)
     assert [r.clause for r in foreign] == [(1, 4, 5)]
-    save(here + foreign, b)
+    append(here + foreign, b)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -66,11 +65,42 @@ def test_append_adds_a_section(tmp_path):
     c, _ = gen_counter(3)
     fp = circuit_fingerprint(c)
     path = tmp_path / "db.txt"
-    save([ClauseRecord((2,), 1, (), fp)], path)
+    append([ClauseRecord((2,), 1, (), fp)], path)
     append([ClauseRecord((2, 4), 0, (1,), fp)], path)
     recs = load(path, fp)
     assert [r.clause for r in recs] == [(2,), (2, 4)]
     assert recs[1].origin == 0
+
+
+def torn_store(tmp_path, cut):
+    """A store whose last record lost its final `cut` bytes, as a writer
+    killed mid-append leaves it."""
+    path = tmp_path / "torn.txt"
+    append([ClauseRecord((2,), 1, (), "aa")], path)
+    append([ClauseRecord((2, 3), 1, (0, 2), "aa"), ClauseRecord((1, 2, 7), 1, (0, 2), "aa")], path)
+    data = path.read_bytes()
+    assert data.endswith(b"0,2 1 -1 2 -4\n")
+    path.write_bytes(data[:-cut])
+    return path
+
+
+@pytest.mark.parametrize("cut", [1, 2, 3, 5, 10, 13])
+def test_load_drops_a_torn_last_record_with_a_warning(tmp_path, cut):
+    # a shorter clause is a stronger claim, so a cut-short record must
+    # never load as one
+    path = torn_store(tmp_path, cut)
+    with pytest.warns(UserWarning, match="torn last record"):
+        recs = load(path, "aa")
+    assert [r.clause for r in recs] == [(2,), (2, 3)]
+
+
+def test_append_after_a_torn_record_starts_a_clean_section(tmp_path):
+    path = torn_store(tmp_path, 3)
+    append([ClauseRecord((4,), 0, (), "aa")], path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        recs = load(path, "aa")
+    assert [r.clause for r in recs] == [(2,), (2, 3), (4,)]
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from japdr.circuit import (
     property_violated,
     replay_trace,
 )
+from japdr import orchestrator
 from japdr.oracle import CheckMode, brute_check, brute_debug_set
 from japdr.orchestrator import (
     Mode,
@@ -22,12 +23,8 @@ from japdr.orchestrator import (
     VerdictStatus as S,
     VerificationTask,
     aggregate_bad,
-    handle_etf,
     ordered_eth,
     run,
-    run_ja,
-    run_joint,
-    run_separate_global,
 )
 
 
@@ -37,7 +34,7 @@ def verdict_for(report, index):
 
 def test_counter3_ja_verdicts():
     c, props = gen_counter(3)
-    rep = run_ja(VerificationTask(c, tuple(props), Mode.JA))
+    rep = run(VerificationTask(c, tuple(props), Mode.JA))
     v0, v1 = rep.verdicts
     assert v0.status is S.FAILS_LOCAL and v0.evidence.depth == 0
     assert v1.status is S.HOLDS_LOCAL and v1.evidence == 0  # zero clauses
@@ -47,7 +44,7 @@ def test_counter3_ja_verdicts():
 
 def test_counter3_separate_global_verdicts():
     c, props = gen_counter(3)
-    rep = run_separate_global(VerificationTask(c, tuple(props), Mode.SEPARATE_GLOBAL))
+    rep = run(VerificationTask(c, tuple(props), Mode.SEPARATE_GLOBAL))
     v0, v1 = rep.verdicts
     assert v0.status is S.FAILS_GLOBAL and v0.evidence.depth == 0
     assert v1.status is S.FAILS_GLOBAL and v1.evidence.depth == 5
@@ -56,7 +53,7 @@ def test_counter3_separate_global_verdicts():
 
 def test_counter3_joint_verdicts_and_attribution():
     c, props = gen_counter(3)
-    rep = run_joint(VerificationTask(c, tuple(props), Mode.JOINT))
+    rep = run(VerificationTask(c, tuple(props), Mode.JOINT))
     v0, v1 = rep.verdicts
     assert v0.status is S.FAILS_GLOBAL and v0.evidence.depth == 0
     assert v1.status is S.FAILS_GLOBAL and v1.evidence.depth == 5
@@ -110,13 +107,13 @@ def planted_pair():
 def test_planted_pair_holds_locally_without_upgrade():
     c, props = planted_pair()
     assert brute_debug_set(c, props) == {0}
-    rep = run_ja(VerificationTask(c, props, Mode.JA))
+    rep = run(VerificationTask(c, props, Mode.JA))
     v0, v1 = rep.verdicts
     assert v0.status is S.FAILS_LOCAL and v0.evidence.depth == 1
     # holds under assumption, fails globally: no upgrade may fire
     assert v1.status is S.HOLDS_LOCAL
     assert rep.debugging_set == (0,)
-    rep_g = run_separate_global(VerificationTask(c, props, Mode.SEPARATE_GLOBAL))
+    rep_g = run(VerificationTask(c, props, Mode.SEPARATE_GLOBAL))
     assert verdict_for(rep_g, 1).status is S.FAILS_GLOBAL
     assert verdict_for(rep_g, 1).evidence.depth == 2
 
@@ -131,7 +128,7 @@ def test_all_true_system_upgrades_to_global():
         )
         if brute_debug_set(circ, props):
             continue
-        rep = run_ja(VerificationTask(circ, tuple(props), Mode.JA))
+        rep = run(VerificationTask(circ, tuple(props), Mode.JA))
         assert all(v.status is S.HOLDS_GLOBAL for v in rep.verdicts), seed
         assert rep.debugging_set == ()
         return
@@ -151,7 +148,7 @@ def test_modes_agree_with_the_oracle():
             num_props=rr.randint(2, 3),
             mutate=rr.random() < 0.5,
         )
-        rep_ja = run_ja(VerificationTask(circ, tuple(props), Mode.JA))
+        rep_ja = run(VerificationTask(circ, tuple(props), Mode.JA))
         assert set(rep_ja.debugging_set) == brute_debug_set(circ, props), seed
         for v in rep_ja.verdicts:
             o_local = brute_check(circ, props, v.property_index, CheckMode.LOCAL)
@@ -168,14 +165,14 @@ def test_modes_agree_with_the_oracle():
             else:
                 raise AssertionError((seed, v.status))
 
-        rep_g = run_separate_global(
+        rep_g = run(
             VerificationTask(circ, tuple(props), Mode.SEPARATE_GLOBAL)
         )
         for v in rep_g.verdicts:
             o_global = brute_check(circ, props, v.property_index, CheckMode.GLOBAL)
             assert (v.status is S.HOLDS_GLOBAL) == o_global.holds, seed
 
-        rep_j = run_joint(VerificationTask(circ, tuple(props), Mode.JOINT))
+        rep_j = run(VerificationTask(circ, tuple(props), Mode.JOINT))
         for v in rep_j.verdicts:
             o_global = brute_check(circ, props, v.property_index, CheckMode.GLOBAL)
             assert (v.status is S.HOLDS_GLOBAL) == o_global.holds, (seed, v)
@@ -185,7 +182,7 @@ def test_modes_agree_with_the_oracle():
 
 def test_joint_single_property_degenerates_cleanly():
     c, props = gen_counter(3)
-    rep = run_joint(VerificationTask(c, (props[0],), Mode.JOINT))
+    rep = run(VerificationTask(c, (props[0],), Mode.JOINT))
     v = rep.verdicts[0]
     assert v.status is S.FAILS_GLOBAL and v.evidence.depth == 0
 
@@ -193,7 +190,7 @@ def test_joint_single_property_degenerates_cleanly():
 def test_etf_that_holds_is_flagged():
     c, props = gen_counter(3)
     etf_props = (props[0], PropertySpec(1, props[1].bad, PropertyKind.ETF))
-    rep = run_ja(VerificationTask(c, etf_props, Mode.JA))
+    rep = run(VerificationTask(c, etf_props, Mode.JA))
     ve = verdict_for(rep, 1)
     assert ve.status is S.ETF_HOLDS_LOCAL and ve.unexpected
     assert verdict_for(rep, 0).status is S.FAILS_LOCAL
@@ -203,18 +200,42 @@ def test_etf_that_holds_is_flagged():
 def test_etf_confirmation_respects_the_eth_context():
     c, props = gen_counter(3)
     etf = PropertySpec(2, TRUE, PropertyKind.ETF)
-    rep = run_ja(VerificationTask(c, (props[0], props[1], etf), Mode.JA))
+    rep = run(VerificationTask(c, (props[0], props[1], etf), Mode.JA))
     vt = verdict_for(rep, 2)
     assert vt.status is S.ETF_CONFIRMED and vt.evidence.depth == 0
     rr = replay_trace(c, vt.evidence, etf, [props[0], props[1]])
     assert rr.valid and not rr.spurious
 
 
-def test_handle_etf_standalone():
-    c, props = gen_counter(3)
-    etf = PropertySpec(2, TRUE, PropertyKind.ETF)
-    vs = handle_etf(VerificationTask(c, (props[0], props[1], etf), Mode.JA))
-    assert len(vs) == 1 and vs[0].status is S.ETF_CONFIRMED
+def test_totals_report_the_clauses_the_engine_learned(tmp_path, monkeypatch):
+    learned = []
+    original = orchestrator.check_property
+
+    def counting(*args, **kwargs):
+        out = original(*args, **kwargs)
+        learned.append(out.stats.clauses_learned)
+        return out
+
+    monkeypatch.setattr(orchestrator, "check_property", counting)
+    c, props = gen_random_circuit(
+        random.Random(3), num_inputs=2, num_latches=6, num_gates=20, num_props=3
+    )
+    for mode in Mode:
+        learned.clear()
+        rep = run(VerificationTask(c, tuple(props), mode))
+        assert sum(learned) > 0
+        assert rep.totals.clauses_learned == sum(learned), mode
+
+    # over a warm store every proof is made of seeds: the invariants are
+    # not empty, yet the engine learns nothing
+    thr = build_counter(5, thresholds=6)
+    opts = TaskOptions(reuse_clauses=True, clause_db=str(tmp_path / "clauses.db"))
+    task = VerificationTask(thr.circuit, thr.props, Mode.SEPARATE_GLOBAL, opts)
+    run(task)
+    learned.clear()
+    warm = run(task)
+    assert sum(v.evidence for v in warm.verdicts) > 0
+    assert warm.totals.clauses_learned == sum(learned) == 0
 
 
 def test_ordering_options():
@@ -242,13 +263,13 @@ def test_clause_reuse_saves_work_and_keeps_verdicts(tmp_path):
     # proof can seed the next and a second pass starts warm
     thr = build_counter(5, thresholds=6)
     base = VerificationTask(thr.circuit, thr.props, Mode.SEPARATE_GLOBAL)
-    rep_off = run_separate_global(base)
+    rep_off = run(base)
     assert all(v.status is S.HOLDS_GLOBAL for v in rep_off.verdicts)
     assert any(v.evidence > 0 for v in rep_off.verdicts[1:])
 
     db = tmp_path / "clauses.db"
     opts = TaskOptions(reuse_clauses=True, clause_db=str(db))
-    rep_on = run_separate_global(
+    rep_on = run(
         VerificationTask(thr.circuit, thr.props, Mode.SEPARATE_GLOBAL, opts)
     )
     assert db.exists()
@@ -257,7 +278,7 @@ def test_clause_reuse_saves_work_and_keeps_verdicts(tmp_path):
     assert sum(v.seeds_used for v in rep_on.verdicts) > 0
     assert rep_on.totals.sat_calls <= rep_off.totals.sat_calls
 
-    rep_on2 = run_separate_global(
+    rep_on2 = run(
         VerificationTask(thr.circuit, thr.props, Mode.SEPARATE_GLOBAL, opts)
     )
     assert rep_on2.totals.sat_calls <= rep_on.totals.sat_calls
@@ -265,9 +286,9 @@ def test_clause_reuse_saves_work_and_keeps_verdicts(tmp_path):
 
 def test_reuse_is_verdict_neutral_in_ja_mode(tmp_path):
     thr = build_counter(5, thresholds=4)
-    rep_off = run_ja(VerificationTask(thr.circuit, thr.props, Mode.JA))
+    rep_off = run(VerificationTask(thr.circuit, thr.props, Mode.JA))
     db = tmp_path / "clauses.db"
-    rep_on = run_ja(
+    rep_on = run(
         VerificationTask(
             thr.circuit,
             thr.props,
@@ -280,11 +301,28 @@ def test_reuse_is_verdict_neutral_in_ja_mode(tmp_path):
     assert all(v.status is S.HOLDS_GLOBAL for v in rep_on.verdicts)
 
 
+def test_separate_global_filters_records_from_local_proofs(tmp_path):
+    # local records are re-earned under the empty context, not dropped
+    seeded = 0
+    for seed in range(6):
+        c, props = gen_random_circuit(
+            random.Random(seed), num_inputs=2, num_latches=6, num_gates=20, num_props=3
+        )
+        opts = TaskOptions(reuse_clauses=True, clause_db=str(tmp_path / f"{seed}.db"))
+        run(VerificationTask(c, tuple(props), Mode.JA, opts))
+        rep = run(VerificationTask(c, tuple(props), Mode.SEPARATE_GLOBAL, opts))
+        for v in rep.verdicts:
+            o_global = brute_check(c, props, v.property_index, CheckMode.GLOBAL)
+            assert (v.status is S.HOLDS_GLOBAL) == o_global.holds, (seed, v)
+            seeded += v.seeds_used
+    assert seeded > 0
+
+
 def test_per_property_timeout_is_isolated():
     # the threshold needs an astronomically deep proof at this width, the
     # req property still gets its quick answer
     c, props = gen_counter(20)
-    rep = run_separate_global(
+    rep = run(
         VerificationTask(
             c,
             tuple(props),
@@ -300,7 +338,7 @@ def test_per_property_timeout_is_isolated():
 def test_total_timeout_leaves_unknowns_not_errors():
     big = build_counter(18, thresholds=2)
     t0 = time.monotonic()
-    rep = run_ja(
+    rep = run(
         VerificationTask(
             big.circuit,
             big.props,

@@ -12,7 +12,7 @@ from japdr.orchestrator import (
     Verdict,
     VerdictStatus as S,
     VerificationTask,
-    run_ja,
+    run,
 )
 from japdr.report import (
     EXIT_FAILURES,
@@ -53,7 +53,7 @@ def test_exit_code_table(statuses, want):
 
 def ja_report():
     c, props = gen_counter(3)
-    return run_ja(VerificationTask(c, tuple(props), Mode.JA))
+    return run(VerificationTask(c, tuple(props), Mode.JA))
 
 
 def test_json_report_is_parse_stable():

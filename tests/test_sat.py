@@ -91,27 +91,6 @@ def test_core_shrinks_below_full_assumption_set_sometimes():
     assert result.core == {pos(a)}
 
 
-def test_retractable_clauses():
-    solver = Solver()
-    x, y = solver.new_var(), solver.new_var()
-    handle = solver.add_retractable([pos(x)])
-    solver.add_clause([neg(x), pos(y)])
-    result = solver.solve()
-    assert result.status is Status.SAT and result.value(pos(x)) and result.value(pos(y))
-    solver.retract(handle)
-    result = solver.solve([neg(x)])
-    assert result.status is Status.SAT and result.value(neg(x))
-
-
-def test_retract_then_conflicting_clause_is_fine():
-    solver = Solver()
-    x = solver.new_var()
-    h = solver.add_retractable([pos(x)])
-    solver.retract(h)
-    solver.add_clause([neg(x)])
-    assert solver.solve().status is Status.SAT
-
-
 def test_pigeonhole_unsat():
     # 4 pigeons, 3 holes; hard enough to exercise learning and restarts
     pigeons, holes = 4, 3
@@ -193,18 +172,3 @@ def test_luby_restart_sequence_prefix():
 
     want = [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
     assert [_luby(i) for i in range(1, 16)] == want
-
-
-def test_write_dimacs_reflects_store(tmp_path):
-    # units bypass the clause store, so only multi-literal clauses appear
-    solver = Solver()
-    x, y, z = solver.new_var(), solver.new_var(), solver.new_var()
-    solver.add_clause([pos(x), neg(y)])
-    solver.add_clause([pos(y), pos(z)])
-    path = tmp_path / "out.cnf"
-    with open(path, "w") as fh:
-        solver.write_dimacs(fh)
-    text = path.read_text().splitlines()
-    assert text[0] == "p cnf 3 2"
-    body = {tuple(map(int, line.split()[:-1])) for line in text[1:]}
-    assert body == {(1, -2), (2, 3)}
