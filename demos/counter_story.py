@@ -18,12 +18,7 @@ import time
 
 from japdr.aiger import gen_counter
 from japdr.oracle import bmc
-from japdr.orchestrator import (
-    Mode,
-    TaskOptions,
-    VerificationTask,
-    run,
-)
+from japdr.orchestrator import Mode, VerificationTask, run
 
 
 def show(title):

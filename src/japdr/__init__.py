@@ -41,7 +41,7 @@ from .orchestrator import (
     VerificationTask,
     run,
 )
-from .pdr import PdrError, PdrOptions, PdrOutcome, PdrStats, PdrStatus, certify, check_property
+from .pdr import PdrError, PdrOutcome, PdrStats, PdrStatus, certify, check_property
 from .report import REPORT_SCHEMA, exit_code, format_report, validate_report_json
 
 __version__ = "0.1.0"
@@ -60,7 +60,6 @@ __all__ = [
     "Mode",
     "OracleError",
     "PdrError",
-    "PdrOptions",
     "PdrOutcome",
     "PdrStats",
     "PdrStatus",

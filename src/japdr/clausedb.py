@@ -107,7 +107,7 @@ def load(path, fingerprint: str) -> tuple[ClauseRecord, ...]:
         raw = fh.read()
     if raw and not raw.endswith("\n"):
         raw, _, torn = raw.rpartition("\n")
-        warnings.warn(f"clause store {path}: torn last record {torn!r} dropped", stacklevel=2)
+        warnings.warn(f"{path}: torn last record {torn!r} dropped", stacklevel=2)
     out: list[ClauseRecord] = []
     section_fp: str | None = None
     section_width = 0
@@ -128,7 +128,7 @@ def load(path, fingerprint: str) -> tuple[ClauseRecord, ...]:
             if section_fp != fingerprint and section_fp not in skipped:
                 skipped.add(section_fp)
                 warnings.warn(
-                    f"clause store section for unknown circuit {section_fp[:12]} skipped",
+                    f"{path}: section for unknown circuit {section_fp[:12]} skipped",
                     stacklevel=2,
                 )
             continue

@@ -15,7 +15,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
+import warnings
 
 from .aiger import (
     AigerError,
@@ -41,45 +41,6 @@ from .report import (
 )
 
 _MODES = {"ja": Mode.JA, "joint": Mode.JOINT, "sep-global": Mode.SEPARATE_GLOBAL}
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated flag set for the `check` subcommand."""
-
-    input_path: str
-    mode: Mode
-    options: TaskOptions
-    etf_indices: tuple[int, ...]
-    report_format: str
-    witness_dir: str | None
-
-    @staticmethod
-    def from_args(args) -> "CliConfig":
-        order = args.order
-        if order == "given":
-            order = None
-        elif order != "easy-first":
-            with open(order) as fh:
-                order = [int(tok) for tok in fh.read().replace(",", " ").split()]
-        reuse = args.reuse_clauses == "on"
-        options = TaskOptions(
-            reuse_clauses=reuse,
-            clause_db=args.clause_db,
-            lifting=args.lifting,
-            per_prop_timeout_s=args.per_prop_timeout,
-            total_timeout_s=args.total_timeout,
-            order=order,
-            certify=args.certify or reuse,  # re-used clauses demand certification
-        )
-        return CliConfig(
-            input_path=args.input,
-            mode=_MODES[args.mode],
-            options=options,
-            etf_indices=tuple(args.etf or ()),
-            report_format=args.report,
-            witness_dir=args.witness_dir,
-        )
 
 
 def _positive(text: str) -> float:
@@ -108,7 +69,6 @@ def parse_args(argv) -> argparse.Namespace:
     check.add_argument("--mode", choices=sorted(_MODES), default="ja")
     check.add_argument("--reuse-clauses", choices=["on", "off"], default="on")
     check.add_argument("--clause-db", metavar="PATH")
-    check.add_argument("--lifting", choices=["ignore", "respect"], default="ignore")
     check.add_argument("--per-prop-timeout", type=_positive, metavar="SECONDS")
     check.add_argument("--total-timeout", type=_positive, metavar="SECONDS")
     check.add_argument(
@@ -121,10 +81,6 @@ def parse_args(argv) -> argparse.Namespace:
     )
     check.add_argument("--report", choices=["text", "json", "csv"], default="text")
     check.add_argument("--witness-dir", metavar="PATH")
-    check.add_argument(
-        "--certify", action="store_true",
-        help="re-check every proof on fresh solvers (always on with re-use)",
-    )
 
     genc = sub.add_parser("gen-counter", help="write a counter benchmark")
     genc.add_argument("--bits", type=int, required=True)
@@ -189,32 +145,51 @@ def _write_witnesses(directory, circuit, report) -> dict[int, str]:
     return paths
 
 
+def _clause_db_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"japdr: clause db: {message}", file=sys.stderr)
+
+
 def _cmd_check(args) -> int:
+    order = args.order
     try:
-        config = CliConfig.from_args(args)
+        if order == "given":
+            order = None
+        elif order != "easy-first":
+            with open(order) as fh:
+                order = [int(tok) for tok in fh.read().replace(",", " ").split()]
     except (OSError, ValueError) as exc:
         print(f"japdr: bad arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    circuit, props = _load(config.input_path)
-    for i in config.etf_indices:
+    options = TaskOptions(
+        reuse_clauses=args.reuse_clauses == "on",
+        clause_db=args.clause_db,
+        per_prop_timeout_s=args.per_prop_timeout,
+        total_timeout_s=args.total_timeout,
+        order=order,
+    )
+    circuit, props = _load(args.input)
+    for i in args.etf or ():
         if not 0 <= i < len(props):
             print(f"japdr: --etf index {i} out of range", file=sys.stderr)
             return EXIT_USAGE
         props[i] = PropertySpec(props[i].index, props[i].bad, PropertyKind.ETF)
     try:
-        task = VerificationTask(circuit, tuple(props), config.mode, config.options)
+        task = VerificationTask(circuit, tuple(props), _MODES[args.mode], options)
     except ValueError as exc:
         print(f"japdr: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        report = run(task)
+        # the clause store is the only source of warnings during a run
+        with warnings.catch_warnings():
+            warnings.showwarning = _clause_db_warning
+            report = run(task)
     except ClauseDbError as exc:
         print(f"japdr: clause db: {exc}", file=sys.stderr)
         return EXIT_PARSE
     witnesses = None
-    if config.witness_dir:
-        witnesses = _write_witnesses(config.witness_dir, circuit, report)
-    data, code = format_report(report, config.report_format, witnesses)
+    if args.witness_dir:
+        witnesses = _write_witnesses(args.witness_dir, circuit, report)
+    data, code = format_report(report, args.report, witnesses)
     sys.stdout.write(data.decode())
     return code
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circuit import Circuit, Counterexample, PropertySpec, TraceFrame
 from .encode import Unroller
@@ -193,11 +193,10 @@ class ExplicitModel:
             self.nl,
         )
 
-    def _search_cex(self, target: PropertySpec, clean_mask: int) -> Counterexample | None:
+    def _search_cex(self, target_mask: int, clean_mask: int) -> Counterexample | None:
         """Shortest, lexicographically least trace whose non-final frames
         avoid `clean_mask` bads (and satisfy the constraint section) and
-        whose final frame violates the target."""
-        target_bit = self.bad_bit(target.index)
+        whose final frame fires a `target_mask` bad."""
         parent: dict[int, tuple[int, int] | None] = {self.init_int: None}
         queue = [self.init_int]
         head = 0
@@ -206,7 +205,7 @@ class ExplicitModel:
             head += 1
             bad_row = self.bad_table[s]
             for x in range(self.n_inputs):
-                if bad_row[x] & target_bit:
+                if bad_row[x] & target_mask:
                     return self._build_trace(parent, s, x)
             c_row = self.constr_table[s]
             nxt_row = self.next_table[s]
@@ -234,12 +233,8 @@ class ExplicitModel:
     def brute_check(self, props, target_index: int, mode: CheckMode) -> BruteResult:
         """Exhaustive verdict for one property; counterexamples are the
         shortest possible, input-lex-least among those."""
-        by_index = {p.index: p for p in props}
-        target = by_index[target_index]
-        if mode is CheckMode.LOCAL:
-            clean = self.prop_mask(props)
-        else:
-            clean = self.bad_bit(target_index)
+        target = self.bad_bit(target_index)
+        clean = self.prop_mask(props) if mode is CheckMode.LOCAL else target
         cex = self._search_cex(target, clean)
         if cex is None:
             return BruteResult(True)
@@ -249,30 +244,14 @@ class ExplicitModel:
         """All properties together: non-final frames clean of every bad,
         final frame violating at least one."""
         mask = self.prop_mask(props)
-        parent: dict[int, tuple[int, int] | None] = {self.init_int: None}
-        queue = [self.init_int]
-        head = 0
-        while head < len(queue):
-            s = queue[head]
-            head += 1
-            bad_row = self.bad_table[s]
-            for x in range(self.n_inputs):
-                if bad_row[x] & mask:
-                    cex = self._build_trace(parent, s, x)
-                    violated = next(
-                        p.index for p in props if bad_row[x] & self.bad_bit(p.index)
-                    )
-                    return BruteResult(False, Counterexample(cex.frames, violated))
-            c_row = self.constr_table[s]
-            nxt_row = self.next_table[s]
-            for x in range(self.n_inputs):
-                if not c_row[x] or bad_row[x] & mask:
-                    continue
-                t = nxt_row[x]
-                if t not in parent:
-                    parent[t] = (s, x)
-                    queue.append(t)
-        return BruteResult(True)
+        cex = self._search_cex(mask, mask)
+        if cex is None:
+            return BruteResult(True)
+        final = cex.frames[-1]
+        state = _bits_to_int(final.latch_values)
+        fired = self.bad_table[state][_bits_to_int(final.input_values)]
+        violated = next(p.index for p in props if fired & self.bad_bit(p.index))
+        return BruteResult(False, Counterexample(cex.frames, violated))
 
     def brute_debug_set(self, props) -> set[int]:
         """Indices failing their local check (assuming all the others)."""

@@ -16,12 +16,17 @@ Expected-to-fail properties come last. A counterexample for one
 demonstrates the failure without breaking any expected behavior before
 its final frame; a proof instead is flagged, the expectation was wrong.
 
-Counterexamples produced under ignore-mode lifting may violate an
-assumed property mid-trace. Every trace is replayed; a spurious one
-triggers a single retry with respect-mode lifting, which cannot repeat
-the artifact. Proofs built on seeded clauses are always re-certified on
-fresh solvers, and a certificate rejection drops the seeds and re-runs,
-so clause re-use can never manufacture a verdict.
+Every check starts with ignore-mode lifting, whose counterexamples may
+violate an assumed property mid-trace. Every trace is replayed; a
+spurious one triggers a single retry with respect-mode lifting, which
+cannot repeat the artifact. Every proof is re-certified on fresh
+solvers; when a proof built on seeded clauses is rejected, the seeds are
+dropped and the check re-runs, so clause re-use can never manufacture a
+verdict.
+
+Joint mode decides several properties with one aggregate check, so each
+verdict it peels off reports the time and SAT calls of that whole check;
+the run totals count every check once.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 import enum
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .aiger import circuit_fingerprint
 from .circuit import (
@@ -45,7 +50,7 @@ from .circuit import (
     replay_trace,
 )
 from .clausedb import ClauseDbError, ClauseRecord, append, load, seeds_for_context
-from .pdr import PdrError, PdrOptions, PdrStats, PdrStatus, certify, check_property
+from .pdr import PdrError, PdrStats, PdrStatus, certify, check_property
 
 
 class Mode(enum.Enum):
@@ -68,13 +73,9 @@ class VerdictStatus(enum.Enum):
 class TaskOptions:
     reuse_clauses: bool = False
     clause_db: str | None = None
-    lifting: str = "ignore"  # starting mode; "respect" forecloses spurious cexs
     per_prop_timeout_s: float | None = None
     total_timeout_s: float | None = None
     order: object = None  # None (given order), "easy-first", or explicit indices
-    certify: bool = True
-    max_frames: int | None = None
-    conflict_budget: int | None = None
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,6 @@ class VerificationTask:
             value = getattr(opts, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive")
-        if opts.lifting not in ("ignore", "respect"):
-            raise ValueError(f"unknown lifting mode {opts.lifting!r}")
         order = opts.order
         if order is not None and order != "easy-first":
             eth = {p.index for p in self.eth_properties}
@@ -121,7 +120,6 @@ class Verdict:
     certified: bool = False
     retried_respect: bool = False
     seeds_used: int = 0
-    unexpected: bool = False
 
 
 @dataclass(frozen=True)
@@ -153,100 +151,69 @@ def ordered_eth(task: VerificationTask) -> list[PropertySpec]:
     return [by_index[i] for i in order]
 
 
-class _SingleOutcome:
-    __slots__ = ("kind", "cex", "invariant", "stats", "frames",
-                 "certified", "retried", "wall_s")
-
-    def __init__(self):
-        self.kind = "unknown"
-        self.cex = None
-        self.invariant = None
-        self.stats = PdrStats()
-        self.frames = 0
-        self.certified = False
-        self.retried = False
-        self.wall_s = 0.0
-
-
 def _check_one(
     circuit: Circuit,
     target: PropertySpec,
     ctx,
     seeds,
-    opts: TaskOptions,
-    prop_deadline: float | None,
-) -> _SingleOutcome:
+    deadline: float | None,
+    holds: VerdictStatus,
+    fails: VerdictStatus,
+) -> tuple[Verdict, tuple | None, int]:
     """One property, end to end: solve, replay, retry once on a spurious
-    trace, certify proofs. The deadline bounds all of it together."""
-    res = _SingleOutcome()
+    trace, certify proofs. The deadline bounds all of it together.
+
+    Returns the verdict, whose status is `holds` or `fails` once the check
+    is decided and Unknown otherwise, the invariant of a proof, and the
+    number of clauses the engine learned."""
     t0 = time.monotonic()
-    respect = opts.lifting == "respect"
-    seeds = tuple(seeds)
-    try:
-        while True:
-            remaining = None
-            if prop_deadline is not None:
-                remaining = prop_deadline - time.monotonic()
-                if remaining <= 0:
-                    return res
-            out = check_property(
-                circuit,
-                target,
-                ctx,
-                seeds,
-                PdrOptions(
-                    respect_constraints=respect,
-                    timeout_s=remaining,
-                    conflict_budget=opts.conflict_budget,
-                    max_frames=opts.max_frames,
-                ),
+    verdict = Verdict(target.index, VerdictStatus.UNKNOWN, seeds_used=len(seeds))
+    stats = PdrStats()
+    invariant = None
+    respect = False
+    while deadline is None or time.monotonic() < deadline:
+        out = check_property(
+            circuit, target, ctx, seeds, respect=respect, deadline=deadline
+        )
+        stats.sat_calls += out.stats.sat_calls
+        stats.clauses_learned += out.stats.clauses_learned
+        verdict.frames = out.stats.frames_opened
+        if out.status is PdrStatus.EXHAUSTED:
+            break
+        if out.status is PdrStatus.FAILS:
+            rep = replay_trace(circuit, out.cex, target, ctx)
+            if not rep.valid:
+                raise PdrError(
+                    f"engine returned an invalid trace for property {target.index}"
+                )
+            if rep.spurious:
+                if respect:
+                    raise PdrError(
+                        "respect-mode lifting produced a spurious counterexample"
+                    )
+                verdict.retried_respect = respect = True
+                continue
+            verdict.status, verdict.evidence = fails, out.cex
+            break
+        try:
+            ok = certify(
+                circuit, ctx, out.invariant, target, stats=stats, deadline=deadline
             )
-            res.stats.sat_calls += out.stats.sat_calls
-            res.stats.clauses_learned += out.stats.clauses_learned
-            res.frames = out.stats.frames_opened
-            if out.status is PdrStatus.EXHAUSTED:
-                return res
-            if out.status is PdrStatus.FAILS:
-                rep = replay_trace(circuit, out.cex, target, ctx)
-                if not rep.valid:
-                    raise PdrError(
-                        f"engine returned an invalid trace for property {target.index}"
-                    )
-                if rep.spurious:
-                    if respect:
-                        raise PdrError(
-                            "respect-mode lifting produced a spurious counterexample"
-                        )
-                    res.retried = True
-                    respect = True
-                    continue
-                res.kind = "fails"
-                res.cex = out.cex
-                return res
-            # HOLDS
+        except PdrError:
+            break  # the deadline ran out inside certification
+        if ok:
             invariant = out.invariant
-            if opts.certify or seeds:
-                try:
-                    ok = certify(
-                        circuit, ctx, invariant, target,
-                        stats=res.stats, deadline=prop_deadline,
-                    )
-                except PdrError:
-                    return res  # budget ran out inside certification
-                if not ok:
-                    if seeds:
-                        # seed set let an unsound proof through; drop it
-                        seeds = ()
-                        continue
-                    raise PdrError(
-                        f"certification rejected the proof of property {target.index}"
-                    )
-                res.certified = True
-            res.kind = "holds"
-            res.invariant = invariant
-            return res
-    finally:
-        res.wall_s = time.monotonic() - t0
+            verdict.status, verdict.evidence = holds, len(invariant)
+            verdict.certified = True
+            break
+        if not seeds:
+            raise PdrError(
+                f"certification rejected the proof of property {target.index}"
+            )
+        seeds = ()  # the seed set let an unsound proof through; drop it
+    verdict.wall_s = time.monotonic() - t0
+    verdict.sat_calls = stats.sat_calls
+    return verdict, invariant, stats.clauses_learned
 
 
 def _prop_deadline(opts: TaskOptions, total_deadline: float | None) -> float | None:
@@ -258,42 +225,15 @@ def _prop_deadline(opts: TaskOptions, total_deadline: float | None) -> float | N
     return deadline
 
 
-def _verdict_from(
-    mode: Mode, prop: PropertySpec, res: _SingleOutcome, seeds_used: int
-) -> Verdict:
-    if prop.kind is PropertyKind.ETF:
-        holds, fails = VerdictStatus.ETF_HOLDS_LOCAL, VerdictStatus.ETF_CONFIRMED
-    elif mode is Mode.JA:
-        holds, fails = VerdictStatus.HOLDS_LOCAL, VerdictStatus.FAILS_LOCAL
-    else:
-        holds, fails = VerdictStatus.HOLDS_GLOBAL, VerdictStatus.FAILS_GLOBAL
-    if res.kind == "holds":
-        status, evidence = holds, len(res.invariant)
-    elif res.kind == "fails":
-        status, evidence = fails, res.cex
-    else:
-        status, evidence = VerdictStatus.UNKNOWN, None
-    return Verdict(
-        property_index=prop.index,
-        status=status,
-        evidence=evidence,
-        wall_s=res.wall_s,
-        frames=res.frames,
-        sat_calls=res.stats.sat_calls,
-        certified=res.certified,
-        retried_respect=res.retried,
-        seeds_used=seeds_used,
-        unexpected=prop.kind is PropertyKind.ETF and res.kind == "holds",
-    )
-
-
 class _ClauseStore:
     """In-memory record pool plus the optional backing file.
 
     Records learned earlier in the run seed later properties; the file,
     when configured, is written through on every harvest so nothing is
-    lost to an abort. Each harvest is one `append` call; nothing guards
-    against a second process appending at the same time.
+    lost to an abort. A harvest adds only (clause, context) pairs the
+    store does not hold yet, so re-runs over a warm store leave it as it
+    is. Each harvest is one `append` call; nothing guards against a
+    second process appending at the same time.
     """
 
     def __init__(self, task: VerificationTask):
@@ -304,6 +244,7 @@ class _ClauseStore:
         self.records: list[ClauseRecord] = []
         if self.path and os.path.exists(self.path):
             self.records.extend(load(self.path, self.fingerprint))
+        self.known = {(r.clause, r.context) for r in self.records}
 
     def seeds(self, circuit, ctx, deadline, stats) -> tuple[tuple[int, ...], ...]:
         if not self.enabled or not self.records:
@@ -320,26 +261,15 @@ class _ClauseStore:
         if not self.enabled or not invariant:
             return
         context = tuple(sorted(p.index for p in ctx))
-        new = [
-            ClauseRecord(clause, prop.index, context, self.fingerprint)
-            for clause in invariant
-        ]
+        new = []
+        for clause in invariant:
+            rec = ClauseRecord(clause, prop.index, context, self.fingerprint)
+            if (rec.clause, rec.context) not in self.known:
+                self.known.add((rec.clause, rec.context))
+                new.append(rec)
         self.records.extend(new)
         if self.path:
             append(new, self.path)
-
-
-def _finish(task, verdicts_by_index, t0, clauses_learned: int) -> RunReport:
-    verdicts = tuple(verdicts_by_index[i] for i in sorted(verdicts_by_index))
-    debugging = tuple(
-        v.property_index for v in verdicts if v.status is VerdictStatus.FAILS_LOCAL
-    )
-    totals = RunTotals(
-        wall_s=time.monotonic() - t0,
-        sat_calls=sum(v.sat_calls for v in verdicts),
-        clauses_learned=clauses_learned,
-    )
-    return RunReport(task, verdicts, debugging, _conclusion(task, verdicts_by_index), totals)
 
 
 def _conclusion(task, verdicts_by_index) -> str:
@@ -362,12 +292,6 @@ def _conclusion(task, verdicts_by_index) -> str:
             head = "no expected-to-hold properties"
     parts = [f"{n} {s.value}" for s, n in sorted(counts.items(), key=lambda kv: kv[0].value)]
     return head + " (" + ", ".join(parts) + ")"
-
-
-def _split(total: int, ways: int) -> list[int]:
-    """Integer shares that sum exactly to `total`."""
-    base, extra = divmod(total, ways)
-    return [base + (1 if i < extra else 0) for i in range(ways)]
 
 
 def aggregate_bad(circuit: Circuit, props) -> tuple[Circuit, PropertySpec]:
@@ -404,14 +328,16 @@ def _assumed(task: VerificationTask, prop: PropertySpec) -> tuple[PropertySpec, 
     return ()
 
 
-def _peel(task: VerificationTask, verdicts: dict, total_deadline) -> int:
+def _peel(task: VerificationTask, verdicts: dict, total_deadline) -> tuple[int, int]:
     """Joint mode's expected-to-hold pass: one aggregate check over the
     conjunction, repeated. Each counterexample refutes every property
     whose bad fires on its final frame; those leave the aggregate and the
     rest is re-checked, until a proof covers the survivors or the budget
-    runs out. Returns the clauses the engine learned."""
+    runs out. A peeled verdict carries the cost of the aggregate check
+    that decided it. Returns the SAT calls and the clauses the engine
+    learned, each check counted once."""
     circuit = task.circuit
-    learned = 0
+    sat_calls = learned = 0
     unsolved = list(ordered_eth(task))
     while unsolved:
         prop_deadline = _prop_deadline(task.options, total_deadline)
@@ -419,35 +345,27 @@ def _peel(task: VerificationTask, verdicts: dict, total_deadline) -> int:
             check_circuit, agg = circuit, unsolved[0]
         else:
             check_circuit, agg = aggregate_bad(circuit, unsolved)
-        res = _check_one(check_circuit, agg, (), (), task.options, prop_deadline)
-        learned += res.stats.clauses_learned
-        if res.kind != "fails":
-            holds = res.kind == "holds"
-            calls = _split(res.stats.sat_calls, len(unsolved))
-            for p, c in zip(unsolved, calls):
-                verdicts[p.index] = Verdict(
-                    p.index,
-                    VerdictStatus.HOLDS_GLOBAL if holds else VerdictStatus.UNKNOWN,
-                    evidence=len(res.invariant) if holds else None,
-                    wall_s=res.wall_s / len(unsolved), frames=res.frames,
-                    sat_calls=c, certified=res.certified,
-                )
+        v, _, n = _check_one(
+            check_circuit, agg, (), (), prop_deadline,
+            VerdictStatus.HOLDS_GLOBAL, VerdictStatus.FAILS_GLOBAL,
+        )
+        sat_calls += v.sat_calls
+        learned += n
+        if v.status is not VerdictStatus.FAILS_GLOBAL:
+            for p in unsolved:
+                verdicts[p.index] = replace(v, property_index=p.index)
             break
-        final = res.cex.frames[-1]
-        values = eval_circuit(circuit, final)
+        frames = v.evidence.frames
+        values = eval_circuit(circuit, frames[-1])
         confirmed = [p for p in unsolved if eval_literal(values, p.bad)]
         if not confirmed:
             raise PdrError("aggregate counterexample refutes no property")
-        calls = _split(res.stats.sat_calls, len(confirmed))
-        for p, c in zip(confirmed, calls):
-            verdicts[p.index] = Verdict(
-                p.index, VerdictStatus.FAILS_GLOBAL,
-                evidence=Counterexample(res.cex.frames, p.index),
-                wall_s=res.wall_s / len(confirmed), frames=res.frames,
-                sat_calls=c,
+        for p in confirmed:
+            verdicts[p.index] = replace(
+                v, property_index=p.index, evidence=Counterexample(frames, p.index)
             )
         unsolved = [p for p in unsolved if p not in confirmed]
-    return learned
+    return sat_calls, learned
 
 
 def run(task: VerificationTask) -> RunReport:
@@ -464,26 +382,38 @@ def run(task: VerificationTask) -> RunReport:
     circuit = task.circuit
     store = _ClauseStore(task)
     verdicts: dict[int, Verdict] = {}
-    learned = 0
+    sat_calls = learned = 0
     if task.mode is Mode.JOINT:
-        learned += _peel(task, verdicts, total_deadline)
+        sat_calls, learned = _peel(task, verdicts, total_deadline)
         singles = list(task.etf_properties)
     else:
         singles = [*ordered_eth(task), *task.etf_properties]
     for prop in singles:
+        if prop.kind is PropertyKind.ETF:
+            outcomes = VerdictStatus.ETF_HOLDS_LOCAL, VerdictStatus.ETF_CONFIRMED
+        elif task.mode is Mode.JA:
+            outcomes = VerdictStatus.HOLDS_LOCAL, VerdictStatus.FAILS_LOCAL
+        else:
+            outcomes = VerdictStatus.HOLDS_GLOBAL, VerdictStatus.FAILS_GLOBAL
         prop_deadline = _prop_deadline(opts, total_deadline)
         ctx = _assumed(task, prop)
         pre = PdrStats()
         seeds = store.seeds(circuit, ctx, prop_deadline, pre)
-        res = _check_one(circuit, prop, ctx, seeds, opts, prop_deadline)
-        res.stats.sat_calls += pre.sat_calls
-        learned += res.stats.clauses_learned
-        verdicts[prop.index] = _verdict_from(task.mode, prop, res, len(seeds))
-        store.harvest(prop, ctx, res.invariant)
+        v, invariant, n = _check_one(circuit, prop, ctx, seeds, prop_deadline, *outcomes)
+        v.sat_calls += pre.sat_calls
+        sat_calls += v.sat_calls
+        learned += n
+        verdicts[prop.index] = v
+        store.harvest(prop, ctx, invariant)
     eth = task.eth_properties
     if task.mode is Mode.JA and eth and all(
         verdicts[p.index].status is VerdictStatus.HOLDS_LOCAL for p in eth
     ):
         for p in eth:
             verdicts[p.index].status = VerdictStatus.HOLDS_GLOBAL
-    return _finish(task, verdicts, t0, learned)
+    ordered = tuple(verdicts[i] for i in sorted(verdicts))
+    debugging = tuple(
+        v.property_index for v in ordered if v.status is VerdictStatus.FAILS_LOCAL
+    )
+    totals = RunTotals(time.monotonic() - t0, sat_calls, learned)
+    return RunReport(task, ordered, debugging, _conclusion(task, verdicts), totals)

@@ -73,14 +73,6 @@ class PdrStats:
 
 
 @dataclass
-class PdrOptions:
-    respect_constraints: bool = False  # lifting mode; cexs may need replay otherwise
-    timeout_s: float | None = None
-    conflict_budget: int | None = None
-    max_frames: int | None = None
-
-
-@dataclass
 class PdrOutcome:
     status: PdrStatus
     stats: PdrStats
@@ -117,6 +109,12 @@ class PdrEngine:
     present-state copy. The bad solver carries only the present-state
     copy with the target's bad output forced, for frame queries. The lift
     solver carries an unconstrained copy for unsat-core lifting.
+
+    With `respect` the lifted predecessors also keep the target and every
+    constraint property clean, so no counterexample brushes a state that
+    violates an assumed property. The
+    `deadline` is absolute (`time.monotonic()`); past it `run` reports
+    Exhausted.
     """
 
     def __init__(
@@ -125,14 +123,16 @@ class PdrEngine:
         target: PropertySpec,
         constraint_props=(),
         seed_clauses=(),
-        options: PdrOptions | None = None,
+        *,
+        respect: bool = False,
+        deadline: float | None = None,
     ):
         self.circuit = circuit
         self.target = target
         self.constraint_props = tuple(constraint_props)
         if any(p.index == target.index for p in self.constraint_props):
             raise ValueError("target cannot appear among its own constraints")
-        self.options = options or PdrOptions()
+        self.respect = respect
         self.stats = PdrStats(frames_opened=1)
         self.init = circuit.init_state()
         self._nl = circuit.num_latches
@@ -168,7 +168,7 @@ class PdrEngine:
 
         self._obq: list[tuple[int, int, ProofObligation]] = []
         self._obseq = 0
-        self._deadline: float | None = None
+        self._deadline = deadline
         self._ran = False
 
     # ------------------------------------------------------------- plumbing
@@ -211,17 +211,7 @@ class PdrEngine:
     def _solve(self, solver: Solver, assumptions) -> "object":
         if self._deadline is not None and time.monotonic() > self._deadline:
             raise _Exhausted
-        limit = None
-        if self.options.conflict_budget is not None:
-            used = (
-                self._step.n_conflicts
-                + self._bad.n_conflicts
-                + self._lift.n_conflicts
-            )
-            limit = self.options.conflict_budget - used
-            if limit <= 0:
-                raise _Exhausted
-        result = solver.solve(assumptions, conflict_limit=limit, deadline=self._deadline)
+        result = solver.solve(assumptions, deadline=self._deadline)
         self.stats.sat_calls += 1
         if result.status is Status.UNKNOWN:
             raise _Exhausted
@@ -314,7 +304,7 @@ class PdrEngine:
         for constr in self.circuit.constraints:
             goal.append(enc.lit(constr) ^ 1)
         strict = None
-        if self.options.respect_constraints:
+        if self.respect:
             strict = list(goal)
             for prop in (self.target, *self.constraint_props):
                 strict.append(enc.lit(prop.bad))
@@ -358,8 +348,6 @@ class PdrEngine:
         if self._ran:
             raise PdrError("engine instances are single-use")
         self._ran = True
-        if self.options.timeout_s is not None:
-            self._deadline = time.monotonic() + self.options.timeout_s
         try:
             result = self._solve(
                 self._bad, self._frame_assumps(0, bad_side=True)
@@ -373,11 +361,6 @@ class PdrEngine:
                     PdrStatus.HOLDS, self.stats, invariant=tuple(self._inf)
                 )
             while True:
-                if (
-                    self.options.max_frames is not None
-                    and self.frontier > self.options.max_frames
-                ):
-                    raise _Exhausted
                 result = self._solve(
                     self._bad, self._frame_assumps(self.frontier, bad_side=True)
                 )
@@ -500,16 +483,22 @@ def check_property(
     target: PropertySpec,
     constraint_props=(),
     seed_clauses=(),
-    options: PdrOptions | None = None,
+    *,
+    respect: bool = False,
+    deadline: float | None = None,
 ) -> PdrOutcome:
     """Prove or refute one property under the given constraint context.
 
     An empty context is a global check; passing the other properties
     makes it a local one. Holds outcomes carry the strengthening clause
     set, Fails outcomes a counterexample whose final frame violates the
-    target, Exhausted only ever reflects budget, never an answer.
+    target, Exhausted only ever reflects the deadline, never an answer.
+    `respect` and `deadline` are those of `PdrEngine`.
     """
-    return PdrEngine(circuit, target, constraint_props, seed_clauses, options).run()
+    return PdrEngine(
+        circuit, target, constraint_props, seed_clauses,
+        respect=respect, deadline=deadline,
+    ).run()
 
 
 def certify(
@@ -559,7 +548,7 @@ def _inductive(circuit, target, constraint_props, clauses, unsat) -> bool:
     state satisfying the clauses on which neither target nor any
     constraint property fires, the successor neither fires target nor
     breaks a clause. `unsat(solver, assumptions)` runs one query and says
-    whether it came back UNSAT; budgets and accounting are the caller's."""
+    whether it came back UNSAT; deadlines and accounting are the caller's."""
     solver = Solver()
     enc = constrained_step(solver, circuit, (target, *constraint_props))
     for clause in clauses:

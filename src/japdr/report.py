@@ -38,7 +38,10 @@ _ATTENTION = (
     VerdictStatus.ETF_HOLDS_LOCAL,
 )
 
-# shape of the JSON document; leaf values are type names
+# Shape of the JSON document; leaf values are type names, and a trailing
+# "?" marks an optional key. In joint mode one aggregate check decides
+# several properties, so each of their verdicts reports that whole
+# check's time_s and sat_calls; totals.sat_calls counts every check once.
 REPORT_SCHEMA = {
     "mode": "str",
     "conclusion": "str",
@@ -199,51 +202,39 @@ def format_report(report: RunReport, fmt: str = "text", witnesses=None) -> tuple
     return text.encode(), exit_code(report.verdicts)
 
 
+_LEAF_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
+
+
 def validate_report_json(doc) -> list[str]:
     """Schema conformance problems, empty when the document is valid."""
     problems: list[str] = []
+    values = {
+        "kind": {k.value for k in PropertyKind},
+        "status": {s.value for s in VerdictStatus},
+    }
 
-    def need(obj, key, types, where):
-        if not isinstance(obj, dict) or key not in obj:
-            problems.append(f"{where}: missing {key}")
-            return None
-        if not isinstance(obj[key], types):
-            problems.append(f"{where}.{key}: wrong type {type(obj[key]).__name__}")
-            return None
-        return obj[key]
+    def walk(value, shape, where, key=""):
+        if isinstance(shape, dict):
+            if not isinstance(value, dict):
+                problems.append(f"{where}: wrong type {type(value).__name__}")
+                return
+            for name, sub in shape.items():
+                if name in value:
+                    walk(value[name], sub, f"{where}.{name}", name)
+                elif not (isinstance(sub, str) and sub.endswith("?")):
+                    problems.append(f"{where}: missing {name}")
+            for name in sorted(value.keys() - shape.keys()):
+                problems.append(f"{where}: unknown key {name!r}")
+        elif isinstance(shape, list):
+            if not isinstance(value, list):
+                problems.append(f"{where}: wrong type {type(value).__name__}")
+                return
+            for n, item in enumerate(value):
+                walk(item, shape[0], f"{where}[{n}]")
+        elif not isinstance(value, _LEAF_TYPES[shape.rstrip("?")]):
+            problems.append(f"{where}: wrong type {type(value).__name__}")
+        elif key in values and value not in values[key]:
+            problems.append(f"{where}: unknown {value!r}")
 
-    need(doc, "mode", str, "report")
-    need(doc, "conclusion", str, "report")
-    dbg = need(doc, "debugging_set", list, "report")
-    if dbg is not None and not all(isinstance(i, int) for i in dbg):
-        problems.append("debugging_set: non-integer entry")
-    totals = need(doc, "totals", dict, "report")
-    if totals is not None:
-        need(totals, "wall_s", (int, float), "totals")
-        need(totals, "sat_calls", int, "totals")
-        need(totals, "clauses_learned", int, "totals")
-    verdicts = need(doc, "verdicts", list, "report")
-    statuses = {s.value for s in VerdictStatus}
-    kinds = {k.value for k in PropertyKind}
-    for n, v in enumerate(verdicts or []):
-        where = f"verdicts[{n}]"
-        need(v, "index", int, where)
-        kind = need(v, "kind", str, where)
-        if kind is not None and kind not in kinds:
-            problems.append(f"{where}.kind: unknown {kind!r}")
-        status = need(v, "status", str, where)
-        if status is not None and status not in statuses:
-            problems.append(f"{where}.status: unknown {status!r}")
-        need(v, "time_s", (int, float), where)
-        need(v, "frames", int, where)
-        need(v, "sat_calls", int, where)
-        need(v, "certified", bool, where)
-        need(v, "seeds_used", int, where)
-        need(v, "retried_respect", bool, where)
-        need(v, "witness_file", str, where)
-        ev = need(v, "evidence", dict, where)
-        if ev is not None:
-            for key, value in ev.items():
-                if key not in ("clauses", "cex_depth") or not isinstance(value, int):
-                    problems.append(f"{where}.evidence: bad entry {key!r}")
+    walk(doc, REPORT_SCHEMA, "report")
     return problems

@@ -28,17 +28,13 @@ def lit_var(lit: int) -> int:
     return lit >> 1
 
 
-def lit_neg(lit: int) -> int:
-    return lit ^ 1
-
-
 _UNDEF = -1
 
 
 class Status(enum.Enum):
     SAT = "sat"
     UNSAT = "unsat"
-    UNKNOWN = "unknown"  # budget exhausted, never a verdict
+    UNKNOWN = "unknown"  # deadline passed, never a verdict
 
 
 @dataclass
@@ -380,23 +376,17 @@ class Solver:
                 return 2 * v + (0 if self.phase[v] == 1 else 1)
         return _UNDEF
 
-    def solve(
-        self,
-        assumptions=(),
-        conflict_limit: int | None = None,
-        deadline: float | None = None,
-    ) -> SolveResult:
+    def solve(self, assumptions=(), deadline: float | None = None) -> SolveResult:
         """Decide satisfiability of the store under the given assumptions.
 
-        UNKNOWN is returned only when the conflict budget or the deadline
-        runs out; it is never a wrong answer.
+        UNKNOWN is returned only when the deadline runs out; it is never a
+        wrong answer.
         """
         self.n_solves += 1
         assumptions = list(assumptions)
         assumption_set = frozenset(assumptions)
         if not self.ok:
             return SolveResult(Status.UNSAT, core=frozenset())
-        conflicts_allowed = conflict_limit
         restart_unit = 100
         luby_index = 1
         restart_budget = restart_unit * _luby(luby_index)
@@ -407,8 +397,6 @@ class Solver:
                 if confl is not None:
                     self.n_conflicts += 1
                     conflicts_here += 1
-                    if conflicts_allowed is not None:
-                        conflicts_allowed -= 1
                     if not self.trail_lim:
                         self.ok = False
                         return SolveResult(Status.UNSAT, core=frozenset())
@@ -423,8 +411,6 @@ class Solver:
                         self.watches[learnt[1] ^ 1].extend((idx, learnt[0]))
                         self._enqueue(learnt[0], idx)
                     self.var_inc /= self.var_decay
-                    if conflicts_allowed is not None and conflicts_allowed <= 0:
-                        return SolveResult(Status.UNKNOWN)
                     if deadline is not None and self.n_conflicts % 32 == 0:
                         if time.monotonic() > deadline:
                             return SolveResult(Status.UNKNOWN)

@@ -8,7 +8,6 @@ sweep backing criteria 3-5 runs once and is shared.
 import contextlib
 import functools
 import io
-import json
 import random
 import statistics
 import time
@@ -41,7 +40,7 @@ from japdr.orchestrator import (
     VerificationTask,
     run,
 )
-from japdr.pdr import PdrOptions, PdrStatus, certify, check_property
+from japdr.pdr import PdrStatus, certify, check_property
 
 SWEEP_SYSTEMS = 500
 SWEEP_SEED = 408923
@@ -53,9 +52,7 @@ def check_with_retry(circuit, target, ctx):
         rep = replay_trace(circuit, out.cex, target, ctx)
         assert rep.valid
         if rep.spurious:
-            out = check_property(
-                circuit, target, ctx, options=PdrOptions(respect_constraints=True)
-            )
+            out = check_property(circuit, target, ctx, respect=True)
     return out
 
 
@@ -473,7 +470,7 @@ def test_criterion_7_many_property_smoke(tmp_path):
             circuit,
             tuple(props),
             Mode.JA,
-            TaskOptions(per_prop_timeout_s=0.5, certify=False),
+            TaskOptions(per_prop_timeout_s=0.5),
         )
     )
     assert len(rep.verdicts) == 100

@@ -18,7 +18,6 @@ from japdr.circuit import (
     PropertyKind,
     TraceFrame,
     eval_transition,
-    frame_satisfies,
     property_violated,
 )
 from japdr.oracle import bmc

@@ -7,7 +7,6 @@ from japdr.circuit import (
     Circuit,
     Latch,
     Literal,
-    PropertySpec,
     property_violated,
     replay_trace,
 )

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from japdr.aiger import build_counter, gen_counter, gen_random_circuit
+from japdr.aiger import build_counter, circuit_fingerprint, gen_counter, gen_random_circuit
 from japdr.circuit import (
     TRUE,
     Circuit,
@@ -16,6 +16,7 @@ from japdr.circuit import (
     replay_trace,
 )
 from japdr import orchestrator
+from japdr.clausedb import load
 from japdr.oracle import CheckMode, brute_check, brute_debug_set
 from japdr.orchestrator import (
     Mode,
@@ -187,12 +188,22 @@ def test_joint_single_property_degenerates_cleanly():
     assert v.status is S.FAILS_GLOBAL and v.evidence.depth == 0
 
 
+def test_joint_verdicts_report_the_aggregate_check_cost():
+    # one aggregate proof decides all three; its cost is not split up
+    thr = build_counter(4, thresholds=3)
+    rep = run(VerificationTask(thr.circuit, thr.props, Mode.JOINT))
+    assert all(v.status is S.HOLDS_GLOBAL for v in rep.verdicts)
+    assert rep.totals.sat_calls > 0
+    assert all(v.sat_calls == rep.totals.sat_calls for v in rep.verdicts)
+    assert len({v.wall_s for v in rep.verdicts}) == 1
+
+
 def test_etf_that_holds_is_flagged():
     c, props = gen_counter(3)
     etf_props = (props[0], PropertySpec(1, props[1].bad, PropertyKind.ETF))
     rep = run(VerificationTask(c, etf_props, Mode.JA))
     ve = verdict_for(rep, 1)
-    assert ve.status is S.ETF_HOLDS_LOCAL and ve.unexpected
+    assert ve.status is S.ETF_HOLDS_LOCAL
     assert verdict_for(rep, 0).status is S.FAILS_LOCAL
     assert rep.debugging_set == (0,)
 
@@ -253,9 +264,6 @@ def test_ordering_options():
     with pytest.raises(ValueError):
         c, props = gen_counter(3)
         VerificationTask(c, tuple(props), Mode.JA, TaskOptions(total_timeout_s=-1))
-    with pytest.raises(ValueError):
-        c, props = gen_counter(3)
-        VerificationTask(c, tuple(props), Mode.JA, TaskOptions(lifting="maybe"))
 
 
 def test_clause_reuse_saves_work_and_keeps_verdicts(tmp_path):
@@ -282,6 +290,23 @@ def test_clause_reuse_saves_work_and_keeps_verdicts(tmp_path):
         VerificationTask(thr.circuit, thr.props, Mode.SEPARATE_GLOBAL, opts)
     )
     assert rep_on2.totals.sat_calls <= rep_on.totals.sat_calls
+
+
+def test_clause_store_holds_each_record_once(tmp_path):
+    # later proofs re-use the seeds they were given; harvesting them again
+    # must not grow the store, in memory or on disk
+    thr = build_counter(5, thresholds=6)
+    db = tmp_path / "clauses.db"
+    opts = TaskOptions(reuse_clauses=True, clause_db=str(db))
+    task = VerificationTask(thr.circuit, thr.props, Mode.SEPARATE_GLOBAL, opts)
+    fingerprint = circuit_fingerprint(thr.circuit)
+    sizes = []
+    for _ in range(3):
+        run(task)
+        records = load(str(db), fingerprint)
+        assert len({(r.clause, r.context) for r in records}) == len(records)
+        sizes.append(len(records))
+    assert sizes == [4, 4, 4]
 
 
 def test_reuse_is_verdict_neutral_in_ja_mode(tmp_path):
@@ -327,7 +352,7 @@ def test_per_property_timeout_is_isolated():
             c,
             tuple(props),
             Mode.SEPARATE_GLOBAL,
-            TaskOptions(per_prop_timeout_s=0.05, certify=False),
+            TaskOptions(per_prop_timeout_s=0.05),
         )
     )
     assert verdict_for(rep, 0).status is S.FAILS_GLOBAL
@@ -343,7 +368,7 @@ def test_total_timeout_leaves_unknowns_not_errors():
             big.circuit,
             big.props,
             Mode.JA,
-            TaskOptions(per_prop_timeout_s=0.05, certify=False),
+            TaskOptions(per_prop_timeout_s=0.05),
         )
     )
     assert time.monotonic() - t0 < 5.0

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 
 import pytest
 
@@ -17,7 +18,6 @@ from japdr.oracle import CheckMode, brute_check
 from japdr.pdr import (
     PdrEngine,
     PdrError,
-    PdrOptions,
     PdrStatus,
     certify,
     check_property,
@@ -85,12 +85,7 @@ def check_with_retry(circuit, target, constraint_props):
         assert rep.valid, "engine returned a mechanically broken trace"
         if rep.spurious:
             retried = True
-            out = check_property(
-                circuit,
-                target,
-                constraint_props,
-                options=PdrOptions(respect_constraints=True),
-            )
+            out = check_property(circuit, target, constraint_props, respect=True)
             if out.status is PdrStatus.FAILS:
                 rep = replay_trace(circuit, out.cex, target, constraint_props)
                 assert rep.valid and not rep.spurious
@@ -182,25 +177,11 @@ def test_sound_seeds_do_not_change_the_verdict():
     assert out.status is PdrStatus.HOLDS
 
 
-def test_conflict_budget_reports_exhausted():
-    c, props = gen_counter(8)
-    out = check_property(
-        c, props[1], options=PdrOptions(conflict_budget=1)
-    )
-    assert out.status is PdrStatus.EXHAUSTED
-    assert out.invariant is None and out.cex is None
-
-
-def test_max_frames_reports_exhausted():
-    c, props = gen_counter(6)
-    out = check_property(c, props[1], options=PdrOptions(max_frames=2))
-    assert out.status is PdrStatus.EXHAUSTED
-
-
 def test_timeout_reports_exhausted():
     c, props = gen_counter(14)
-    out = check_property(c, props[1], options=PdrOptions(timeout_s=1e-4))
+    out = check_property(c, props[1], deadline=time.monotonic() + 1e-4)
     assert out.status is PdrStatus.EXHAUSTED
+    assert out.invariant is None and out.cex is None
 
 
 def test_certify_rejects_non_inductive_strengthening():

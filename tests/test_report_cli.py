@@ -5,6 +5,7 @@ import pytest
 from japdr.aiger import emit_ascii, gen_counter, parse_file
 from japdr.circuit import Counterexample, TraceFrame
 from japdr.cli import main
+from japdr.clausedb import ClauseRecord, append
 from japdr.orchestrator import (
     Mode,
     RunReport,
@@ -203,6 +204,22 @@ def test_cli_check_unknown_exit(tmp_path, capsys):
     )
     capsys.readouterr()
     assert code == EXIT_FAILURES  # req still fails; failures outrank unknowns
+
+
+def test_cli_prints_clause_store_warnings_as_single_lines(tmp_path, capsys):
+    db = tmp_path / "clauses.db"
+    append([ClauseRecord((0,), 0, (), "f" * 64)], db)
+    with open(db, "a") as fh:
+        fh.write("- 0 1")  # a record a killed writer left without its newline
+    code = main(
+        ["check", str(counter_file(tmp_path)), "--clause-db", str(db)]
+    )
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_FAILURES
+    assert len(err) == 2
+    assert all(line.startswith("japdr: clause db: ") for line in err)
+    assert "torn last record" in err[0]
+    assert "section for unknown circuit ffffffffffff skipped" in err[1]
 
 
 def test_cli_parse_error_exit(tmp_path, capsys):

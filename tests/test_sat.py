@@ -2,7 +2,7 @@ import itertools
 import random
 import time
 
-from japdr.sat import Solver, Status, lit_neg, lit_var, neg, pos
+from japdr.sat import Solver, Status, lit_var, neg, pos
 
 
 def brute_force(num_vars, clauses, assumptions=()):
@@ -123,23 +123,6 @@ def test_tautology_and_duplicate_literals():
     solver.add_clause([pos(y), pos(y)])  # collapses to unit
     result = solver.solve()
     assert result.status is Status.SAT and result.value(pos(y))
-
-
-def test_conflict_limit_yields_unknown():
-    rng = random.Random(5)
-    solver = Solver()
-    var = {}
-    for p in range(7):
-        for h in range(6):
-            var[p, h] = solver.new_var()
-    for p in range(7):
-        solver.add_clause([pos(var[p, h]) for h in range(6)])
-    for h in range(6):
-        for p1 in range(7):
-            for p2 in range(p1 + 1, 7):
-                solver.add_clause([neg(var[p1, h]), neg(var[p2, h])])
-    result = solver.solve(conflict_limit=5)
-    assert result.status is Status.UNKNOWN
 
 
 def test_deadline_yields_unknown():
