@@ -6,6 +6,13 @@ force reset values), and encoding may be restricted to the cone of a few
 root literals so a duplicated bad cone stays small. `constrained_step`
 is the copy every induction query steps from: constraint section and a
 set of clean properties asserted on its present state.
+
+A copy is one bulk variable allocation (`Solver.new_vars`) plus one pass
+over the gates. A gate whose operands are free and on distinct variables
+has its three clauses and six watches appended straight to the solver,
+in the layout `add_clause` would give them; any other gate (constant or
+level-0 operands, `a & a`, `a & ~a`) goes through `add_clause`, so every
+copy leaves the solver exactly as gate-by-gate encoding would.
 """
 
 from __future__ import annotations
@@ -36,39 +43,62 @@ class StepEncoding:
     def __init__(self, solver: Solver, circuit: Circuit, latch_lits=None, cone_roots=None):
         self.solver = solver
         self.circuit = circuit
-        true_lit = const_true(solver)
-        varmap: dict[int, int] = {0: true_lit}
-        wanted = self._cone_vars(circuit, cone_roots)
-        for var in circuit.input_vars:
-            if wanted is None or var in wanted:
-                varmap[var] = pos(solver.new_var())
         if latch_lits is not None:
             latch_lits = list(latch_lits)
             if len(latch_lits) != circuit.num_latches:
                 raise ValueError("latch literal count mismatch")
-            for var, lit in zip(circuit.latch_vars, latch_lits):
-                varmap[var] = lit
-        else:
-            for var in circuit.latch_vars:
-                if wanted is None or var in wanted:
-                    varmap[var] = pos(solver.new_var())
-        for gate in circuit.ands:
-            if wanted is not None and gate.out not in wanted:
-                continue
-            out = pos(solver.new_var())
-            a = self._map(varmap, gate.left)
-            b = self._map(varmap, gate.right)
-            solver.add_clause([out ^ 1, a])
-            solver.add_clause([out ^ 1, b])
-            solver.add_clause([out, a ^ 1, b ^ 1])
+        true_lit = const_true(solver)
+        varmap: dict[int, int] = {0: true_lit}
+        wanted = self._cone_vars(circuit, cone_roots)
+        leaves = list(circuit.input_vars)
+        if latch_lits is None:
+            leaves.extend(circuit.latch_vars)
+        gates = circuit.ands
+        if wanted is not None:
+            leaves = [var for var in leaves if var in wanted]
+            gates = [gate for gate in gates if gate.out in wanted]
+        # one block of fresh variables: leaves first, then gate outputs
+        first = solver.new_vars(len(leaves) + len(gates))
+        for i, var in enumerate(leaves):
+            varmap[var] = pos(first + i)
+        if latch_lits is not None:
+            varmap.update(zip(circuit.latch_vars, latch_lits))
+        clauses, watches, assign = solver.clauses, solver.watches, solver.assign
+        ok = solver.ok
+        out = pos(first + len(leaves))
+        for gate in gates:
+            left, right = gate.left, gate.right
+            a = varmap[left.var] ^ left.negated
+            b = varmap[right.var] ^ right.negated
+            if ok and assign[a >> 1] < 0 and assign[b >> 1] < 0 and (a ^ b) > 1:
+                # what add_clause would store for a fresh output over two
+                # distinct free operands: the same clauses, same watches
+                idx = len(clauses)
+                nout = out ^ 1
+                clauses.append([nout, a])
+                clauses.append([nout, b])
+                clauses.append([out, a ^ 1, b ^ 1])
+                watches[out].extend((idx, a, idx + 1, b))
+                watches[out ^ 1].extend((idx + 2, a ^ 1))
+                watches[a ^ 1].extend((idx, nout))
+                watches[b ^ 1].extend((idx + 1, nout))
+                watches[a].extend((idx + 2, out))
+            else:
+                # constant or level-0 operands, a & a, a & ~a
+                solver.add_clause([out ^ 1, a])
+                solver.add_clause([out ^ 1, b])
+                solver.add_clause([out, a ^ 1, b ^ 1])
+                ok = solver.ok
             varmap[gate.out] = out
+            out += 2
         self.varmap = varmap
 
     @staticmethod
     def _cone_vars(circuit, roots):
         if roots is None:
             return None
-        gate_by_out = {g.out: g for g in circuit.ands}
+        first_gate = 1 + circuit.num_inputs + circuit.num_latches
+        ands = circuit.ands
         seen: set[int] = set()
         work = [r.var if isinstance(r, Literal) else r for r in roots]
         while work:
@@ -76,15 +106,11 @@ class StepEncoding:
             if var in seen:
                 continue
             seen.add(var)
-            gate = gate_by_out.get(var)
-            if gate is not None:
+            if var >= first_gate:
+                gate = ands[var - first_gate]
                 work.append(gate.left.var)
                 work.append(gate.right.var)
         return seen
-
-    @staticmethod
-    def _map(varmap, literal: Literal) -> int:
-        return varmap[literal.var] ^ int(literal.negated)
 
     def lit(self, literal: Literal) -> int:
         """Solver literal for a circuit literal in this copy."""

@@ -22,6 +22,7 @@ import enum
 import heapq
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 from .circuit import Circuit, Counterexample, PropertySpec, TraceFrame, eval_transition
 from .encode import StepEncoding, constrained_step
@@ -108,7 +109,9 @@ class PdrEngine:
     section, every constraint property and the target forced clean on the
     present-state copy. The bad solver carries only the present-state
     copy with the target's bad output forced, for frame queries. The lift
-    solver carries an unconstrained copy for unsat-core lifting.
+    solver carries an unconstrained copy for unsat-core lifting; it is
+    built on the first lift, so a check decided without one never pays
+    for it.
 
     With `respect` the lifted predecessors also keep the target and every
     constraint property clean, so no counterexample brushes a state that
@@ -145,9 +148,6 @@ class PdrEngine:
         self._bad = Solver()
         self._enc_bad = StepEncoding(self._bad, circuit)
         self._bad.add_clause([self._enc_bad.lit(target.bad)])
-
-        self._lift = Solver()
-        self._enc_lift = StepEncoding(self._lift, circuit)
 
         # owned[j] for j >= 1; level 0 is the reset cube, never a clause set
         self._owned: list[list[tuple[int, ...]]] = [[], []]
@@ -207,6 +207,10 @@ class PdrEngine:
         if level == 0:
             return [enc.latch_lit(i, v) for i, v in enumerate(self.init)]
         return [acts[j] for j in range(level, self.frontier + 1)] + [inf_act]
+
+    @cached_property
+    def _enc_lift(self) -> StepEncoding:
+        return StepEncoding(Solver(), self.circuit)
 
     def _solve(self, solver: Solver, assumptions) -> "object":
         if self._deadline is not None and time.monotonic() > self._deadline:
@@ -277,11 +281,11 @@ class PdrEngine:
         assumps.extend(sl for sl, _ in lat_pairs)
 
         def run(goal):
-            act = self._temp_clause(self._lift, goal)
+            act = self._temp_clause(enc.solver, goal)
             try:
-                result = self._solve(self._lift, [act, *assumps])
+                result = self._solve(enc.solver, [act, *assumps])
             finally:
-                self._drop_temp(self._lift, act)
+                self._drop_temp(enc.solver, act)
             if result.status is not Status.UNSAT:
                 raise PdrError("lifting query was satisfiable; encoding is broken")
             return {cl for sl, cl in lat_pairs if sl in result.core}

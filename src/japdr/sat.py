@@ -7,6 +7,12 @@ yields an unsat core.
 
 Literals are packed ints: 2*var for the positive phase, 2*var+1 for the
 negative one.
+
+`new_vars(n)` allocates a block of variables in one step. A clause that
+`add_clause` would store unchanged (no duplicate or complementary
+literals, none assigned at level 0) may be appended straight to
+`clauses` with its first two literals watched in `watches`, exactly as
+`add_clause` lays it out; `encode` does this for fresh Tseitin gates.
 """
 
 from __future__ import annotations
@@ -127,19 +133,24 @@ class Solver:
     # ------------------------------------------------------------------ setup
 
     def new_var(self) -> int:
-        v = self.n_vars
-        self.n_vars += 1
-        self.assign.append(_UNDEF)
-        self.level.append(0)
-        self.reason.append(_UNDEF)
-        self.activity.append(0.0)
-        self.phase.append(0)
-        self._seen.append(False)
-        self.watches.append([])
-        self.watches.append([])
-        self.heap_pos.append(-1)
-        self._heap_insert(v)
-        return v
+        return self.new_vars(1)
+
+    def new_vars(self, n: int) -> int:
+        """Allocate n consecutive variables; returns the first."""
+        first = self.n_vars
+        self.n_vars += n
+        self.assign.extend([_UNDEF] * n)
+        self.level.extend([0] * n)
+        self.reason.extend([_UNDEF] * n)
+        self.activity.extend([0.0] * n)
+        self.phase.extend([0] * n)
+        self._seen.extend([False] * n)
+        self.watches.extend([[] for _ in range(2 * n)])
+        # activity 0 never outranks a parent, so appending keeps heap order
+        base = len(self.heap)
+        self.heap_pos.extend(range(base, base + n))
+        self.heap.extend(range(first, first + n))
+        return first
 
     def value(self, lit: int) -> int:
         a = self.assign[lit >> 1]

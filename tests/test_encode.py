@@ -1,0 +1,199 @@
+"""Bulk circuit encoding against gate-by-gate encoding.
+
+The reference below is the plain Tseitin loop: one variable and three
+`add_clause` calls per gate. Every copy `encode` makes must leave the
+solver in exactly the state that loop leaves, so every SAT query stays
+the same query.
+"""
+
+import random
+
+from japdr.aiger import build_counter, gen_random_circuit
+from japdr.circuit import FALSE, TRUE, AndGate, Circuit, Latch, Literal
+from japdr.encode import StepEncoding, Unroller, constrained_step
+from japdr.sat import Solver, pos
+
+_UNDEF = -1
+
+
+def _ref_new_var(solver: Solver) -> int:
+    v = solver.n_vars
+    solver.n_vars += 1
+    solver.assign.append(_UNDEF)
+    solver.level.append(0)
+    solver.reason.append(_UNDEF)
+    solver.activity.append(0.0)
+    solver.phase.append(0)
+    solver._seen.append(False)
+    solver.watches.append([])
+    solver.watches.append([])
+    solver.heap_pos.append(-1)
+    solver._heap_insert(v)
+    return v
+
+
+def _ref_const_true(solver: Solver) -> int:
+    lit = getattr(solver, "_const_true", None)
+    if lit is None:
+        lit = pos(_ref_new_var(solver))
+        solver.add_clause([lit])
+        solver._const_true = lit
+    return lit
+
+
+def _ref_cone(circuit, roots):
+    gate_by_out = {g.out: g for g in circuit.ands}
+    seen = set()
+    work = [r.var for r in roots]
+    while work:
+        var = work.pop()
+        if var in seen:
+            continue
+        seen.add(var)
+        gate = gate_by_out.get(var)
+        if gate is not None:
+            work += [gate.left.var, gate.right.var]
+    return seen
+
+
+def _ref_encode(solver, circuit, latch_lits=None, cone_roots=None) -> dict:
+    varmap = {0: _ref_const_true(solver)}
+    wanted = None if cone_roots is None else _ref_cone(circuit, cone_roots)
+    for var in circuit.input_vars:
+        if wanted is None or var in wanted:
+            varmap[var] = pos(_ref_new_var(solver))
+    if latch_lits is not None:
+        varmap.update(zip(circuit.latch_vars, latch_lits))
+    else:
+        for var in circuit.latch_vars:
+            if wanted is None or var in wanted:
+                varmap[var] = pos(_ref_new_var(solver))
+    for gate in circuit.ands:
+        if wanted is not None and gate.out not in wanted:
+            continue
+        out = pos(_ref_new_var(solver))
+        a = varmap[gate.left.var] ^ int(gate.left.negated)
+        b = varmap[gate.right.var] ^ int(gate.right.negated)
+        solver.add_clause([out ^ 1, a])
+        solver.add_clause([out ^ 1, b])
+        solver.add_clause([out, a ^ 1, b ^ 1])
+        varmap[gate.out] = out
+    return varmap
+
+
+def _lit(varmap, literal: Literal) -> int:
+    return varmap[literal.var] ^ int(literal.negated)
+
+
+def _state(solver: Solver):
+    return (
+        solver.n_vars,
+        solver.clauses,
+        solver.watches,
+        solver.heap,
+        solver.heap_pos,
+        solver.assign,
+        solver.level,
+        solver.reason,
+        solver.trail,
+        solver.activity,
+        solver.phase,
+        solver.ok,
+    )
+
+
+def _degenerate_circuit() -> Circuit:
+    """Gates over constants, a & a and a & ~a, plus gates fed by them."""
+    x, y, l0, l1 = (Literal(v) for v in range(1, 5))
+    gates = [
+        AndGate(5, x, TRUE),
+        AndGate(6, y, FALSE),
+        AndGate(7, l0, l0),
+        AndGate(8, l1, ~l1),
+        AndGate(9, Literal(5), Literal(6)),
+        AndGate(10, Literal(7), ~Literal(8)),
+        AndGate(11, x, ~y),
+        AndGate(12, Literal(11), ~Literal(9)),
+    ]
+    latches = (Latch(3, Literal(10), 1), Latch(4, Literal(12), 0))
+    return Circuit(2, latches, tuple(gates), bads=(Literal(9), ~Literal(12)))
+
+
+def _circuits():
+    rng = random.Random(11)
+    out = [build_counter(6, thresholds=4).circuit, _degenerate_circuit()]
+    for _ in range(6):
+        circuit, _ = gen_random_circuit(
+            rng, num_inputs=3, num_latches=8, num_gates=40, num_props=3
+        )
+        out.append(circuit)
+    return out
+
+
+def test_full_and_cone_copies_match_the_reference():
+    for circuit in _circuits():
+        for roots in (None, [circuit.bads[0]], list(circuit.bads)):
+            fast, ref = Solver(), Solver()
+            enc = StepEncoding(fast, circuit, cone_roots=roots)
+            varmap = _ref_encode(ref, circuit, cone_roots=roots)
+            assert enc.varmap == varmap
+            assert _state(fast) == _state(ref)
+
+
+def test_unrolled_frames_match_the_reference():
+    for circuit in _circuits():
+        fast, ref = Solver(), Solver()
+        unroller = Unroller(fast, circuit)
+        true_lit = _ref_const_true(ref)
+        leaves = [true_lit if l.init else true_lit ^ 1 for l in circuit.latches]
+        for _ in range(4):
+            enc = unroller.add_frame()
+            varmap = _ref_encode(ref, circuit, latch_lits=leaves)
+            assert enc.varmap == varmap
+            assert _state(fast) == _state(ref)
+            leaves = [_lit(varmap, l.next) for l in circuit.latches]
+
+
+def test_chained_copy_after_a_solve_matches_the_reference():
+    """The induction-query shape: a constrained step, a solve that learns
+    and fixes level-0 values, then a chained cone copy on the same solver."""
+    for circuit in _circuits():
+        fast, ref = Solver(), Solver()
+        enc = constrained_step(fast, circuit, ())
+        fast.add_clause([enc.lit(circuit.bads[0]) ^ 1])
+        varmap = _ref_encode(ref, circuit)
+        for constr in circuit.constraints:
+            ref.add_clause([_lit(varmap, constr)])
+        ref.add_clause([_lit(varmap, circuit.bads[0]) ^ 1])
+        assert _state(fast) == _state(ref)
+        fast.solve([enc.lit(circuit.bads[-1])])
+        ref.solve([_lit(varmap, circuit.bads[-1])])
+        nexts = [enc.next_lit(i) for i in range(circuit.num_latches)]
+        roots = [circuit.bads[-1]]
+        nxt = StepEncoding(fast, circuit, latch_lits=nexts, cone_roots=roots)
+        ref_nxt = _ref_encode(
+            ref, circuit,
+            latch_lits=[_lit(varmap, l.next) for l in circuit.latches],
+            cone_roots=roots,
+        )
+        assert nxt.varmap == ref_nxt
+        assert _state(fast) == _state(ref)
+
+
+def test_new_vars_matches_repeated_new_var():
+    circuit = build_counter(6, thresholds=4).circuit
+    solvers = []
+    for _ in range(2):
+        solver = Solver()
+        enc = constrained_step(solver, circuit, ())
+        solver.add_clause([enc.lit(circuit.bads[0]) ^ 1])
+        solver.solve([enc.lit(circuit.bads[-1])])
+        solvers.append(solver)
+    bulk, single = solvers
+    assert bulk.n_conflicts and max(bulk.activity) > 0  # a heap that is not flat
+    assert _state(bulk) == _state(single)
+    first = bulk.new_vars(7)
+    assert [_ref_new_var(single) for _ in range(7)] == list(range(first, first + 7))
+    assert _state(bulk) == _state(single)
+    assert bulk.new_var() == _ref_new_var(single)
+    assert _state(bulk) == _state(single)
