@@ -362,7 +362,8 @@ class PdrEngine:
                 return PdrOutcome(PdrStatus.FAILS, self.stats, cex=cex)
             if self._induction_precheck():
                 return PdrOutcome(
-                    PdrStatus.HOLDS, self.stats, invariant=tuple(self._inf)
+                    PdrStatus.HOLDS, self.stats,
+                    invariant=tuple(dict.fromkeys(self._inf)),
                 )
             while True:
                 result = self._solve(
@@ -449,7 +450,9 @@ class PdrEngine:
 
     def _propagate_clauses(self):
         """Push clauses outward after the frontier moves; a level left
-        empty is a fixpoint and its outer union is the invariant."""
+        empty is a fixpoint and its outer union is the invariant. A clause
+        re-learned at a higher level keeps its older copy below, so the
+        union is returned with each clause once, in first-seen order."""
         for j in range(1, self.frontier):
             for clause in list(self._owned[j]):
                 cube = negate_lits(clause)
@@ -462,7 +465,7 @@ class PdrEngine:
                 for l in range(j + 1, self.frontier + 1):
                     out.extend(self._owned[l])
                 out.extend(self._inf)
-                return tuple(out)
+                return tuple(dict.fromkeys(out))
         return None
 
     def _reconstruct(self, ob: ProofObligation) -> Counterexample:

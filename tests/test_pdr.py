@@ -117,6 +117,22 @@ def test_verdicts_agree_with_oracle_on_random_systems():
                     assert rep.valid and not rep.spurious
 
 
+def test_invariants_hold_each_clause_once():
+    # a clause re-learned at a higher level leaves its older copy below
+    # it, and both used to reach the invariant
+    rng = random.Random(0)
+    for _ in range(10):
+        c, props = gen_random_circuit(
+            rng, num_inputs=2, num_latches=8, num_gates=40, num_props=4
+        )
+        for p in props:
+            ctx = [q for q in props if q is not p]
+            out = check_property(c, p, ctx)
+            if out.status is PdrStatus.HOLDS:
+                assert len(set(out.invariant)) == len(out.invariant), out.invariant
+                assert certify(c, ctx, out.invariant, p)
+
+
 def test_constraint_sections_force_replay_and_retry():
     # pin one input high through the constraint section; ignore-mode
     # lifting then produces the occasional trace that needs a respect rerun
