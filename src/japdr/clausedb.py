@@ -20,11 +20,14 @@ Signed literals are 1-based latch positions, negative for "latch is 0".
 The store is append-only and every write ends on a newline, so a final
 line without one is a record a killed writer left half written: `load`
 drops it with a warning, and the next `append` cuts it off before
-writing. Nothing serializes concurrent writers.
+writing. `append` holds an exclusive advisory lock (`flock`) on the file
+from that check to the end of its write, so concurrent writers queue and
+each section lands whole.
 """
 
 from __future__ import annotations
 
+import fcntl
 import os
 import time
 import warnings
@@ -73,7 +76,8 @@ def _unsigned(token: str, num_latches: int, where: str) -> int:
 def append(records, path) -> None:
     """Add records after whatever the file holds, as one section per
     circuit in first-seen order; record order is kept, so appending a
-    load to a fresh path reproduces the file byte for byte."""
+    load to a fresh path reproduces the file byte for byte. Blocks while
+    another writer holds the file's lock."""
     records = list(records)
     if not records:
         return
@@ -89,6 +93,8 @@ def append(records, path) -> None:
             lits = " ".join(_signed(l) for l in rec.clause)
             lines.append(f"{ctx} {rec.origin} {lits}")
     with open(path, "ab+") as fh:
+        # released when the file closes, after the write is flushed
+        fcntl.flock(fh, fcntl.LOCK_EX)
         end = fh.seek(0, os.SEEK_END)
         if end:
             fh.seek(end - 1)

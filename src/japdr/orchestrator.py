@@ -232,8 +232,8 @@ class _ClauseStore:
     when configured, is written through on every harvest so nothing is
     lost to an abort. A harvest adds only (clause, context) pairs the
     store does not hold yet, so re-runs over a warm store leave it as it
-    is. Each harvest is one `append` call; nothing guards against a
-    second process appending at the same time.
+    is. Each harvest is one `append` call, which locks the file, so a
+    second process appending at the same time waits its turn.
     """
 
     def __init__(self, task: VerificationTask):

@@ -1,4 +1,6 @@
+import fcntl
 import random
+import threading
 import time
 import warnings
 
@@ -101,6 +103,27 @@ def test_append_after_a_torn_record_starts_a_clean_section(tmp_path):
         warnings.simplefilter("error")
         recs = load(path, "aa")
     assert [r.clause for r in recs] == [(2,), (2, 3), (4,)]
+
+
+def test_append_waits_for_the_writer_holding_the_lock(tmp_path):
+    path = tmp_path / "store.txt"
+    with open(path, "ab") as holder:
+        fcntl.flock(holder, fcntl.LOCK_EX)
+        writer = threading.Thread(
+            target=append, args=([ClauseRecord((4, 5), 1, (0,), "aa")], path)
+        )
+        writer.start()
+        writer.join(timeout=0.5)
+        assert writer.is_alive(), "append wrote while another writer held the lock"
+        assert path.read_bytes() == b""
+        holder.write(b"japdr-clausedb v1 aa 1\n- 0 1\n")
+    # closing the holder released the lock
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        recs = load(path, "aa")
+    assert [(r.clause, r.context) for r in recs] == [((0,), ()), ((4, 5), (0,))]
 
 
 @pytest.mark.parametrize(
