@@ -273,6 +273,7 @@ class PdrEngine:
 
     def _lift_core(self, state, inputs, goal_lits, strict_goal_lits=None):
         enc = self._enc_lift
+        solver = enc.solver
         lat_pairs = [
             (enc.latch_lit(i, state[i]), latch_literal(i, state[i]))
             for i in range(self._nl)
@@ -281,11 +282,11 @@ class PdrEngine:
         assumps.extend(sl for sl, _ in lat_pairs)
 
         def run(goal):
-            act = self._temp_clause(enc.solver, goal)
+            act = self._temp_clause(solver, goal)
             try:
-                result = self._solve(enc.solver, [act, *assumps])
+                result = self._solve(solver, [act, *assumps])
             finally:
-                self._drop_temp(enc.solver, act)
+                self._drop_temp(solver, act)
             if result.status is not Status.UNSAT:
                 raise PdrError("lifting query was satisfiable; encoding is broken")
             return {cl for sl, cl in lat_pairs if sl in result.core}
