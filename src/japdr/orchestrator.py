@@ -27,6 +27,13 @@ verdict.
 Joint mode decides several properties with one aggregate check, so each
 verdict it peels off reports the time and SAT calls of that whole check;
 the run totals count every check once.
+
+Each run keeps one `pdr.InductionHolder` and hands it to every check, so
+consecutive checks over the same property set share one induction
+solver. In JA mode every expected-to-hold check steps through the same
+relation, all expected-to-hold properties clean, so one solver answers
+every induction precheck of the pass; the other modes change the set
+with every check and get a fresh one each time.
 """
 
 from __future__ import annotations
@@ -50,7 +57,14 @@ from .circuit import (
     replay_trace,
 )
 from .clausedb import ClauseDbError, ClauseRecord, append, load, seeds_for_context
-from .pdr import PdrError, PdrStats, PdrStatus, certify, check_property
+from .pdr import (
+    InductionHolder,
+    PdrError,
+    PdrStats,
+    PdrStatus,
+    certify,
+    check_property,
+)
 
 
 class Mode(enum.Enum):
@@ -159,9 +173,12 @@ def _check_one(
     deadline: float | None,
     holds: VerdictStatus,
     fails: VerdictStatus,
+    induction: InductionHolder,
 ) -> tuple[Verdict, tuple | None, int]:
     """One property, end to end: solve, replay, retry once on a spurious
-    trace, certify proofs. The deadline bounds all of it together.
+    trace, certify proofs. The deadline bounds all of it together. The
+    engine's induction precheck runs on the solver the run's `induction`
+    holder keeps; certification never does.
 
     Returns the verdict, whose status is `holds` or `fails` once the check
     is decided and Unknown otherwise, the invariant of a proof, and the
@@ -173,7 +190,8 @@ def _check_one(
     respect = False
     while deadline is None or time.monotonic() < deadline:
         out = check_property(
-            circuit, target, ctx, seeds, respect=respect, deadline=deadline
+            circuit, target, ctx, seeds,
+            respect=respect, deadline=deadline, induction=induction,
         )
         stats.sat_calls += out.stats.sat_calls
         stats.clauses_learned += out.stats.clauses_learned
@@ -328,7 +346,9 @@ def _assumed(task: VerificationTask, prop: PropertySpec) -> tuple[PropertySpec, 
     return ()
 
 
-def _peel(task: VerificationTask, verdicts: dict, total_deadline) -> tuple[int, int]:
+def _peel(
+    task: VerificationTask, verdicts: dict, total_deadline, induction: InductionHolder
+) -> tuple[int, int]:
     """Joint mode's expected-to-hold pass: one aggregate check over the
     conjunction, repeated. Each counterexample refutes every property
     whose bad fires on its final frame; those leave the aggregate and the
@@ -347,7 +367,7 @@ def _peel(task: VerificationTask, verdicts: dict, total_deadline) -> tuple[int, 
             check_circuit, agg = aggregate_bad(circuit, unsolved)
         v, _, n = _check_one(
             check_circuit, agg, (), (), prop_deadline,
-            VerdictStatus.HOLDS_GLOBAL, VerdictStatus.FAILS_GLOBAL,
+            VerdictStatus.HOLDS_GLOBAL, VerdictStatus.FAILS_GLOBAL, induction,
         )
         sat_calls += v.sat_calls
         learned += n
@@ -381,10 +401,11 @@ def run(task: VerificationTask) -> RunReport:
     total_deadline = t0 + opts.total_timeout_s if opts.total_timeout_s else None
     circuit = task.circuit
     store = _ClauseStore(task)
+    induction = InductionHolder()
     verdicts: dict[int, Verdict] = {}
     sat_calls = learned = 0
     if task.mode is Mode.JOINT:
-        sat_calls, learned = _peel(task, verdicts, total_deadline)
+        sat_calls, learned = _peel(task, verdicts, total_deadline, induction)
         singles = list(task.etf_properties)
     else:
         singles = [*ordered_eth(task), *task.etf_properties]
@@ -399,7 +420,9 @@ def run(task: VerificationTask) -> RunReport:
         ctx = _assumed(task, prop)
         pre = PdrStats()
         seeds = store.seeds(circuit, ctx, prop_deadline, pre)
-        v, invariant, n = _check_one(circuit, prop, ctx, seeds, prop_deadline, *outcomes)
+        v, invariant, n = _check_one(
+            circuit, prop, ctx, seeds, prop_deadline, *outcomes, induction
+        )
         v.sat_calls += pre.sat_calls
         sat_calls += v.sat_calls
         learned += n

@@ -14,6 +14,11 @@ disjunction of its literals, a cube the conjunction.
 Bad outputs may read primary inputs, so "the property holds in a state"
 means no input valuation fires bad there; the final frame of a
 counterexample is exempt from every constraint.
+
+Solvers are built for the queries they serve (see `PdrEngine`). The
+induction precheck asks a `_Induction` solver, which an
+`InductionHolder` keeps across checks of one property set; `certify`
+builds its own on every call, so no engine state reaches it.
 """
 
 from __future__ import annotations
@@ -102,16 +107,46 @@ class _CexFound(Exception):
 # ------------------------------------------------------------------ engine
 
 
-class PdrEngine:
-    """One property, one context, three solvers.
+class _Frames:
+    """One solver's image of the frames: a circuit copy, one activation
+    literal per level and one for the inductive clauses. The reset frame
+    F_0 is assumed latch by latch, never a clause set."""
 
-    The step solver carries the transition relation with the constraint
-    section, every constraint property and the target forced clean on the
-    present-state copy. The bad solver carries only the present-state
-    copy with the target's bad output forced, for frame queries. The lift
-    solver carries an unconstrained copy for unsat-core lifting; it is
-    built on the first lift, so a check decided without one never pays
-    for it.
+    def __init__(self, enc: StepEncoding, levels: int):
+        self.enc = enc
+        self.solver = enc.solver
+        self.inf_act = pos(self.solver.new_var())
+        self.acts = [0]
+        self.open(levels)
+
+    def open(self, level: int) -> None:
+        while len(self.acts) <= level:
+            self.acts.append(pos(self.solver.new_var()))
+
+    def add(self, clause, level: int | None) -> None:
+        act = self.inf_act if level is None else self.acts[level]
+        lits = [self.enc.latch_lit(l >> 1, 1 - (l & 1)) for l in clause]
+        self.solver.add_clause([act ^ 1, *lits])
+
+
+class PdrEngine:
+    """One property, one context, one solver per kind of query, each
+    built when the first query of its kind comes.
+
+    The bad solver is built with the engine, because the reset query asks
+    it first. It holds one present-state copy of the target's bad cone
+    plus every latch (frame clauses name them all), with bad forced; a
+    primary input outside that cone reads as 0 in its models. The
+    induction precheck runs on the solver `induction` holds for the
+    target plus its context, so consecutive checks of one property set
+    share it; without a holder it gets a fresh one. The step solver
+    carries the whole transition relation with the constraint section,
+    every constraint property and the target forced clean on the
+    present-state copy; it is built on the first consecution query and
+    replays the frames stored so far. The lift solver carries an
+    unconstrained copy for unsat-core lifting and is built on the first
+    lift. A check decided at level 0 or by the precheck builds neither of
+    the last two.
 
     With `respect` the lifted predecessors also keep the target and every
     constraint property clean, so no counterexample brushes a state that
@@ -129,6 +164,7 @@ class PdrEngine:
         *,
         respect: bool = False,
         deadline: float | None = None,
+        induction: InductionHolder | None = None,
     ):
         self.circuit = circuit
         self.target = target
@@ -139,23 +175,18 @@ class PdrEngine:
         self.stats = PdrStats(frames_opened=1)
         self.init = circuit.init_state()
         self._nl = circuit.num_latches
+        self._induction = induction or InductionHolder()
 
-        self._step = Solver()
-        self._enc_step = constrained_step(
-            self._step, circuit, (target, *self.constraint_props)
+        bad = Solver()
+        enc_bad = StepEncoding(
+            bad, circuit, cone_roots=[target.bad, *circuit.latch_vars]
         )
-
-        self._bad = Solver()
-        self._enc_bad = StepEncoding(self._bad, circuit)
-        self._bad.add_clause([self._enc_bad.lit(target.bad)])
+        bad.add_clause([enc_bad.lit(target.bad)])
+        self._bad = _Frames(enc_bad, 1)
 
         # owned[j] for j >= 1; level 0 is the reset cube, never a clause set
         self._owned: list[list[tuple[int, ...]]] = [[], []]
-        self._acts_step = [0, pos(self._step.new_var())]
-        self._acts_bad = [0, pos(self._bad.new_var())]
         self._inf: list[tuple[int, ...]] = []
-        self._act_inf_step = pos(self._step.new_var())
-        self._act_inf_bad = pos(self._bad.new_var())
         self.frontier = 1
 
         for clause in seed_clauses:
@@ -164,7 +195,8 @@ class PdrEngine:
                 raise ValueError(f"seed clause out of range: {clause}")
             if not any(self._true_at_init(l) for l in cl):
                 raise ValueError(f"seed clause violates the reset state: {clause}")
-            self._store_clause(cl, None)
+            if cl not in self._inf:
+                self._store_clause(cl, None)
 
         self._obq: list[tuple[int, int, ProofObligation]] = []
         self._obseq = 0
@@ -180,33 +212,51 @@ class PdrEngine:
         """Whether the reset state lies inside the cube."""
         return all(self._true_at_init(l) for l in cube)
 
+    def _frame_assumps(self, frames: _Frames, level: int | None) -> list[int]:
+        if level is None:
+            return [frames.inf_act]
+        if level == 0:
+            return [frames.enc.latch_lit(i, v) for i, v in enumerate(self.init)]
+        return frames.acts[level : self.frontier + 1] + [frames.inf_act]
+
+    def _built_frames(self) -> list[_Frames]:
+        built = [self._bad]
+        if "_step" in self.__dict__:
+            built.append(self._step)
+        return built
+
     def _store_clause(self, clause: tuple[int, ...], level: int | None) -> None:
-        step_lits = [self._enc_step.latch_lit(l >> 1, 1 - (l & 1)) for l in clause]
-        bad_lits = [self._enc_bad.latch_lit(l >> 1, 1 - (l & 1)) for l in clause]
+        """Record a clause at `level` (None: inductive outright) and add
+        it to every frame solver built so far. Older copies of it below
+        `level` leave the frame lists; the solvers keep them, implied."""
         if level is None:
             self._inf.append(clause)
-            step_act, bad_act = self._act_inf_step, self._act_inf_bad
         else:
+            for j in range(1, level):
+                if clause in self._owned[j]:
+                    self._owned[j].remove(clause)
             self._owned[level].append(clause)
-            step_act, bad_act = self._acts_step[level], self._acts_bad[level]
-        self._step.add_clause([step_act ^ 1, *step_lits])
-        self._bad.add_clause([bad_act ^ 1, *bad_lits])
+        for frames in self._built_frames():
+            frames.add(clause, level)
 
     def _open_level(self, level: int) -> None:
         while len(self._owned) <= level:
             self._owned.append([])
-            self._acts_step.append(pos(self._step.new_var()))
-            self._acts_bad.append(pos(self._bad.new_var()))
+        for frames in self._built_frames():
+            frames.open(level)
 
-    def _frame_assumps(self, level: int | None, bad_side: bool) -> list[int]:
-        acts = self._acts_bad if bad_side else self._acts_step
-        inf_act = self._act_inf_bad if bad_side else self._act_inf_step
-        enc = self._enc_bad if bad_side else self._enc_step
-        if level is None:
-            return [inf_act]
-        if level == 0:
-            return [enc.latch_lit(i, v) for i, v in enumerate(self.init)]
-        return [acts[j] for j in range(level, self.frontier + 1)] + [inf_act]
+    @cached_property
+    def _step(self) -> _Frames:
+        step = constrained_step(
+            Solver(), self.circuit, (self.target, *self.constraint_props)
+        )
+        frames = _Frames(step, len(self._owned) - 1)
+        for clause in self._inf:
+            frames.add(clause, None)
+        for level, clauses in enumerate(self._owned):
+            for clause in clauses:
+                frames.add(clause, level)
+        return frames
 
     @cached_property
     def _enc_lift(self) -> StepEncoding:
@@ -239,22 +289,22 @@ class PdrEngine:
         With exclude_cube the query is restricted to predecessors outside
         the cube, which is what relative induction asks for.
         """
-        enc = self._enc_step
-        assumps = self._frame_assumps(frame_level, bad_side=False)
+        step = self._step
+        enc, solver = step.enc, step.solver
+        assumps = self._frame_assumps(step, frame_level)
         act = None
         if exclude_cube:
             act = self._temp_clause(
-                self._step,
-                [enc.latch_lit(l >> 1, l & 1) for l in cube],
+                solver, [enc.latch_lit(l >> 1, l & 1) for l in cube]
             )
             assumps.append(act)
         pairs = [(enc.next_lit(l >> 1) ^ (l & 1), l) for l in cube]
         assumps.extend(sl for sl, _ in pairs)
         try:
-            result = self._solve(self._step, assumps)
+            result = self._solve(solver, assumps)
         finally:
             if act is not None:
-                self._drop_temp(self._step, act)
+                self._drop_temp(solver, act)
         return result, pairs
 
     def _core_cube(self, result, pairs, base_cube) -> tuple[int, ...]:
@@ -325,10 +375,11 @@ class PdrEngine:
         cur = set(cube)
         if self._cube_holds_init(cur):
             raise ValueError("cube covers the reset state")
-        act = self._step.activity
+        enc = self._step.enc
+        act = enc.solver.activity
 
         def rank(lit):
-            var = self._enc_step.latch_lit(lit >> 1, 1) >> 1
+            var = enc.latch_lit(lit >> 1, 1) >> 1
             return (act[var], lit)
 
         for _ in range(2):
@@ -354,25 +405,23 @@ class PdrEngine:
             raise PdrError("engine instances are single-use")
         self._ran = True
         try:
-            result = self._solve(
-                self._bad, self._frame_assumps(0, bad_side=True)
-            )
+            bad = self._bad
+            result = self._solve(bad.solver, self._frame_assumps(bad, 0))
             if result.status is Status.SAT:
-                frame = TraceFrame(self.init, self._enc_bad.read_inputs(result))
+                frame = TraceFrame(self.init, bad.enc.read_inputs(result))
                 cex = Counterexample((frame,), self.target.index)
                 return PdrOutcome(PdrStatus.FAILS, self.stats, cex=cex)
             if self._induction_precheck():
                 return PdrOutcome(
-                    PdrStatus.HOLDS, self.stats,
-                    invariant=tuple(dict.fromkeys(self._inf)),
+                    PdrStatus.HOLDS, self.stats, invariant=tuple(self._inf)
                 )
             while True:
                 result = self._solve(
-                    self._bad, self._frame_assumps(self.frontier, bad_side=True)
+                    bad.solver, self._frame_assumps(bad, self.frontier)
                 )
                 if result.status is Status.SAT:
-                    state = self._enc_bad.read_latches(result)
-                    inputs = self._enc_bad.read_inputs(result)
+                    state = bad.enc.read_latches(result)
+                    inputs = bad.enc.read_inputs(result)
                     cube = self._lift_final(state, inputs)
                     self._enqueue(ProofObligation(cube, self.frontier, None, inputs))
                     self._discharge()
@@ -394,10 +443,11 @@ class PdrEngine:
     def _induction_precheck(self) -> bool:
         """One-shot induction of target plus the inductive-frame clauses;
         catches already-inductive properties without growing frames."""
-        return _inductive(
-            self.circuit,
+        induction = self._induction.get(
+            self.circuit, (self.target, *self.constraint_props)
+        )
+        return induction.holds(
             self.target,
-            self.constraint_props,
             self._inf,
             lambda solver, assumps: self._solve(solver, assumps).status is Status.UNSAT,
         )
@@ -430,8 +480,8 @@ class PdrEngine:
                 continue
             result, pairs = self._consecution(ob.cube, level - 1, exclude_cube=True)
             if result.status is Status.SAT:
-                state = self._enc_step.read_latches(result)
-                inputs = self._enc_step.read_inputs(result)
+                state = self._step.enc.read_latches(result)
+                inputs = self._step.enc.read_inputs(result)
                 pred_cube = self._lift_pred(state, inputs, ob.cube)
                 self._enqueue(ProofObligation(pred_cube, level - 1, ob, inputs))
                 heapq.heappush(self._obq, (level, seq, ob))
@@ -451,22 +501,20 @@ class PdrEngine:
 
     def _propagate_clauses(self):
         """Push clauses outward after the frontier moves; a level left
-        empty is a fixpoint and its outer union is the invariant. A clause
-        re-learned at a higher level keeps its older copy below, so the
-        union is returned with each clause once, in first-seen order."""
+        empty is a fixpoint and its outer union is the invariant. No
+        clause sits at two levels, so the union holds each clause once."""
         for j in range(1, self.frontier):
             for clause in list(self._owned[j]):
                 cube = negate_lits(clause)
                 result, _ = self._consecution(cube, j, exclude_cube=False)
                 if result.status is Status.UNSAT:
-                    self._owned[j].remove(clause)
                     self._store_clause(clause, j + 1)
             if not self._owned[j]:
                 out = []
                 for l in range(j + 1, self.frontier + 1):
                     out.extend(self._owned[l])
                 out.extend(self._inf)
-                return tuple(dict.fromkeys(out))
+                return tuple(out)
         return None
 
     def _reconstruct(self, ob: ProofObligation) -> Counterexample:
@@ -494,6 +542,7 @@ def check_property(
     *,
     respect: bool = False,
     deadline: float | None = None,
+    induction: InductionHolder | None = None,
 ) -> PdrOutcome:
     """Prove or refute one property under the given constraint context.
 
@@ -501,11 +550,11 @@ def check_property(
     makes it a local one. Holds outcomes carry the strengthening clause
     set, Fails outcomes a counterexample whose final frame violates the
     target, Exhausted only ever reflects the deadline, never an answer.
-    `respect` and `deadline` are those of `PdrEngine`.
+    `respect`, `deadline` and `induction` are those of `PdrEngine`.
     """
     return PdrEngine(
         circuit, target, constraint_props, seed_clauses,
-        respect=respect, deadline=deadline,
+        respect=respect, deadline=deadline, induction=induction,
     ).run()
 
 
@@ -548,28 +597,75 @@ def certify(
     ]
     if not run(init_solver, [*assumps, enc_init.lit(target.bad)]):
         return False
-    return _inductive(circuit, target, constraint_props, clauses, run)
+    return _Induction(circuit, (target, *constraint_props)).holds(target, clauses, run)
 
 
-def _inductive(circuit, target, constraint_props, clauses, unsat) -> bool:
-    """Whether target plus `clauses` survive one constrained step: from a
-    state satisfying the clauses on which neither target nor any
-    constraint property fires, the successor neither fires target nor
-    breaks a clause. `unsat(solver, assumptions)` runs one query and says
-    whether it came back UNSAT; deadlines and accounting are the caller's."""
-    solver = Solver()
-    enc = constrained_step(solver, circuit, (target, *constraint_props))
-    for clause in clauses:
-        solver.add_clause([enc.latch_lit(l >> 1, 1 - (l & 1)) for l in clause])
-    enc_next = StepEncoding(
-        solver,
-        circuit,
-        latch_lits=[enc.next_lit(i) for i in range(circuit.num_latches)],
-        cone_roots=[target.bad],
-    )
-    if not unsat(solver, [enc_next.lit(target.bad)]):
-        return False
-    return all(
-        unsat(solver, [enc.next_lit(l >> 1) ^ (1 - (l & 1)) for l in clause])
-        for clause in clauses
-    )
+class _Induction:
+    """One-step induction queries over a fixed property set: the
+    constrained step that keeps every property of the set clean, plus the
+    next-state bad cone of each target asked about, added on first use.
+
+    `holds(target, clauses, unsat)` says whether target plus `clauses`
+    survive one constrained step: from a state satisfying the clauses on
+    which no property of the set fires, the successor neither fires
+    target nor breaks a clause. The clauses sit behind an activation
+    literal of their own that is retired when the query ends, however it
+    ends, so no query sees another's clauses. `unsat(solver,
+    assumptions)` runs one query and says whether it came back UNSAT;
+    deadlines and accounting are the caller's."""
+
+    def __init__(self, circuit: Circuit, props):
+        self.circuit = circuit
+        self.key = _props_key(props)
+        self.solver = Solver()
+        self.enc = constrained_step(self.solver, circuit, props)
+        self._next_bad: dict[int, StepEncoding] = {}
+
+    def holds(self, target: PropertySpec, clauses, unsat) -> bool:
+        solver, enc = self.solver, self.enc
+        nxt = self._next_bad.get(target.bad.var)
+        if nxt is None:
+            nxt = self._next_bad[target.bad.var] = StepEncoding(
+                solver,
+                self.circuit,
+                latch_lits=[enc.next_lit(i) for i in range(self.circuit.num_latches)],
+                cone_roots=[target.bad],
+            )
+        act = pos(solver.new_var())
+        try:
+            for clause in clauses:
+                solver.add_clause(
+                    [act ^ 1, *(enc.latch_lit(l >> 1, 1 - (l & 1)) for l in clause)]
+                )
+            if not unsat(solver, [act, nxt.lit(target.bad)]):
+                return False
+            return all(
+                unsat(
+                    solver,
+                    [act, *(enc.next_lit(l >> 1) ^ (1 - (l & 1)) for l in clause)],
+                )
+                for clause in clauses
+            )
+        finally:
+            solver.add_clause([act ^ 1])
+
+
+def _props_key(props) -> tuple:
+    return tuple(sorted((p.index, p.bad) for p in props))
+
+
+class InductionHolder:
+    """The induction solver of the last property set asked for, so that
+    consecutive checks over one set share it. In JA mode every
+    expected-to-hold check assumes all the others, so one solver serves
+    the whole pass. Lives as long as its owner keeps it; one per run."""
+
+    def __init__(self):
+        self._last: _Induction | None = None
+
+    def get(self, circuit: Circuit, props) -> _Induction:
+        last = self._last
+        key = _props_key(props)
+        if last is None or last.circuit is not circuit or last.key != key:
+            last = self._last = _Induction(circuit, props)
+        return last

@@ -15,7 +15,7 @@ from japdr.circuit import (
     property_violated,
     replay_trace,
 )
-from japdr import orchestrator
+from japdr import encode, orchestrator
 from japdr.clausedb import load
 from japdr.oracle import CheckMode, brute_check, brute_debug_set
 from japdr.orchestrator import (
@@ -374,3 +374,21 @@ def test_total_timeout_leaves_unknowns_not_errors():
     assert time.monotonic() - t0 < 5.0
     for v in rep.verdicts:
         assert v.status in (S.UNKNOWN, S.HOLDS_LOCAL, S.HOLDS_GLOBAL)
+
+
+def test_ja_run_shares_one_induction_solver(monkeypatch):
+    # one constrained step serves every expected-to-hold precheck, and
+    # engines build a step solver only for consecution queries
+    builds = 0
+    init = encode.StepEncoding.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal builds
+        builds += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(encode.StepEncoding, "__init__", counting)
+    thr = build_counter(5, thresholds=6)
+    report = run(VerificationTask(thr.circuit, thr.props, Mode.JA))
+    assert all(v.status is S.HOLDS_GLOBAL for v in report.verdicts)
+    assert builds <= 31

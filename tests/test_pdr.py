@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from japdr.aiger import gen_counter, gen_random_circuit
+from japdr.aiger import build_counter, gen_counter, gen_random_circuit
 from japdr.circuit import (
     Literal,
     TraceFrame,
@@ -14,8 +14,9 @@ from japdr.circuit import (
     property_violated,
     replay_trace,
 )
-from japdr.oracle import CheckMode, brute_check
+from japdr.oracle import CheckMode, ExplicitModel, brute_check
 from japdr.pdr import (
+    InductionHolder,
     PdrEngine,
     PdrError,
     PdrStatus,
@@ -26,7 +27,9 @@ from japdr.pdr import (
     literal_latch,
     literal_value,
     negate_lits,
+    _Induction,
 )
+from japdr.sat import Status
 
 
 def test_literal_helpers_round_trip():
@@ -278,3 +281,137 @@ def test_generalize_rejects_the_reset_cube():
         eng.generalize(cube_of_state((0, 0, 0)), 1)
     with pytest.raises(ValueError, match="level"):
         eng.generalize(cube_of_state((1, 0, 1)), 5)
+
+
+def test_no_clause_sits_in_two_frame_levels():
+    # a clause learned at a higher level replaces its copies below; only
+    # the solvers keep them, implied
+    rng = random.Random(0)
+    seen_clauses = 0
+    for _ in range(10):
+        c, props = gen_random_circuit(
+            rng, num_inputs=2, num_latches=8, num_gates=40, num_props=4
+        )
+        for p in props:
+            eng = PdrEngine(c, p, [q for q in props if q is not p])
+
+            def checked(eng=eng, propagate=eng._propagate_clauses):
+                nonlocal seen_clauses
+                owned = [cl for level in eng._owned for cl in level]
+                assert len(owned) == len(set(owned)), eng._owned
+                seen_clauses += len(owned)
+                return propagate()
+
+            eng._propagate_clauses = checked
+            eng.run()
+    assert seen_clauses
+
+
+def unsat_of(solver, assumptions):
+    return solver.solve(assumptions).status is Status.UNSAT
+
+
+def test_guarded_clauses_do_not_leak_between_induction_queries():
+    thr = build_counter(5, thresholds=6)
+    c, props = thr.circuit, thr.props
+    model = ExplicitModel(c)
+    holder = InductionHolder()
+    tested = 0
+    for p in props:
+        # globally the loosest thresholds need strengthening clauses
+        out = check_property(c, p)
+        assert out.status is PdrStatus.HOLDS
+        if model.property_inductive([p], p.index):
+            continue
+        induction = holder.get(c, [p])
+        assert induction.holds(p, out.invariant, unsat_of)
+        assert not induction.holds(p, (), unsat_of)
+        tested += 1
+    assert tested
+
+
+class _Expired(Exception):
+    pass
+
+
+def expired(solver, assumptions):
+    solver.solve(assumptions, deadline=time.monotonic() - 1.0)
+    raise _Expired
+
+
+def test_shared_induction_answers_like_a_fresh_one():
+    rng = random.Random(77)
+    cut = 0
+    for _ in range(10):
+        c, props = gen_random_circuit(
+            rng, num_inputs=2, num_latches=6, num_gates=30, num_props=3
+        )
+        model = ExplicitModel(c)
+        holder = InductionHolder()
+        for n in range(12):
+            target = rng.choice(props)
+            clauses = [
+                tuple(sorted({
+                    latch_literal(rng.randrange(c.num_latches), rng.randint(0, 1))
+                    for _ in range(rng.randint(1, 3))
+                }))
+                for _ in range(rng.randint(0, 3))
+            ]
+            shared = holder.get(c, props)
+            if n == 5:
+                with pytest.raises(_Expired):
+                    shared.holds(target, clauses, expired)
+                cut += 1
+            want = _Induction(c, props).holds(target, clauses, unsat_of)
+            assert shared.holds(target, clauses, unsat_of) == want
+            if not clauses:
+                assert want == model.property_inductive(props, target.index)
+    assert cut == 10
+
+
+def test_step_solver_is_built_only_for_consecution():
+    c, props = gen_counter(3)
+    # decided at level 0: the reset state fires req's bad
+    eng = PdrEngine(c, props[0], [props[1]])
+    assert eng.run().status is PdrStatus.FAILS
+    assert "_step" not in eng.__dict__ and "_enc_lift" not in eng.__dict__
+    # decided by the induction precheck
+    eng = PdrEngine(c, props[1], [props[0]])
+    assert eng.run().status is PdrStatus.HOLDS
+    assert "_step" not in eng.__dict__ and "_enc_lift" not in eng.__dict__
+
+
+def test_seeded_check_replays_its_seeds_into_the_step_solver():
+    # in JA every check steps through the same relation, so one property's
+    # invariant is a sound seed set for another; when it does not decide
+    # the precheck, the engine builds its step solver late and must replay
+    # the seeds into it
+    rng = random.Random(5)
+    reached = 0
+    for _ in range(20):
+        c, props = gen_random_circuit(
+            rng, num_inputs=2, num_latches=6, num_gates=30, num_props=3
+        )
+        proofs = {}
+        for p in props:
+            out = check_property(c, p, [q for q in props if q is not p])
+            if out.status is PdrStatus.HOLDS:
+                proofs[p.index] = out.invariant
+        for p in props:
+            ctx = [q for q in props if q is not p]
+            seeds = [cl for i, inv in proofs.items() if i != p.index for cl in inv]
+            eng = PdrEngine(c, p, ctx, seeds, respect=True)
+            out = eng.run()
+            want = brute_check(c, props, p.index, CheckMode.LOCAL).holds
+            assert (out.status is PdrStatus.HOLDS) == want
+            if want:
+                assert certify(c, ctx, out.invariant, p)
+            if not seeds or "_step" not in eng.__dict__:
+                continue
+            # no present state of the step solver breaks a seed
+            step = eng._step
+            for cl in seeds:
+                broken = [step.enc.latch_lit(l >> 1, l & 1) for l in cl]
+                assert unsat_of(step.solver, [step.inf_act, *broken])
+            reached += 1
+    assert reached

@@ -28,6 +28,7 @@ from japdr.report import (
     format_text,
     validate_report_json,
 )
+from test_acceptance import replay_witness_file
 
 
 def v(index, status):
@@ -148,8 +149,11 @@ def test_cli_check_json_and_witnesses(tmp_path, capsys):
     assert code == EXIT_FAILURES
     doc = json.loads(out)
     assert validate_report_json(doc) == []
-    # the failing property gets a concrete stimulus, the holding one a cert
-    assert (wdir / "b0.wit").read_bytes() == b"1\nb0\n000\n10\n.\n"
+    # the failing property gets a concrete stimulus, the holding one a cert;
+    # `enable` lies outside P0's cone, so the bad query leaves it at 0
+    assert (wdir / "b0.wit").read_bytes() == b"1\nb0\n000\n00\n.\n"
+    c, props = gen_counter(3)
+    replay_witness_file(c, props, (wdir / "b0.wit").read_bytes())
     assert (wdir / "b1.wit").read_bytes() == b"0\nb1\n"
     by_index = {r["index"]: r for r in doc["verdicts"]}
     assert by_index[0]["witness_file"].endswith("b0.wit")
