@@ -29,13 +29,6 @@ class AigerError(ValueError):
     """Malformed AIGER input."""
 
 
-def _lit_from_file(aiger_lit: int) -> Literal:
-    var, neg = aiger_lit >> 1, bool(aiger_lit & 1)
-    if var == 0:
-        neg = not neg  # file 0 is FALSE, file 1 is TRUE
-    return Literal(var, neg)
-
-
 def _lit_to_file(lit: Literal) -> int:
     neg = lit.negated
     if lit.var == 0:

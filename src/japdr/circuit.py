@@ -196,7 +196,12 @@ class ReplayResult:
 
     @property
     def valid(self) -> bool:
-        return self.initialized and self.transitions_consistent and self.final_violates_target
+        return (
+            self.initialized
+            and self.transitions_consistent
+            and self.final_violates_target
+            and self.circuit_constraints_ok
+        )
 
     @property
     def spurious(self) -> bool:
@@ -307,12 +312,6 @@ class CircuitBuilder:
         out = TRUE
         for lit in lits:
             out = self.and_(out, lit)
-        return out
-
-    def disj(self, lits) -> Literal:
-        out = FALSE
-        for lit in lits:
-            out = self.or_(out, lit)
         return out
 
     def set_next(self, pos: int, lit: Literal) -> None:

@@ -128,7 +128,7 @@ def _load(path):
         raise SystemExit(EXIT_PARSE) from None
 
 
-def _write_witnesses(directory, circuit, report) -> dict[int, str]:
+def _write_witnesses(directory, report) -> dict[int, str]:
     os.makedirs(directory, exist_ok=True)
     paths = {}
     for v in report.verdicts:
@@ -188,7 +188,7 @@ def _cmd_check(args) -> int:
         return EXIT_PARSE
     witnesses = None
     if args.witness_dir:
-        witnesses = _write_witnesses(args.witness_dir, circuit, report)
+        witnesses = _write_witnesses(args.witness_dir, report)
     data, code = format_report(report, args.report, witnesses)
     sys.stdout.write(data.decode())
     return code

@@ -28,12 +28,13 @@ Joint mode decides several properties with one aggregate check, so each
 verdict it peels off reports the time and SAT calls of that whole check;
 the run totals count every check once.
 
-Each run keeps one `pdr.InductionHolder` and hands it to every check, so
-consecutive checks over the same property set share one induction
-solver. In JA mode every expected-to-hold check steps through the same
-relation, all expected-to-hold properties clean, so one solver answers
-every induction precheck of the pass; the other modes change the set
-with every check and get a fresh one each time.
+Each run keeps one `pdr.StepHolder` and hands it to every check, so
+consecutive checks over the same property set share one step solver. In
+JA mode every expected-to-hold check steps through the same relation,
+all expected-to-hold properties clean, so one solver answers every
+induction precheck and consecution query of the pass, each engine's
+frames behind literals it retires when it ends; the other modes change
+the set with every check and get a fresh one each time.
 """
 
 from __future__ import annotations
@@ -58,10 +59,10 @@ from .circuit import (
 )
 from .clausedb import ClauseDbError, ClauseRecord, append, load, seeds_for_context
 from .pdr import (
-    InductionHolder,
     PdrError,
     PdrStats,
     PdrStatus,
+    StepHolder,
     certify,
     check_property,
 )
@@ -173,12 +174,12 @@ def _check_one(
     deadline: float | None,
     holds: VerdictStatus,
     fails: VerdictStatus,
-    induction: InductionHolder,
+    steps: StepHolder,
 ) -> tuple[Verdict, tuple | None, int]:
     """One property, end to end: solve, replay, retry once on a spurious
     trace, certify proofs. The deadline bounds all of it together. The
-    engine's induction precheck runs on the solver the run's `induction`
-    holder keeps; certification never does.
+    engine runs on the step solver the run's `steps` holder keeps;
+    certification never does.
 
     Returns the verdict, whose status is `holds` or `fails` once the check
     is decided and Unknown otherwise, the invariant of a proof, and the
@@ -191,7 +192,7 @@ def _check_one(
     while deadline is None or time.monotonic() < deadline:
         out = check_property(
             circuit, target, ctx, seeds,
-            respect=respect, deadline=deadline, induction=induction,
+            respect=respect, deadline=deadline, steps=steps,
         )
         stats.sat_calls += out.stats.sat_calls
         stats.clauses_learned += out.stats.clauses_learned
@@ -347,7 +348,7 @@ def _assumed(task: VerificationTask, prop: PropertySpec) -> tuple[PropertySpec, 
 
 
 def _peel(
-    task: VerificationTask, verdicts: dict, total_deadline, induction: InductionHolder
+    task: VerificationTask, verdicts: dict, total_deadline, steps: StepHolder
 ) -> tuple[int, int]:
     """Joint mode's expected-to-hold pass: one aggregate check over the
     conjunction, repeated. Each counterexample refutes every property
@@ -367,7 +368,7 @@ def _peel(
             check_circuit, agg = aggregate_bad(circuit, unsolved)
         v, _, n = _check_one(
             check_circuit, agg, (), (), prop_deadline,
-            VerdictStatus.HOLDS_GLOBAL, VerdictStatus.FAILS_GLOBAL, induction,
+            VerdictStatus.HOLDS_GLOBAL, VerdictStatus.FAILS_GLOBAL, steps,
         )
         sat_calls += v.sat_calls
         learned += n
@@ -401,11 +402,11 @@ def run(task: VerificationTask) -> RunReport:
     total_deadline = t0 + opts.total_timeout_s if opts.total_timeout_s else None
     circuit = task.circuit
     store = _ClauseStore(task)
-    induction = InductionHolder()
+    steps = StepHolder()
     verdicts: dict[int, Verdict] = {}
     sat_calls = learned = 0
     if task.mode is Mode.JOINT:
-        sat_calls, learned = _peel(task, verdicts, total_deadline, induction)
+        sat_calls, learned = _peel(task, verdicts, total_deadline, steps)
         singles = list(task.etf_properties)
     else:
         singles = [*ordered_eth(task), *task.etf_properties]
@@ -421,7 +422,7 @@ def run(task: VerificationTask) -> RunReport:
         pre = PdrStats()
         seeds = store.seeds(circuit, ctx, prop_deadline, pre)
         v, invariant, n = _check_one(
-            circuit, prop, ctx, seeds, prop_deadline, *outcomes, induction
+            circuit, prop, ctx, seeds, prop_deadline, *outcomes, steps
         )
         v.sat_calls += pre.sat_calls
         sat_calls += v.sat_calls

@@ -16,9 +16,10 @@ means no input valuation fires bad there; the final frame of a
 counterexample is exempt from every constraint.
 
 Solvers are built for the queries they serve (see `PdrEngine`). The
-induction precheck asks a `_Induction` solver, which an
-`InductionHolder` keeps across checks of one property set; `certify`
-builds its own on every call, so no engine state reaches it.
+step solver, which answers the induction precheck and every consecution
+query, comes from a `StepHolder` that keeps it across checks of one
+property set; `certify` builds its own on every call, so no engine state
+reaches it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .circuit import Circuit, Counterexample, PropertySpec, TraceFrame, eval_transition
-from .encode import StepEncoding, constrained_step
+from .encode import StepEncoding, const_true, constrained_step
 from .sat import Solver, Status, pos
 
 
@@ -128,6 +129,12 @@ class _Frames:
         lits = [self.enc.latch_lit(l >> 1, 1 - (l & 1)) for l in clause]
         self.solver.add_clause([act ^ 1, *lits])
 
+    def retire(self) -> None:
+        """Switch every clause added here off for good (unit ¬act), so a
+        solver shared with later engines carries none of them."""
+        for act in (self.inf_act, *self.acts[1:]):
+            self.solver.add_clause([act ^ 1])
+
 
 class PdrEngine:
     """One property, one context, one solver per kind of query, each
@@ -136,17 +143,17 @@ class PdrEngine:
     The bad solver is built with the engine, because the reset query asks
     it first. It holds one present-state copy of the target's bad cone
     plus every latch (frame clauses name them all), with bad forced; a
-    primary input outside that cone reads as 0 in its models. The
-    induction precheck runs on the solver `induction` holds for the
-    target plus its context, so consecutive checks of one property set
-    share it; without a holder it gets a fresh one. The step solver
-    carries the whole transition relation with the constraint section,
-    every constraint property and the target forced clean on the
-    present-state copy; it is built on the first consecution query and
-    replays the frames stored so far. The lift solver carries an
+    primary input outside that cone reads as 0 in its models. The step
+    solver carries the whole transition relation with the constraint
+    section, every constraint property and the target forced clean on
+    the present-state copy. It comes from `steps`, which hands one solver
+    to consecutive checks of one property set (without a holder the
+    engine gets a fresh one); the induction precheck takes it, replays
+    the seeds into it and adds the target's next-state bad cone. The
+    engine's frames sit there behind activation literals of its own,
+    which `run` retires however it ends. The lift solver carries an
     unconstrained copy for unsat-core lifting and is built on the first
-    lift. A check decided at level 0 or by the precheck builds neither of
-    the last two.
+    lift. A check decided at level 0 builds neither of the last two.
 
     With `respect` the lifted predecessors also keep the target and every
     constraint property clean, so no counterexample brushes a state that
@@ -164,7 +171,7 @@ class PdrEngine:
         *,
         respect: bool = False,
         deadline: float | None = None,
-        induction: InductionHolder | None = None,
+        steps: StepHolder | None = None,
     ):
         self.circuit = circuit
         self.target = target
@@ -175,7 +182,7 @@ class PdrEngine:
         self.stats = PdrStats(frames_opened=1)
         self.init = circuit.init_state()
         self._nl = circuit.num_latches
-        self._induction = induction or InductionHolder()
+        self._steps = steps or StepHolder()
 
         bad = Solver()
         enc_bad = StepEncoding(
@@ -196,7 +203,8 @@ class PdrEngine:
             if not any(self._true_at_init(l) for l in cl):
                 raise ValueError(f"seed clause violates the reset state: {clause}")
             if cl not in self._inf:
-                self._store_clause(cl, None)
+                self._inf.append(cl)
+                self._bad.add(cl, None)
 
         self._obq: list[tuple[int, int, ProofObligation]] = []
         self._obseq = 0
@@ -219,16 +227,12 @@ class PdrEngine:
             return [frames.enc.latch_lit(i, v) for i, v in enumerate(self.init)]
         return frames.acts[level : self.frontier + 1] + [frames.inf_act]
 
-    def _built_frames(self) -> list[_Frames]:
-        built = [self._bad]
-        if "_step" in self.__dict__:
-            built.append(self._step)
-        return built
-
     def _store_clause(self, clause: tuple[int, ...], level: int | None) -> None:
         """Record a clause at `level` (None: inductive outright) and add
-        it to every frame solver built so far. Older copies of it below
-        `level` leave the frame lists; the solvers keep them, implied."""
+        it to both frame solvers. Older copies of it below `level` leave
+        the frame lists; the solvers keep them, implied."""
+        for frames in (self._bad, self._step):
+            frames.add(clause, level)
         if level is None:
             self._inf.append(clause)
         else:
@@ -236,20 +240,16 @@ class PdrEngine:
                 if clause in self._owned[j]:
                     self._owned[j].remove(clause)
             self._owned[level].append(clause)
-        for frames in self._built_frames():
-            frames.add(clause, level)
 
     def _open_level(self, level: int) -> None:
         while len(self._owned) <= level:
             self._owned.append([])
-        for frames in self._built_frames():
+        for frames in (self._bad, self._step):
             frames.open(level)
 
     @cached_property
     def _step(self) -> _Frames:
-        step = constrained_step(
-            Solver(), self.circuit, (self.target, *self.constraint_props)
-        )
+        step = self._steps.step(self.circuit, (self.target, *self.constraint_props))
         frames = _Frames(step, len(self._owned) - 1)
         for clause in self._inf:
             frames.add(clause, None)
@@ -276,9 +276,6 @@ class PdrEngine:
         solver.add_clause([act ^ 1, *lits])
         return act
 
-    def _drop_temp(self, solver: Solver, act: int) -> None:
-        solver.add_clause([act ^ 1])
-
     # -------------------------------------------------------------- queries
 
     def _consecution(self, cube, frame_level: int | None, exclude_cube: bool):
@@ -304,7 +301,7 @@ class PdrEngine:
             result = self._solve(solver, assumps)
         finally:
             if act is not None:
-                self._drop_temp(solver, act)
+                solver.add_clause([act ^ 1])
         return result, pairs
 
     def _core_cube(self, result, pairs, base_cube) -> tuple[int, ...]:
@@ -336,7 +333,7 @@ class PdrEngine:
             try:
                 result = self._solve(solver, [act, *assumps])
             finally:
-                self._drop_temp(solver, act)
+                solver.add_clause([act ^ 1])
             if result.status is not Status.UNSAT:
                 raise PdrError("lifting query was satisfiable; encoding is broken")
             return {cl for sl, cl in lat_pairs if sl in result.core}
@@ -439,17 +436,22 @@ class PdrEngine:
         except _CexFound as found:
             cex = self._reconstruct(found.ob)
             return PdrOutcome(PdrStatus.FAILS, self.stats, cex=cex)
+        finally:
+            if "_step" in self.__dict__:
+                self._step.retire()
 
     def _induction_precheck(self) -> bool:
         """One-shot induction of target plus the inductive-frame clauses;
         catches already-inductive properties without growing frames."""
-        induction = self._induction.get(
-            self.circuit, (self.target, *self.constraint_props)
-        )
-        return induction.holds(
-            self.target,
-            self._inf,
-            lambda solver, assumps: self._solve(solver, assumps).status is Status.UNSAT,
+        step = self._step
+        nxt = self._steps.next_bad(self.target)
+        result = self._solve(step.solver, [step.inf_act, nxt.lit(self.target.bad)])
+        if result.status is not Status.UNSAT:
+            return False
+        return all(
+            self._consecution(negate_lits(c), None, exclude_cube=False)[0].status
+            is Status.UNSAT
+            for c in self._inf
         )
 
     def _enqueue(self, ob: ProofObligation) -> None:
@@ -542,7 +544,7 @@ def check_property(
     *,
     respect: bool = False,
     deadline: float | None = None,
-    induction: InductionHolder | None = None,
+    steps: StepHolder | None = None,
 ) -> PdrOutcome:
     """Prove or refute one property under the given constraint context.
 
@@ -550,11 +552,11 @@ def check_property(
     makes it a local one. Holds outcomes carry the strengthening clause
     set, Fails outcomes a counterexample whose final frame violates the
     target, Exhausted only ever reflects the deadline, never an answer.
-    `respect`, `deadline` and `induction` are those of `PdrEngine`.
+    `respect`, `deadline` and `steps` are those of `PdrEngine`.
     """
     return PdrEngine(
         circuit, target, constraint_props, seed_clauses,
-        respect=respect, deadline=deadline, induction=induction,
+        respect=respect, deadline=deadline, steps=steps,
     ).run()
 
 
@@ -568,19 +570,21 @@ def certify(
     deadline: float | None = None,
 ) -> bool:
     """Independent inductiveness check of target plus strengthening,
-    on solvers built from scratch so engine state cannot leak in.
+    on one solver built from scratch so engine state cannot leak in.
 
     Checks: the reset state satisfies the strengthening and cannot fire
     bad; and from any constrained frame satisfying target and
-    strengthening, the successor satisfies both again.
+    strengthening, the successor satisfies both again. The solver is
+    used once, so the strengthening goes in as plain clauses.
     """
     clauses = [tuple(sorted(c)) for c in invariant_clauses]
     init = circuit.init_state()
     for clause in clauses:
         if not any(init[l >> 1] == 1 - (l & 1) for l in clause):
             return False
+    solver = Solver()
 
-    def run(solver, assumptions) -> bool:
+    def unsat(assumptions) -> bool:
         result = solver.solve(assumptions, deadline=deadline)
         if stats is not None:
             stats.sat_calls += 1
@@ -588,84 +592,63 @@ def certify(
             raise PdrError("certification ran out of budget")
         return result.status is Status.UNSAT
 
-    init_solver = Solver()
-    enc_init = StepEncoding(init_solver, circuit, cone_roots=[target.bad])
-    assumps = [
-        enc_init.latch_lit(i, v)
-        for i, v in enumerate(init)
-        if circuit.latch_vars[i] in enc_init.varmap
-    ]
-    if not run(init_solver, [*assumps, enc_init.lit(target.bad)]):
+    # the reset copy is asked before the step is added, so the step's
+    # level-0 units cannot answer for it
+    true_lit = const_true(solver)
+    enc_init = StepEncoding(
+        solver,
+        circuit,
+        latch_lits=[true_lit if v else true_lit ^ 1 for v in init],
+        cone_roots=[target.bad],
+    )
+    if not unsat([enc_init.lit(target.bad)]):
         return False
-    return _Induction(circuit, (target, *constraint_props)).holds(target, clauses, run)
+    enc = constrained_step(solver, circuit, (target, *constraint_props))
+    for clause in clauses:
+        solver.add_clause([enc.latch_lit(l >> 1, 1 - (l & 1)) for l in clause])
+    if not unsat([_next_bad(enc, target).lit(target.bad)]):
+        return False
+    return all(
+        unsat([enc.next_lit(l >> 1) ^ (1 - (l & 1)) for l in clause])
+        for clause in clauses
+    )
 
 
-class _Induction:
-    """One-step induction queries over a fixed property set: the
-    constrained step that keeps every property of the set clean, plus the
-    next-state bad cone of each target asked about, added on first use.
-
-    `holds(target, clauses, unsat)` says whether target plus `clauses`
-    survive one constrained step: from a state satisfying the clauses on
-    which no property of the set fires, the successor neither fires
-    target nor breaks a clause. The clauses sit behind an activation
-    literal of their own that is retired when the query ends, however it
-    ends, so no query sees another's clauses. `unsat(solver,
-    assumptions)` runs one query and says whether it came back UNSAT;
-    deadlines and accounting are the caller's."""
-
-    def __init__(self, circuit: Circuit, props):
-        self.circuit = circuit
-        self.key = _props_key(props)
-        self.solver = Solver()
-        self.enc = constrained_step(self.solver, circuit, props)
-        self._next_bad: dict[int, StepEncoding] = {}
-
-    def holds(self, target: PropertySpec, clauses, unsat) -> bool:
-        solver, enc = self.solver, self.enc
-        nxt = self._next_bad.get(target.bad.var)
-        if nxt is None:
-            nxt = self._next_bad[target.bad.var] = StepEncoding(
-                solver,
-                self.circuit,
-                latch_lits=[enc.next_lit(i) for i in range(self.circuit.num_latches)],
-                cone_roots=[target.bad],
-            )
-        act = pos(solver.new_var())
-        try:
-            for clause in clauses:
-                solver.add_clause(
-                    [act ^ 1, *(enc.latch_lit(l >> 1, 1 - (l & 1)) for l in clause)]
-                )
-            if not unsat(solver, [act, nxt.lit(target.bad)]):
-                return False
-            return all(
-                unsat(
-                    solver,
-                    [act, *(enc.next_lit(l >> 1) ^ (1 - (l & 1)) for l in clause)],
-                )
-                for clause in clauses
-            )
-        finally:
-            solver.add_clause([act ^ 1])
-
-
-def _props_key(props) -> tuple:
-    return tuple(sorted((p.index, p.bad) for p in props))
-
-
-class InductionHolder:
-    """The induction solver of the last property set asked for, so that
-    consecutive checks over one set share it. In JA mode every
+class StepHolder:
+    """The constrained step of the last property set asked for, on one
+    solver that consecutive checks over that set share. In JA mode every
     expected-to-hold check assumes all the others, so one solver serves
-    the whole pass. Lives as long as its owner keeps it; one per run."""
+    the whole pass. Each engine keeps its frames behind activation
+    literals of its own and retires them when its run ends. Lives as long
+    as its owner keeps it; one per run."""
 
     def __init__(self):
-        self._last: _Induction | None = None
+        self._circuit: Circuit | None = None
+        self._key: tuple | None = None
+        self._enc: StepEncoding | None = None
+        self._next_bad: dict[int, StepEncoding] = {}
 
-    def get(self, circuit: Circuit, props) -> _Induction:
-        last = self._last
-        key = _props_key(props)
-        if last is None or last.circuit is not circuit or last.key != key:
-            last = self._last = _Induction(circuit, props)
-        return last
+    def step(self, circuit: Circuit, props) -> StepEncoding:
+        key = tuple(sorted((p.index, p.bad) for p in props))
+        if self._enc is None or self._circuit is not circuit or self._key != key:
+            self._circuit, self._key, self._next_bad = circuit, key, {}
+            self._enc = constrained_step(Solver(), circuit, props)
+        return self._enc
+
+    def next_bad(self, target: PropertySpec) -> StepEncoding:
+        """The target's bad cone on the next state of the last step,
+        added to its solver on first use."""
+        nxt = self._next_bad.get(target.bad.var)
+        if nxt is None:
+            nxt = self._next_bad[target.bad.var] = _next_bad(self._enc, target)
+        return nxt
+
+
+def _next_bad(enc: StepEncoding, target: PropertySpec) -> StepEncoding:
+    circuit = enc.circuit
+    return StepEncoding(
+        enc.solver,
+        circuit,
+        latch_lits=[enc.next_lit(i) for i in range(circuit.num_latches)],
+        cone_roots=[target.bad],
+    )

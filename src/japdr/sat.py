@@ -71,7 +71,6 @@ class Solver:
         self.qhead = 0
         self.ok = True
         self.n_vars = 0
-        self.n_solves = 0
         self.n_conflicts = 0
         self._seen: list[bool] = []
 
@@ -393,7 +392,6 @@ class Solver:
         UNKNOWN is returned only when the deadline runs out; it is never a
         wrong answer.
         """
-        self.n_solves += 1
         assumptions = list(assumptions)
         assumption_set = frozenset(assumptions)
         if not self.ok:

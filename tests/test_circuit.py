@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -125,6 +126,20 @@ def test_replay_flags_spurious_constraint_violation():
     # the non-final frame violates the assumed property (req low there)
     assert rep.valid and rep.spurious
     assert rep.violated_constraints == ((0, 0),)
+
+
+def test_replay_rejects_a_constraint_section_broken_before_the_end():
+    # the constraint section pins enable high on every frame but the last
+    base, _ = gen_counter(3)
+    c = dataclasses.replace(base, constraints=(Literal(1),))
+    always = PropertySpec(9, TRUE)
+    for enable, valid in ((1, True), (0, False)):
+        first = frame((0, 0, 0), (enable, 1))
+        last = frame(eval_transition(c, first), (0, 0))
+        rep = replay_trace(c, Counterexample((first, last), 9), always)
+        assert rep.initialized and rep.transitions_consistent
+        assert rep.final_violates_target
+        assert rep.valid is valid
 
 
 def test_builder_constant_folding():

@@ -1,10 +1,14 @@
-"""No module-level import may go unused.
+"""No module-level import may go unused, and no private code in `src/`.
 
 A stdlib `ast` scan stands in for a linter: every name a module imports
 at top level must appear as a name somewhere in that module. Package
 `__init__.py` files are skipped, since their imports are re-exports, and
 so is `from __future__`. An import kept for its side effect carries a
 `# noqa` marker, as linters expect.
+
+A second scan covers dead code: every private (single-underscore)
+module-level function or method under `src/japdr` must be named, as a
+name or an attribute, somewhere in `src/`.
 """
 
 import ast
@@ -19,6 +23,9 @@ FILES = sorted(
     for path in (ROOT / folder).rglob("*.py")
     if path.name != "__init__.py"
 )
+
+
+PACKAGE = sorted((ROOT / "src" / "japdr").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -52,3 +59,52 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions and methods that no source names."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            defs = [node] if isinstance(node, funcs) else []
+            if isinstance(node, ast.ClassDef):
+                defs = [n for n in node.body if isinstance(n, funcs)]
+            found.extend(
+                f"{name}:{d.lineno}: {d.name}"
+                for d in defs
+                if _is_private(d.name) and d.name not in named
+            )
+    return found
+
+
+def test_the_scan_sees_an_unreferenced_private_def():
+    sources = {
+        "a.py": (
+            "def _dead(): pass\n"
+            "def _called(): pass\n"
+            "class K:\n"
+            "    def _stale(self): pass\n"
+            "    def _used(self): pass\n"
+            "    def __init__(self): self._used()\n"
+        ),
+        "b.py": "from a import _called\n_called()\n",
+    }
+    assert unreferenced_private_defs(sources) == ["a.py:1: _dead", "a.py:4: _stale"]
+
+
+def test_no_unreferenced_private_code_in_the_package():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    assert unreferenced_private_defs(sources) == []

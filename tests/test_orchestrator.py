@@ -15,7 +15,7 @@ from japdr.circuit import (
     property_violated,
     replay_trace,
 )
-from japdr import encode, orchestrator
+from japdr import encode, orchestrator, pdr
 from japdr.clausedb import load
 from japdr.oracle import CheckMode, brute_check, brute_debug_set
 from japdr.orchestrator import (
@@ -377,8 +377,7 @@ def test_total_timeout_leaves_unknowns_not_errors():
 
 
 def test_ja_run_shares_one_induction_solver(monkeypatch):
-    # one constrained step serves every expected-to-hold precheck, and
-    # engines build a step solver only for consecution queries
+    # one constrained step serves every expected-to-hold check of the pass
     builds = 0
     init = encode.StepEncoding.__init__
 
@@ -392,3 +391,35 @@ def test_ja_run_shares_one_induction_solver(monkeypatch):
     report = run(VerificationTask(thr.circuit, thr.props, Mode.JA))
     assert all(v.status is S.HOLDS_GLOBAL for v in report.verdicts)
     assert builds <= 31
+
+
+def test_ja_run_encodes_one_constrained_step_per_pass(monkeypatch):
+    # every expected-to-hold check of a JA pass steps through one relation;
+    # only certification, on fresh solvers, encodes it again
+    steps = certified = 0
+    build, certify = pdr.constrained_step, orchestrator.certify
+
+    def counting_step(*args, **kwargs):
+        nonlocal steps
+        steps += 1
+        return build(*args, **kwargs)
+
+    def counting_certify(*args, **kwargs):
+        nonlocal certified
+        certified += 1
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(pdr, "constrained_step", counting_step)
+    monkeypatch.setattr(orchestrator, "certify", counting_certify)
+    thr = build_counter(5, thresholds=6)
+    rng = random.Random(3)
+    systems = [(thr.circuit, thr.props)] + [
+        gen_random_circuit(rng, num_inputs=2, num_latches=6, num_gates=30, num_props=4)
+        for _ in range(5)
+    ]
+    for c, props in systems:
+        steps = certified = 0
+        report = run(VerificationTask(c, tuple(props), Mode.JA))
+        assert certified == sum(v.certified for v in report.verdicts)
+        assert steps == 1 + certified
+    assert report.debugging_set  # the last system has failing checks too

@@ -16,10 +16,10 @@ from japdr.circuit import (
 )
 from japdr.oracle import CheckMode, ExplicitModel, brute_check
 from japdr.pdr import (
-    InductionHolder,
     PdrEngine,
     PdrError,
     PdrStatus,
+    StepHolder,
     certify,
     check_property,
     cube_of_state,
@@ -27,7 +27,6 @@ from japdr.pdr import (
     literal_latch,
     literal_value,
     negate_lits,
-    _Induction,
 )
 from japdr.sat import Status
 
@@ -79,16 +78,18 @@ def test_larger_counter_holds_locally_fast():
     assert out.status is PdrStatus.HOLDS and out.invariant == ()
 
 
-def check_with_retry(circuit, target, constraint_props):
+def check_with_retry(circuit, target, constraint_props, steps=None):
     """Engine call plus the replay-and-retry step the driver performs."""
-    out = check_property(circuit, target, constraint_props)
+    out = check_property(circuit, target, constraint_props, steps=steps)
     retried = False
     if out.status is PdrStatus.FAILS:
         rep = replay_trace(circuit, out.cex, target, constraint_props)
         assert rep.valid, "engine returned a mechanically broken trace"
         if rep.spurious:
             retried = True
-            out = check_property(circuit, target, constraint_props, respect=True)
+            out = check_property(
+                circuit, target, constraint_props, respect=True, steps=steps
+            )
             if out.status is PdrStatus.FAILS:
                 rep = replay_trace(circuit, out.cex, target, constraint_props)
                 assert rep.valid and not rep.spurious
@@ -311,81 +312,71 @@ def unsat_of(solver, assumptions):
     return solver.solve(assumptions).status is Status.UNSAT
 
 
-def test_guarded_clauses_do_not_leak_between_induction_queries():
+def test_seeds_do_not_leak_between_engines_on_one_step_solver():
+    # a seeded engine proves the threshold at the precheck; the seedless
+    # one after it on the same step solver must find its own clauses
     thr = build_counter(5, thresholds=6)
     c, props = thr.circuit, thr.props
     model = ExplicitModel(c)
-    holder = InductionHolder()
+    steps = StepHolder()
     tested = 0
     for p in props:
-        # globally the loosest thresholds need strengthening clauses
-        out = check_property(c, p)
-        assert out.status is PdrStatus.HOLDS
         if model.property_inductive([p], p.index):
             continue
-        induction = holder.get(c, [p])
-        assert induction.holds(p, out.invariant, unsat_of)
-        assert not induction.holds(p, (), unsat_of)
+        seeds = check_property(c, p).invariant
+        seeded = check_property(c, p, seed_clauses=seeds, steps=steps)
+        assert seeded.status is PdrStatus.HOLDS
+        out = check_property(c, p, steps=steps)
+        assert out.status is PdrStatus.HOLDS and out.invariant
+        assert certify(c, (), out.invariant, p)
         tested += 1
     assert tested
 
 
-class _Expired(Exception):
-    pass
-
-
-def expired(solver, assumptions):
-    solver.solve(assumptions, deadline=time.monotonic() - 1.0)
-    raise _Expired
-
-
-def test_shared_induction_answers_like_a_fresh_one():
+def test_shared_step_solver_answers_like_a_fresh_one():
+    # JA checks of one system share a step solver; one engine is cut
+    # after taking it, holding a seed that need not be invariant, and
+    # must leave every literal it added there retired
     rng = random.Random(77)
     cut = 0
     for _ in range(10):
         c, props = gen_random_circuit(
             rng, num_inputs=2, num_latches=6, num_gates=30, num_props=3
         )
-        model = ExplicitModel(c)
-        holder = InductionHolder()
-        for n in range(12):
-            target = rng.choice(props)
-            clauses = [
-                tuple(sorted({
-                    latch_literal(rng.randrange(c.num_latches), rng.randint(0, 1))
-                    for _ in range(rng.randint(1, 3))
-                }))
-                for _ in range(rng.randint(0, 3))
-            ]
-            shared = holder.get(c, props)
-            if n == 5:
-                with pytest.raises(_Expired):
-                    shared.holds(target, clauses, expired)
+        steps = StepHolder()
+        init = c.init_state()
+        for n, p in enumerate(props * 2):
+            ctx = [q for q in props if q is not p]
+            if n == 1:
+                junk = [(latch_literal(0, init[0]),)]
+                eng = PdrEngine(
+                    c, p, ctx, junk, steps=steps, deadline=time.monotonic() - 1.0
+                )
+                frames = eng._step
+                assert eng.run().status is PdrStatus.EXHAUSTED
+                for act in (frames.inf_act, *frames.acts[1:]):
+                    assert unsat_of(frames.solver, [act])
                 cut += 1
-            want = _Induction(c, props).holds(target, clauses, unsat_of)
-            assert shared.holds(target, clauses, unsat_of) == want
-            if not clauses:
-                assert want == model.property_inductive(props, target.index)
+            shared, _ = check_with_retry(c, p, ctx, steps)
+            fresh, _ = check_with_retry(c, p, ctx)
+            want = brute_check(c, props, p.index, CheckMode.LOCAL).holds
+            assert (shared.status is PdrStatus.HOLDS) == want
+            assert shared.status is fresh.status
     assert cut == 10
 
 
-def test_step_solver_is_built_only_for_consecution():
+def test_a_check_decided_at_level_0_builds_no_step_or_lift_solver():
     c, props = gen_counter(3)
-    # decided at level 0: the reset state fires req's bad
+    # the reset state fires req's bad
     eng = PdrEngine(c, props[0], [props[1]])
     assert eng.run().status is PdrStatus.FAILS
-    assert "_step" not in eng.__dict__ and "_enc_lift" not in eng.__dict__
-    # decided by the induction precheck
-    eng = PdrEngine(c, props[1], [props[0]])
-    assert eng.run().status is PdrStatus.HOLDS
     assert "_step" not in eng.__dict__ and "_enc_lift" not in eng.__dict__
 
 
 def test_seeded_check_replays_its_seeds_into_the_step_solver():
     # in JA every check steps through the same relation, so one property's
-    # invariant is a sound seed set for another; when it does not decide
-    # the precheck, the engine builds its step solver late and must replay
-    # the seeds into it
+    # invariant is a sound seed set for another; the engine takes its step
+    # solver after the seeds are in and must replay them into it
     rng = random.Random(5)
     reached = 0
     for _ in range(20):
@@ -401,17 +392,16 @@ def test_seeded_check_replays_its_seeds_into_the_step_solver():
             ctx = [q for q in props if q is not p]
             seeds = [cl for i, inv in proofs.items() if i != p.index for cl in inv]
             eng = PdrEngine(c, p, ctx, seeds, respect=True)
+            if seeds:
+                # no present state of the step solver breaks a seed
+                step = eng._step
+                for cl in seeds:
+                    broken = [step.enc.latch_lit(l >> 1, l & 1) for l in cl]
+                    assert unsat_of(step.solver, [step.inf_act, *broken])
+                reached += 1
             out = eng.run()
             want = brute_check(c, props, p.index, CheckMode.LOCAL).holds
             assert (out.status is PdrStatus.HOLDS) == want
             if want:
                 assert certify(c, ctx, out.invariant, p)
-            if not seeds or "_step" not in eng.__dict__:
-                continue
-            # no present state of the step solver breaks a seed
-            step = eng._step
-            for cl in seeds:
-                broken = [step.enc.latch_lit(l >> 1, l & 1) for l in cl]
-                assert unsat_of(step.solver, [step.inf_act, *broken])
-            reached += 1
     assert reached
