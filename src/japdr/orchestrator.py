@@ -19,10 +19,10 @@ its final frame; a proof instead is flagged, the expectation was wrong.
 Every check starts with ignore-mode lifting, whose counterexamples may
 violate an assumed property mid-trace. Every trace is replayed; a
 spurious one triggers a single retry with respect-mode lifting, which
-cannot repeat the artifact. Every proof is re-certified on fresh
-solvers; when a proof built on seeded clauses is rejected, the seeds are
-dropped and the check re-runs, so clause re-use can never manufacture a
-verdict.
+cannot repeat the artifact. Every proof is re-certified on the run's
+certificate solver, which no engine touches; when a proof built on
+seeded clauses is rejected, the seeds are dropped and the check re-runs,
+so clause re-use can never manufacture a verdict.
 
 Joint mode decides several properties with one aggregate check, so each
 verdict it peels off reports the time and SAT calls of that whole check;
@@ -34,7 +34,9 @@ JA mode every expected-to-hold check steps through the same relation,
 all expected-to-hold properties clean, so one solver answers every
 induction precheck and consecution query of the pass, each engine's
 frames behind literals it retires when it ends; the other modes change
-the set with every check and get a fresh one each time.
+the set with every check and get a fresh one each time. A second holder
+serves only `certify`, on the same terms, so in JA mode one certificate
+solver checks every proof of the pass.
 """
 
 from __future__ import annotations
@@ -175,11 +177,12 @@ def _check_one(
     holds: VerdictStatus,
     fails: VerdictStatus,
     steps: StepHolder,
+    certs: StepHolder,
 ) -> tuple[Verdict, tuple | None, int]:
     """One property, end to end: solve, replay, retry once on a spurious
     trace, certify proofs. The deadline bounds all of it together. The
-    engine runs on the step solver the run's `steps` holder keeps;
-    certification never does.
+    engine runs on the step solver the run's `steps` holder keeps,
+    certification on the one `certs` keeps.
 
     Returns the verdict, whose status is `holds` or `fails` once the check
     is decided and Unknown otherwise, the invariant of a proof, and the
@@ -216,7 +219,8 @@ def _check_one(
             break
         try:
             ok = certify(
-                circuit, ctx, out.invariant, target, stats=stats, deadline=deadline
+                circuit, ctx, out.invariant, target,
+                stats=stats, deadline=deadline, steps=certs,
             )
         except PdrError:
             break  # the deadline ran out inside certification
@@ -348,7 +352,11 @@ def _assumed(task: VerificationTask, prop: PropertySpec) -> tuple[PropertySpec, 
 
 
 def _peel(
-    task: VerificationTask, verdicts: dict, total_deadline, steps: StepHolder
+    task: VerificationTask,
+    verdicts: dict,
+    total_deadline,
+    steps: StepHolder,
+    certs: StepHolder,
 ) -> tuple[int, int]:
     """Joint mode's expected-to-hold pass: one aggregate check over the
     conjunction, repeated. Each counterexample refutes every property
@@ -368,7 +376,7 @@ def _peel(
             check_circuit, agg = aggregate_bad(circuit, unsolved)
         v, _, n = _check_one(
             check_circuit, agg, (), (), prop_deadline,
-            VerdictStatus.HOLDS_GLOBAL, VerdictStatus.FAILS_GLOBAL, steps,
+            VerdictStatus.HOLDS_GLOBAL, VerdictStatus.FAILS_GLOBAL, steps, certs,
         )
         sat_calls += v.sat_calls
         learned += n
@@ -402,11 +410,11 @@ def run(task: VerificationTask) -> RunReport:
     total_deadline = t0 + opts.total_timeout_s if opts.total_timeout_s else None
     circuit = task.circuit
     store = _ClauseStore(task)
-    steps = StepHolder()
+    steps, certs = StepHolder(), StepHolder()
     verdicts: dict[int, Verdict] = {}
     sat_calls = learned = 0
     if task.mode is Mode.JOINT:
-        sat_calls, learned = _peel(task, verdicts, total_deadline, steps)
+        sat_calls, learned = _peel(task, verdicts, total_deadline, steps, certs)
         singles = list(task.etf_properties)
     else:
         singles = [*ordered_eth(task), *task.etf_properties]
@@ -422,7 +430,7 @@ def run(task: VerificationTask) -> RunReport:
         pre = PdrStats()
         seeds = store.seeds(circuit, ctx, prop_deadline, pre)
         v, invariant, n = _check_one(
-            circuit, prop, ctx, seeds, prop_deadline, *outcomes, steps
+            circuit, prop, ctx, seeds, prop_deadline, *outcomes, steps, certs
         )
         v.sat_calls += pre.sat_calls
         sat_calls += v.sat_calls

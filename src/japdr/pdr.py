@@ -18,8 +18,9 @@ counterexample is exempt from every constraint.
 Solvers are built for the queries they serve (see `PdrEngine`). The
 step solver, which answers the induction precheck and every consecution
 query, comes from a `StepHolder` that keeps it across checks of one
-property set; `certify` builds its own on every call, so no engine state
-reaches it.
+property set. `certify` takes its step from a second holder that no
+engine touches, so no engine state reaches it; a run's certificates all
+share that solver, each behind an activation literal it retires.
 """
 
 from __future__ import annotations
@@ -46,21 +47,9 @@ def latch_literal(latch_pos: int, value: int) -> int:
     return 2 * latch_pos + (0 if value else 1)
 
 
-def literal_latch(lit: int) -> int:
-    return lit >> 1
-
-
-def literal_value(lit: int) -> int:
-    return 1 - (lit & 1)
-
-
 def negate_lits(lits) -> tuple[int, ...]:
     """A cube's negation as a clause (and the other way round)."""
     return tuple(sorted(l ^ 1 for l in lits))
-
-
-def cube_of_state(state) -> tuple[int, ...]:
-    return tuple(latch_literal(i, v) for i, v in enumerate(state))
 
 
 # ------------------------------------------------------------------- types
@@ -111,7 +100,8 @@ class _CexFound(Exception):
 class _Frames:
     """One solver's image of the frames: a circuit copy, one activation
     literal per level and one for the inductive clauses. The reset frame
-    F_0 is assumed latch by latch, never a clause set."""
+    F_0 is assumed latch by latch, never a clause set. `certify` uses
+    one with no levels for the strengthening it checks."""
 
     def __init__(self, enc: StepEncoding, levels: int):
         self.enc = enc
@@ -568,23 +558,28 @@ def certify(
     *,
     stats: PdrStats | None = None,
     deadline: float | None = None,
+    steps: StepHolder | None = None,
 ) -> bool:
-    """Independent inductiveness check of target plus strengthening,
-    on one solver built from scratch so engine state cannot leak in.
+    """Independent inductiveness check of target plus strengthening.
 
-    Checks: the reset state satisfies the strengthening and cannot fire
-    bad; and from any constrained frame satisfying target and
-    strengthening, the successor satisfies both again. The solver is
-    used once, so the strengthening goes in as plain clauses.
+    Checks: from any constrained frame satisfying target and
+    strengthening, the successor satisfies both again; and the reset
+    state satisfies the strengthening and cannot fire bad. The step and
+    the target's next-state bad cone come from `steps`, a holder no
+    engine touches (without one, a fresh holder), so engine state cannot
+    leak in. The strengthening sits behind an activation literal of this
+    call, retired however the call ends, so none of it stays active for
+    the next certificate. The reset check gets a small solver of its own
+    over the target's reset cone: a step whose level-0 units contradict
+    each other answers every query UNSAT, and must not answer that one.
     """
     clauses = [tuple(sorted(c)) for c in invariant_clauses]
     init = circuit.init_state()
     for clause in clauses:
         if not any(init[l >> 1] == 1 - (l & 1) for l in clause):
             return False
-    solver = Solver()
 
-    def unsat(assumptions) -> bool:
+    def unsat(solver, assumptions) -> bool:
         result = solver.solve(assumptions, deadline=deadline)
         if stats is not None:
             stats.sat_calls += 1
@@ -592,35 +587,44 @@ def certify(
             raise PdrError("certification ran out of budget")
         return result.status is Status.UNSAT
 
-    # the reset copy is asked before the step is added, so the step's
-    # level-0 units cannot answer for it
-    true_lit = const_true(solver)
+    steps = steps or StepHolder()
+    enc = steps.step(circuit, (target, *constraint_props))
+    nxt = steps.next_bad(target)
+    frames = _Frames(enc, 0)
+    solver, act = frames.solver, frames.inf_act
+    try:
+        for clause in clauses:
+            frames.add(clause, None)
+        if not unsat(solver, [act, nxt.lit(target.bad)]):
+            return False
+        for clause in clauses:
+            broken = [enc.next_lit(l >> 1) ^ (1 - (l & 1)) for l in clause]
+            if not unsat(solver, [act, *broken]):
+                return False
+    finally:
+        frames.retire()
+        if clauses:
+            solver.simplify()
+    reset = Solver()
+    true_lit = const_true(reset)
     enc_init = StepEncoding(
-        solver,
+        reset,
         circuit,
         latch_lits=[true_lit if v else true_lit ^ 1 for v in init],
         cone_roots=[target.bad],
     )
-    if not unsat([enc_init.lit(target.bad)]):
-        return False
-    enc = constrained_step(solver, circuit, (target, *constraint_props))
-    for clause in clauses:
-        solver.add_clause([enc.latch_lit(l >> 1, 1 - (l & 1)) for l in clause])
-    if not unsat([_next_bad(enc, target).lit(target.bad)]):
-        return False
-    return all(
-        unsat([enc.next_lit(l >> 1) ^ (1 - (l & 1)) for l in clause])
-        for clause in clauses
-    )
+    return unsat(reset, [enc_init.lit(target.bad)])
 
 
 class StepHolder:
     """The constrained step of the last property set asked for, on one
-    solver that consecutive checks over that set share. In JA mode every
+    solver that consecutive users over that set share. In JA mode every
     expected-to-hold check assumes all the others, so one solver serves
-    the whole pass. Each engine keeps its frames behind activation
-    literals of its own and retires them when its run ends. Lives as long
-    as its owner keeps it; one per run."""
+    the whole pass. A run keeps two: one its engines share, each keeping
+    its frames behind activation literals of its own and retiring them
+    when its run ends, and one for `certify`, which no engine touches. A
+    fresh step is simplified once, after its constraint and clean units
+    have fixed what they fix at level 0."""
 
     def __init__(self):
         self._circuit: Circuit | None = None
@@ -633,6 +637,7 @@ class StepHolder:
         if self._enc is None or self._circuit is not circuit or self._key != key:
             self._circuit, self._key, self._next_bad = circuit, key, {}
             self._enc = constrained_step(Solver(), circuit, props)
+            self._enc.solver.simplify()
         return self._enc
 
     def next_bad(self, target: PropertySpec) -> StepEncoding:
@@ -640,15 +645,8 @@ class StepHolder:
         added to its solver on first use."""
         nxt = self._next_bad.get(target.bad.var)
         if nxt is None:
-            nxt = self._next_bad[target.bad.var] = _next_bad(self._enc, target)
+            enc = self._enc
+            latches = [enc.next_lit(i) for i in range(enc.circuit.num_latches)]
+            nxt = StepEncoding(enc.solver, enc.circuit, latches, [target.bad])
+            self._next_bad[target.bad.var] = nxt
         return nxt
-
-
-def _next_bad(enc: StepEncoding, target: PropertySpec) -> StepEncoding:
-    circuit = enc.circuit
-    return StepEncoding(
-        enc.solver,
-        circuit,
-        latch_lits=[enc.next_lit(i) for i in range(circuit.num_latches)],
-        cone_roots=[target.bad],
-    )

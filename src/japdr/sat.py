@@ -13,6 +13,8 @@ negative one.
 literals, none assigned at level 0) may be appended straight to
 `clauses` with its first two literals watched in `watches`, exactly as
 `add_clause` lays it out; `encode` does this for fresh Tseitin gates.
+`simplify()` drops the clauses satisfied at level 0, such as those of a
+retired activation literal, leaving an empty slot for each in `clauses`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
+from itertools import compress
+from operator import not_
 
 
 def pos(var: int) -> int:
@@ -28,10 +32,6 @@ def pos(var: int) -> int:
 
 def neg(var: int) -> int:
     return 2 * var + 1
-
-
-def lit_var(lit: int) -> int:
-    return lit >> 1
 
 
 _UNDEF = -1
@@ -187,6 +187,38 @@ class Solver:
         self.watches[out[0] ^ 1].extend((idx, out[1]))
         self.watches[out[1] ^ 1].extend((idx, out[0]))
         return True
+
+    def simplify(self) -> None:
+        """Drop the clauses satisfied at level 0 from `clauses` and
+        `watches` (Eén & Sörensson, SAT 2003). A dropped clause leaves an
+        empty slot in `clauses`, so no clause index moves. A satisfied
+        clause never propagates, and every other watch keeps its place
+        in its list, so later solves search exactly as before. Only legal
+        between solves. It scans every clause, so callers run it after a
+        batch of level-0 facts, never per solve."""
+        assert not self.trail_lim, "simplify runs between solves"
+        if not self.ok:
+            return
+        if self._propagate() is not None:
+            self.ok = False
+            return
+        clauses = self.clauses
+        true = set(self.trail)
+        satisfied = map(not_, map(true.isdisjoint, clauses))
+        dropped = set(compress(range(len(clauses)), satisfied))
+        if not dropped:
+            return
+        touched = set()
+        for ci in dropped:
+            clause = clauses[ci]
+            # a clause is watched exactly in the lists of its first two literals
+            touched.add(clause[0] ^ 1)
+            touched.add(clause[1] ^ 1)
+            clauses[ci] = ()
+        for lit in touched:
+            wl = self.watches[lit]
+            pairs = zip(wl[0::2], wl[1::2])
+            wl[:] = [x for ci, b in pairs if ci not in dropped for x in (ci, b)]
 
     # ------------------------------------------------------------- main loop
 

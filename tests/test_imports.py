@@ -8,7 +8,10 @@ so is `from __future__`. An import kept for its side effect carries a
 
 A second scan covers dead code: every private (single-underscore)
 module-level function or method under `src/japdr` must be named, as a
-name or an attribute, somewhere in `src/`.
+name or an attribute, somewhere in `src/`. A third keeps public API
+alive only where the package uses it: every public module-level
+function of `sat`, `encode` and `pdr` must be named in `src/` outside
+its own definition, or be exported from `japdr/__init__.py`.
 """
 
 import ast
@@ -108,3 +111,56 @@ def test_the_scan_sees_an_unreferenced_private_def():
 def test_no_unreferenced_private_code_in_the_package():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
     assert unreferenced_private_defs(sources) == []
+
+
+def unreferenced_public_functions(sources: dict[str, str], checked, exported) -> list[str]:
+    """Public module-level functions of the `checked` sources that no
+    source names outside their own definition and that are not exported."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    uses = [
+        (id(node), node.id if isinstance(node, ast.Name) else node.attr)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    found = []
+    for name in checked:
+        for node in trees[name].body:
+            if (
+                not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or node.name.startswith("_")
+                or node.name in exported
+            ):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            if not any(used == node.name and at not in own for at, used in uses):
+                found.append(f"{name}:{node.lineno}: {node.name}")
+    return found
+
+
+def test_the_scan_sees_a_public_function_only_its_tests_use():
+    sources = {
+        "a.py": (
+            "def dead(n): return dead(n - 1) if n else 0\n"
+            "def used(): pass\n"
+            "def shipped(): pass\n"
+            "def _private(): pass\n"
+        ),
+        "b.py": "from a import used\nused()\n",
+    }
+    assert unreferenced_public_functions(sources, ["a.py"], {"shipped"}) == [
+        "a.py:1: dead"
+    ]
+
+
+def test_no_public_function_lives_only_for_its_tests():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    init = ast.parse((ROOT / "src" / "japdr" / "__init__.py").read_text())
+    exported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    checked = [f"src/japdr/{name}.py" for name in ("sat", "encode", "pdr")]
+    assert unreferenced_public_functions(sources, checked, exported) == []

@@ -22,23 +22,13 @@ from japdr.pdr import (
     StepHolder,
     certify,
     check_property,
-    cube_of_state,
     latch_literal,
-    literal_latch,
-    literal_value,
-    negate_lits,
 )
-from japdr.sat import Status
+from japdr.sat import Status, pos
 
 
-def test_literal_helpers_round_trip():
-    for pos_ in range(5):
-        for value in (0, 1):
-            lit = latch_literal(pos_, value)
-            assert literal_latch(lit) == pos_
-            assert literal_value(lit) == value
-    assert negate_lits([0, 3]) == (1, 2)
-    assert cube_of_state((1, 0)) == (0, 3)
+def cube_of_state(state):
+    return tuple(latch_literal(i, v) for i, v in enumerate(state))
 
 
 def test_counter3_threshold_holds_locally_without_clauses():
@@ -405,3 +395,93 @@ def test_seeded_check_replays_its_seeds_into_the_step_solver():
             if want:
                 assert certify(c, ctx, out.invariant, p)
     assert reached
+
+
+def certify_on(steps, circuit, ctx, clauses, target, **kwargs):
+    """`certify` on a shared holder, checking that the call left nothing
+    active there: every variable it added is fixed at level 0."""
+    solver = steps.step(circuit, (target, *ctx)).solver
+    steps.next_bad(target)
+    before = solver.n_vars
+    try:
+        return certify(circuit, ctx, clauses, target, steps=steps, **kwargs)
+    finally:
+        assert all(solver.value(pos(v)) >= 0 for v in range(before, solver.n_vars))
+
+
+def test_strengthenings_do_not_leak_between_certificates_on_one_holder():
+    # a threshold that needs strengthening passes with it and must fail
+    # without it right after, on the same solver, in either order
+    thr = build_counter(5, thresholds=6)
+    c, props = thr.circuit, thr.props
+    model = ExplicitModel(c)
+    steps = StepHolder()
+    tested = 0
+    for p in props:
+        if model.property_inductive([p], p.index):
+            continue
+        strengthening = check_property(c, p).invariant
+        assert certify_on(steps, c, (), strengthening, p)
+        assert not certify_on(steps, c, (), (), p)
+        assert not certify_on(steps, c, (), (), p)
+        assert certify_on(steps, c, (), strengthening, p)
+        tested += 1
+    assert tested
+
+
+def test_a_certificate_cut_by_its_deadline_leaves_the_holder_clean():
+    thr = build_counter(5, thresholds=6)
+    c, props = thr.circuit, thr.props
+    model = ExplicitModel(c)
+    tested = 0
+    for p in props:
+        if model.property_inductive([p], p.index):
+            continue
+        strengthening = check_property(c, p).invariant
+        steps = StepHolder()
+        with pytest.raises(PdrError, match="budget"):
+            certify_on(
+                steps, c, (), strengthening, p, deadline=time.monotonic() - 1.0
+            )
+        assert certify_on(steps, c, (), (), p) == certify(c, (), (), p)
+        assert certify_on(steps, c, (), strengthening, p) == certify(
+            c, (), strengthening, p
+        )
+        tested += 1
+    assert tested
+
+
+def test_a_shared_certificate_holder_answers_like_a_fresh_one():
+    # besides the engine's proofs, each target gets two wrong ones, asked
+    # first: a clause false at reset, and a unit a reachable state breaks;
+    # in the JA half all three targets share one step
+    rng = random.Random(2718)
+    answers = {True: 0, False: 0}
+    for _ in range(10):
+        c, props = gen_random_circuit(
+            rng, num_inputs=2, num_latches=6, num_gates=30, num_props=3
+        )
+        model = ExplicitModel(c)
+        init = c.init_state()
+        steps = StepHolder()
+        for ja in (True, False):
+            for p in props:
+                ctx = [q for q in props if q is not p] if ja else []
+                out = check_property(c, p, ctx)
+                proof = out.invariant if out.status is PdrStatus.HOLDS else ()
+                wrong = [(latch_literal(0, 1 - init[0]),)]
+                reached = model.reachable([p, *ctx]).states()
+                moved = [
+                    i for i in range(c.num_latches)
+                    if any(s[i] != init[i] for s in reached)
+                ]
+                if moved:
+                    wrong.append((latch_literal(moved[0], init[moved[0]]),))
+                for w in wrong:
+                    assert not certify_on(steps, c, ctx, (*proof, w), p)
+                    assert not certify(c, ctx, (*proof, w), p)
+                for clauses in (proof, ()):
+                    got = certify_on(steps, c, ctx, clauses, p)
+                    assert got == certify(c, ctx, clauses, p)
+                    answers[got] += 1
+    assert answers[True] and answers[False]

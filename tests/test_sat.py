@@ -2,14 +2,14 @@ import itertools
 import random
 import time
 
-from japdr.sat import Solver, Status, lit_var, neg, pos
+from japdr.sat import Solver, Status, neg, pos
 
 
 def brute_force(num_vars, clauses, assumptions=()):
     """All satisfying assignments as var->bool dicts; assumptions forced.
 
     Variables are 0-based to match Solver.new_var numbering."""
-    forced = {lit_var(a): not (a & 1) for a in assumptions}
+    forced = {a >> 1: not (a & 1) for a in assumptions}
     models = []
     for bits in itertools.product([False, True], repeat=num_vars):
         assign = dict(enumerate(bits))
@@ -17,7 +17,7 @@ def brute_force(num_vars, clauses, assumptions=()):
             continue
         ok = True
         for clause in clauses:
-            if not any(assign[lit_var(l)] != bool(l & 1) for l in clause):
+            if not any(assign[l >> 1] != bool(l & 1) for l in clause):
                 ok = False
                 break
         if ok:
@@ -148,6 +148,62 @@ def test_incremental_reuse_after_unsat_assumptions():
     assert solver.solve([neg(x), neg(y)]).status is Status.UNSAT
     assert solver.solve([neg(x)]).status is Status.SAT
     assert solver.solve().status is Status.SAT
+
+
+def random_assumptions(rng, n):
+    vars_ = rng.sample(range(n), rng.randint(1, n))
+    return [pos(v) if rng.random() < 0.5 else neg(v) for v in vars_]
+
+
+def assert_watch_layout(solver):
+    """Each stored clause is watched exactly on its first two literals,
+    and no watch entry names a dropped clause (an empty slot)."""
+    where = {}
+    for lit, wl in enumerate(solver.watches):
+        for ci in wl[0::2]:
+            assert 0 <= ci < len(solver.clauses), (lit, ci)
+            where.setdefault(ci, []).append(lit)
+    for ci, clause in enumerate(solver.clauses):
+        assert sorted(where.get(ci, [])) == sorted(l ^ 1 for l in clause[:2]), ci
+
+
+def test_simplify_keeps_answers_cores_and_watches():
+    rng = random.Random(515)
+    dropped = 0
+    for trial in range(150):
+        n = rng.randint(3, 8)
+        clauses = random_instance(rng, n, rng.randint(4, 20), width=4)
+        solver = Solver()
+        solver.new_vars(n)
+        for clause in clauses:
+            solver.add_clause(clause)
+        for _ in range(3):  # learned clauses join the store
+            solver.solve(random_assumptions(rng, n))
+        units = [[lit] for lit in random_assumptions(rng, n)[:2]]
+        for unit in units:
+            solver.add_clause(unit)
+        before = sum(map(bool, solver.clauses))
+        solver.simplify()
+        dropped += solver.ok and before > sum(map(bool, solver.clauses))
+        assert not solver.ok or not any(
+            any(solver.value(l) == 1 for l in clause) for clause in solver.clauses
+        ), trial
+        assert_watch_layout(solver)
+        fresh = Solver()
+        fresh.new_vars(n)
+        for clause in clauses + units:
+            fresh.add_clause(clause)
+        for _ in range(4):
+            assumptions = random_assumptions(rng, n)
+            result = solver.solve(assumptions)
+            assert result.status is fresh.solve(assumptions).status, trial
+            models = brute_force(n, clauses + units, assumptions)
+            assert (result.status is Status.SAT) == bool(models), trial
+            if result.status is Status.UNSAT:
+                assert result.core <= set(assumptions), trial
+                assert not brute_force(n, clauses + units, sorted(result.core)), trial
+        assert_watch_layout(solver)
+    assert dropped >= 30
 
 
 def test_luby_restart_sequence_prefix():
