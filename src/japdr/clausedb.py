@@ -2,13 +2,15 @@
 
 Clauses proven as part of an inductive invariant for one property are
 worth trying on the next one, but each local proof runs under a
-different constraint context, and the reachable sets of two contexts are
-incomparable in general. Blind seeding could therefore manufacture false
-proofs. Two guards make re-use sound: loaded clauses are filtered to
-genuine invariants of the current context before seeding (records whose
-context matches exactly skip the filter, their certification already
-covers the context-constrained reachable set), and every Holds outcome
-built on seeds is certified from scratch.
+constraint context of its own, and a clause true on every state one
+context reaches may be false on a state another reaches. Blind seeding
+could therefore manufacture false proofs. Three guards make re-use
+sound. A record certified under context C holds on every state reachable
+while C stays clean, so a check of target T under assumed set D trusts
+it whenever C ⊆ D ∪ {T}: such a check only reaches states that keep D
+and T clean before its last. Every other record must re-earn invariance
+under the current context through a SAT fixpoint first. And every Holds
+outcome built on seeds is certified from scratch.
 
 File format, line oriented text: one section per circuit, each opened by
 the exact header `japdr-clausedb v1 <fingerprint> <num_latch_vars>`,
@@ -33,7 +35,7 @@ import time
 import warnings
 from dataclasses import dataclass
 
-from .circuit import Circuit
+from .circuit import Circuit, PropertySpec
 from .encode import constrained_step
 from .sat import Solver, Status, pos
 
@@ -162,6 +164,12 @@ def load(path, fingerprint: str) -> tuple[ClauseRecord, ...]:
     return tuple(out)
 
 
+def _holds_at_reset(clause, init) -> bool:
+    if any(l >> 1 >= len(init) for l in clause):
+        raise ClauseDbError(f"clause literal out of range: {clause}")
+    return any(init[l >> 1] == 1 - (l & 1) for l in clause)
+
+
 def filter_invariant(
     candidates,
     circuit: Circuit,
@@ -178,21 +186,9 @@ def filter_invariant(
     every state the constrained system can reach. Output order follows
     input order; duplicates collapse to their first occurrence.
     """
-    seen = set()
-    clauses: list[tuple[int, ...]] = []
-    for cand in candidates:
-        cl = tuple(sorted(cand))
-        if cl and cl not in seen:
-            seen.add(cl)
-            clauses.append(cl)
+    clauses = list(dict.fromkeys(tuple(sorted(c)) for c in candidates if c))
     init = circuit.init_state()
-    nl = circuit.num_latches
-    for cl in clauses:
-        if any(l >> 1 >= nl for l in cl):
-            raise ClauseDbError(f"clause literal out of range: {cl}")
-    alive = [
-        any(init[l >> 1] == 1 - (l & 1) for l in cl) for cl in clauses
-    ]
+    alive = [_holds_at_reset(cl, init) for cl in clauses]
     if not any(alive):
         return ()
 
@@ -233,35 +229,32 @@ def seeds_for_context(
     records,
     circuit: Circuit,
     fingerprint: str,
+    target: PropertySpec,
     constraint_props,
     *,
     deadline: float | None = None,
     stats=None,
 ) -> tuple[tuple[int, ...], ...]:
-    """Seed clauses for one local check.
+    """Seed clauses for the check of `target` under `constraint_props`.
 
-    Records certified under exactly the same context skip filtering;
-    everything else must re-earn invariance under the current one.
+    A record whose context lies within the assumed set plus the target
+    is trusted, less any clause the reset state violates; everything
+    else must re-earn invariance under the current context.
     """
-    context = tuple(sorted(p.index for p in constraint_props))
+    cover = {target.index, *(p.index for p in constraint_props)}
+    init = circuit.init_state()
     trusted: list[tuple[int, ...]] = []
     rest: list[tuple[int, ...]] = []
     for rec in records:
         if rec.fingerprint != fingerprint:
             continue
-        if rec.context == context:
-            trusted.append(rec.clause)
-        else:
+        if not cover.issuperset(rec.context):
             rest.append(rec.clause)
+        elif _holds_at_reset(rec.clause, init):
+            trusted.append(rec.clause)
     filtered = (
         filter_invariant(rest, circuit, constraint_props, deadline=deadline, stats=stats)
         if rest
         else ()
     )
-    seen = set()
-    out = []
-    for cl in (*trusted, *filtered):
-        if cl not in seen:
-            seen.add(cl)
-            out.append(cl)
-    return tuple(out)
+    return tuple(dict.fromkeys((*trusted, *filtered)))

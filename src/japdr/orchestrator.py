@@ -5,7 +5,12 @@ of properties a check of property p assumes on non-final frames: in JA
 mode every other expected-to-hold property, in separate-global mode
 none, and for an expected-to-fail property, in any mode, every
 expected-to-hold one. Each check takes its seeds from the clause store,
-runs, becomes a verdict and hands its invariant back to the store.
+runs, becomes a verdict and hands its invariant back to the store. The
+store trusts a record whose context lies within the check's assumed set
+plus its target, and filters the rest for invariance first. In JA mode
+every record of the pass qualifies, since every check assumes the
+whole expected-to-hold set bar its target, so a pass seeds each check
+from its siblings' proofs with no filtering at all.
 
 In JA mode the properties that still fail form the debugging set; if it
 is empty the local proofs jointly imply the global claim, so every
@@ -269,16 +274,16 @@ class _ClauseStore:
             self.records.extend(load(self.path, self.fingerprint))
         self.known = {(r.clause, r.context) for r in self.records}
 
-    def seeds(self, circuit, ctx, deadline, stats) -> tuple[tuple[int, ...], ...]:
+    def seeds(self, circuit, prop, ctx, deadline, stats) -> tuple[tuple[int, ...], ...]:
         if not self.enabled or not self.records:
             return ()
         try:
             return seeds_for_context(
-                self.records, circuit, self.fingerprint, ctx,
+                self.records, circuit, self.fingerprint, prop, ctx,
                 deadline=deadline, stats=stats,
             )
         except ClauseDbError:
-            return ()  # filtering budget ran out; a seedless check is always sound
+            return ()  # out of budget or a malformed record; a seedless check is always sound
 
     def harvest(self, prop: PropertySpec, ctx, invariant) -> None:
         if not self.enabled or not invariant:
@@ -428,7 +433,7 @@ def run(task: VerificationTask) -> RunReport:
         prop_deadline = _prop_deadline(opts, total_deadline)
         ctx = _assumed(task, prop)
         pre = PdrStats()
-        seeds = store.seeds(circuit, ctx, prop_deadline, pre)
+        seeds = store.seeds(circuit, prop, ctx, prop_deadline, pre)
         v, invariant, n = _check_one(
             circuit, prop, ctx, seeds, prop_deadline, *outcomes, steps, certs
         )

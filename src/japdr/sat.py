@@ -30,10 +30,6 @@ def pos(var: int) -> int:
     return 2 * var
 
 
-def neg(var: int) -> int:
-    return 2 * var + 1
-
-
 _UNDEF = -1
 
 

@@ -6,7 +6,8 @@ import warnings
 
 import pytest
 
-from japdr.aiger import circuit_fingerprint, gen_counter, gen_random_circuit
+from japdr import clausedb
+from japdr.aiger import build_counter, circuit_fingerprint, gen_counter, gen_random_circuit
 from japdr.circuit import (
     Circuit,
     Latch,
@@ -238,23 +239,41 @@ def test_filter_deduplicates_preserving_first_position():
     assert surv == ((1,), (3,))
 
 
-def test_seeds_trust_same_context_records_only():
-    # same-context records skip refiltering (certification at store time
-    # vouches for them); everything else must survive the filter
-    c4, props4 = gen_counter(4)
-    fp = circuit_fingerprint(c4)
-    ctx = [props4[0]]
-    rec_same = ClauseRecord((1,), 1, (0,), fp)  # false in general, trusted anyway
-    rec_other = ClauseRecord((3,), 1, (), fp)  # refiltered against the counter, dies
-    seeds = seeds_for_context([rec_same, rec_other], c4, fp, ctx)
-    assert (1,) in seeds and (3,) not in seeds
+def test_seeds_trust_records_whose_context_the_check_covers(monkeypatch):
+    # a record certified under C holds on every state reachable while C
+    # stays clean, so the check of T under D trusts it whenever
+    # C is within D + {T}; only the other records meet the filter
+    thr = build_counter(4, thresholds=3)
+    c, (p0, p1, _) = thr.circuit, thr.props
+    fp = circuit_fingerprint(c)
+    filtered = []
+    real_filter = clausedb.filter_invariant
+
+    def counting(candidates, *args, **kwargs):
+        filtered.append(tuple(candidates))
+        return real_filter(candidates, *args, **kwargs)
+
+    monkeypatch.setattr(clausedb, "filter_invariant", counting)
+    # none of these clauses is invariant; trust is all that seeds them
+    covered = [
+        ClauseRecord((1,), 2, (0,), fp),  # the exact context
+        ClauseRecord((3,), 2, (0, 1), fp),  # names the target
+        ClauseRecord((5,), 0, (), fp),  # a global proof
+        ClauseRecord((0,), 2, (0, 1), fp),  # trusted, but false at reset
+    ]
+    assert seeds_for_context(covered, c, fp, p1, [p0]) == ((1,), (3,), (5,))
+    assert filtered == []
+    outside = ClauseRecord((7,), 1, (0, 2), fp)  # p2 is neither assumed nor the target
+    seeds = seeds_for_context([*covered, outside], c, fp, p1, [p0])
+    assert filtered == [((7,),)]
+    assert seeds == ((1,), (3,), (5,))  # the filter drops (7,)
 
 
 def test_seeds_skip_foreign_fingerprints():
     c4, props4 = gen_counter(4)
     fp = circuit_fingerprint(c4)
     rec = ClauseRecord((1,), 1, (0,), OTHER_FP)
-    assert seeds_for_context([rec], c4, fp, [props4[0]]) == ()
+    assert seeds_for_context([rec], c4, fp, props4[1], [props4[0]]) == ()
 
 
 def test_filter_deadline_is_a_hard_error():

@@ -11,7 +11,8 @@ module-level function or method under `src/japdr` must be named, as a
 name or an attribute, somewhere in `src/`. A third keeps public API
 alive only where the package uses it: every public module-level
 function of `sat`, `encode` and `pdr` must be named in `src/` outside
-its own definition, or be exported from `japdr/__init__.py`.
+its own definition, or be exported from `japdr/__init__.py`. A local
+variable or argument of the same name does not count as a use.
 """
 
 import ast
@@ -113,15 +114,32 @@ def test_no_unreferenced_private_code_in_the_package():
     assert unreferenced_private_defs(sources) == []
 
 
+def _local_names(tree) -> set[int]:
+    """Ids of the `Name` nodes that read or bind a name bound inside an
+    enclosing function, by assignment or as an argument."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        bound = {arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if arg}
+        names = [n for n in ast.walk(fn) if isinstance(n, ast.Name)]
+        bound.update(n.id for n in names if not isinstance(n.ctx, ast.Load))
+        found.update(id(n) for n in names if n.id in bound)
+    return found
+
+
 def unreferenced_public_functions(sources: dict[str, str], checked, exported) -> list[str]:
     """Public module-level functions of the `checked` sources that no
-    source names outside their own definition and that are not exported."""
+    source names outside their own definition and that are not exported.
+    A name bound inside the function that reads it is a local, not a use."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
+    local = set().union(*map(_local_names, trees.values()))
     uses = [
         (id(node), node.id if isinstance(node, ast.Name) else node.attr)
         for tree in trees.values()
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in local
     ]
     found = []
     for name in checked:
@@ -145,11 +163,19 @@ def test_the_scan_sees_a_public_function_only_its_tests_use():
             "def used(): pass\n"
             "def shipped(): pass\n"
             "def _private(): pass\n"
+            "def shadowed(): pass\n"
+            "def passed(): pass\n"
         ),
-        "b.py": "from a import used\nused()\n",
+        "b.py": (
+            "from a import used\n"
+            "used()\n"
+            "def f(passed):\n"
+            "    shadowed = passed\n"
+            "    return shadowed\n"
+        ),
     }
     assert unreferenced_public_functions(sources, ["a.py"], {"shipped"}) == [
-        "a.py:1: dead"
+        "a.py:1: dead", "a.py:5: shadowed", "a.py:6: passed"
     ]
 
 

@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -16,8 +17,8 @@ from japdr.circuit import (
     replay_trace,
 )
 from japdr import encode, orchestrator, pdr
-from japdr.clausedb import load
-from japdr.oracle import CheckMode, brute_check, brute_debug_set
+from japdr.clausedb import ClauseRecord, append, load
+from japdr.oracle import CheckMode, brute_check, brute_debug_set, reachable
 from japdr.orchestrator import (
     Mode,
     TaskOptions,
@@ -309,7 +310,21 @@ def test_clause_store_holds_each_record_once(tmp_path):
     assert sizes == [4, 4, 4]
 
 
-def test_reuse_is_verdict_neutral_in_ja_mode(tmp_path):
+def _expected_status(circ, props, index, mode):
+    """The oracle's verdict status for one property of a run."""
+    eth = [p for p in props if p.kind is PropertyKind.ETH]
+    if props[index].kind is PropertyKind.ETF:
+        confirmed = not brute_check(circ, props, index, CheckMode.LOCAL).holds
+        return S.ETF_CONFIRMED if confirmed else S.ETF_HOLDS_LOCAL
+    if mode is Mode.SEPARATE_GLOBAL:
+        holds = brute_check(circ, eth, index, CheckMode.GLOBAL).holds
+        return S.HOLDS_GLOBAL if holds else S.FAILS_GLOBAL
+    if not brute_check(circ, eth, index, CheckMode.LOCAL).holds:
+        return S.FAILS_LOCAL
+    return S.HOLDS_LOCAL if brute_debug_set(circ, eth) else S.HOLDS_GLOBAL
+
+
+def test_reuse_is_verdict_neutral_in_ja_mode(tmp_path, monkeypatch):
     thr = build_counter(5, thresholds=4)
     rep_off = run(VerificationTask(thr.circuit, thr.props, Mode.JA))
     db = tmp_path / "clauses.db"
@@ -324,6 +339,62 @@ def test_reuse_is_verdict_neutral_in_ja_mode(tmp_path):
     for voff, von in zip(rep_off.verdicts, rep_on.verdicts):
         assert voff.status is von.status
     assert all(v.status is S.HOLDS_GLOBAL for v in rep_on.verdicts)
+
+    # random systems with an expected-to-fail property: a JA run warms the
+    # store, then JA and separate-global runs seed from it; every seed must
+    # hold wherever its check can go, and every verdict is the oracle's
+    offered = []
+    real_seeds = orchestrator.seeds_for_context
+
+    def recording(records, circuit, fingerprint, target, ctx, **kwargs):
+        seeds = real_seeds(records, circuit, fingerprint, target, ctx, **kwargs)
+        offered.append((target, tuple(ctx), seeds))
+        return seeds
+
+    monkeypatch.setattr(orchestrator, "seeds_for_context", recording)
+    r = random.Random(8)
+    seeded = 0
+    for k in range(16):
+        rr = random.Random(r.randrange(1 << 30))
+        circ, props = gen_random_circuit(
+            rr,
+            num_inputs=rr.randint(1, 2),
+            num_latches=rr.randint(3, 6),
+            num_gates=rr.randint(8, 20),
+            num_props=3,
+            mutate=rr.random() < 0.5,
+        )
+        etf = rr.randrange(3)
+        props = tuple(
+            replace(p, kind=PropertyKind.ETF) if p.index == etf else p for p in props
+        )
+        opts = TaskOptions(reuse_clauses=True, clause_db=str(tmp_path / f"{k}.db"))
+        run(VerificationTask(circ, props, Mode.JA, opts))
+        for mode in (Mode.JA, Mode.SEPARATE_GLOBAL):
+            offered.clear()
+            rep = run(VerificationTask(circ, props, mode, opts))
+            for v in rep.verdicts:
+                expected = _expected_status(circ, props, v.property_index, mode)
+                assert v.status is expected, (k, mode, v)
+            for target, ctx, seeds in offered:
+                states = reachable(circ, [target, *ctx]).states()
+                for cl in seeds:
+                    assert all(any(st[l >> 1] == 1 - (l & 1) for l in cl) for st in states), (
+                        k, mode, target.index, cl)
+                seeded += len(seeds)
+    assert seeded > 0
+
+
+def test_a_stored_record_the_reset_state_violates_is_not_seeded(tmp_path):
+    # the record's context is exactly what the check of P1 assumes, so it
+    # is trusted; a clause false at reset must still never reach an engine
+    thr = build_counter(5, thresholds=4)
+    db = tmp_path / "clauses.db"
+    fingerprint = circuit_fingerprint(thr.circuit)
+    append([ClauseRecord((0,), 0, (0, 2, 3), fingerprint)], str(db))
+    opts = TaskOptions(reuse_clauses=True, clause_db=str(db))
+    rep = run(VerificationTask(thr.circuit, thr.props, Mode.JA, opts))
+    assert all(v.status is S.HOLDS_GLOBAL and v.certified for v in rep.verdicts)
 
 
 def test_separate_global_filters_records_from_local_proofs(tmp_path):

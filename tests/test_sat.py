@@ -2,7 +2,7 @@ import itertools
 import random
 import time
 
-from japdr.sat import Solver, Status, neg, pos
+from japdr.sat import Solver, Status, pos
 
 
 def brute_force(num_vars, clauses, assumptions=()):
@@ -30,7 +30,7 @@ def random_instance(rng, num_vars, num_clauses, width=3):
     for _ in range(num_clauses):
         k = rng.randint(1, width)
         chosen = rng.sample(range(num_vars), min(k, num_vars))
-        clauses.append([pos(v) if rng.random() < 0.5 else neg(v) for v in chosen])
+        clauses.append([pos(v) if rng.random() < 0.5 else pos(v) ^ 1 for v in chosen])
     return clauses
 
 
@@ -62,7 +62,7 @@ def test_assumptions_and_cores():
         clauses = random_instance(rng, n, rng.randint(2, 18))
         k = rng.randint(1, n)
         vars_ = rng.sample(range(n), k)
-        assumptions = [pos(v) if rng.random() < 0.5 else neg(v) for v in vars_]
+        assumptions = [pos(v) if rng.random() < 0.5 else pos(v) ^ 1 for v in vars_]
         solver = Solver()
         for _ in range(n):
             solver.new_var()
@@ -85,7 +85,7 @@ def test_assumptions_and_cores():
 def test_core_shrinks_below_full_assumption_set_sometimes():
     solver = Solver()
     a, b, c = (solver.new_var() for _ in range(3))
-    solver.add_clause([neg(a)])
+    solver.add_clause([pos(a) ^ 1])
     result = solver.solve([pos(a), pos(b), pos(c)])
     assert result.status is Status.UNSAT
     assert result.core == {pos(a)}
@@ -104,7 +104,7 @@ def test_pigeonhole_unsat():
     for h in range(holes):
         for p1 in range(pigeons):
             for p2 in range(p1 + 1, pigeons):
-                solver.add_clause([neg(var[p1, h]), neg(var[p2, h])])
+                solver.add_clause([pos(var[p1, h]) ^ 1, pos(var[p2, h]) ^ 1])
     assert solver.solve().status is Status.UNSAT
 
 
@@ -112,14 +112,14 @@ def test_unit_and_empty_clause_handling():
     solver = Solver()
     x = solver.new_var()
     assert solver.add_clause([pos(x)])
-    assert not solver.add_clause([neg(x)])  # store becomes unsat
+    assert not solver.add_clause([pos(x) ^ 1])  # store becomes unsat
     assert solver.solve().status is Status.UNSAT
 
 
 def test_tautology_and_duplicate_literals():
     solver = Solver()
     x, y = solver.new_var(), solver.new_var()
-    solver.add_clause([pos(x), neg(x)])  # dropped
+    solver.add_clause([pos(x), pos(x) ^ 1])  # dropped
     solver.add_clause([pos(y), pos(y)])  # collapses to unit
     result = solver.solve()
     assert result.status is Status.SAT and result.value(pos(y))
@@ -136,7 +136,7 @@ def test_deadline_yields_unknown():
     for h in range(7):
         for p1 in range(8):
             for p2 in range(p1 + 1, 8):
-                solver.add_clause([neg(var[p1, h]), neg(var[p2, h])])
+                solver.add_clause([pos(var[p1, h]) ^ 1, pos(var[p2, h]) ^ 1])
     result = solver.solve(deadline=time.monotonic() - 1)
     assert result.status is Status.UNKNOWN
 
@@ -145,14 +145,14 @@ def test_incremental_reuse_after_unsat_assumptions():
     solver = Solver()
     x, y = solver.new_var(), solver.new_var()
     solver.add_clause([pos(x), pos(y)])
-    assert solver.solve([neg(x), neg(y)]).status is Status.UNSAT
-    assert solver.solve([neg(x)]).status is Status.SAT
+    assert solver.solve([pos(x) ^ 1, pos(y) ^ 1]).status is Status.UNSAT
+    assert solver.solve([pos(x) ^ 1]).status is Status.SAT
     assert solver.solve().status is Status.SAT
 
 
 def random_assumptions(rng, n):
     vars_ = rng.sample(range(n), rng.randint(1, n))
-    return [pos(v) if rng.random() < 0.5 else neg(v) for v in vars_]
+    return [pos(v) if rng.random() < 0.5 else pos(v) ^ 1 for v in vars_]
 
 
 def assert_watch_layout(solver):
