@@ -173,17 +173,6 @@ def property_violated(circuit: Circuit, frame: TraceFrame, prop: PropertySpec) -
     return bool(eval_literal(eval_circuit(circuit, frame), prop.bad))
 
 
-def frame_satisfies(circuit: Circuit, frame: TraceFrame, props) -> bool:
-    """True when no property in `props` is violated on the frame."""
-    values = eval_circuit(circuit, frame)
-    return all(not eval_literal(values, p.bad) for p in props)
-
-
-def constraints_hold(circuit: Circuit, frame: TraceFrame) -> bool:
-    values = eval_circuit(circuit, frame)
-    return all(eval_literal(values, c) for c in circuit.constraints)
-
-
 @dataclass(frozen=True)
 class ReplayResult:
     """Outcome of simulating a counterexample against the circuit."""

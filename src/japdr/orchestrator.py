@@ -49,6 +49,7 @@ from __future__ import annotations
 import enum
 import os
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 
 from .aiger import circuit_fingerprint
@@ -271,7 +272,15 @@ class _ClauseStore:
         self.fingerprint = circuit_fingerprint(task.circuit) if self.enabled else ""
         self.records: list[ClauseRecord] = []
         if self.path and os.path.exists(self.path):
-            self.records.extend(load(self.path, self.fingerprint))
+            loaded = load(self.path, self.fingerprint)
+            # a record naming a latch the circuit lacks is dropped alone
+            nl = task.circuit.num_latches
+            self.records.extend(r for r in loaded if r.clause[-1] < 2 * nl)
+            if len(self.records) < len(loaded):
+                n = len(loaded) - len(self.records)
+                warnings.warn(
+                    f"{self.path}: {n} records past the circuit's {nl} latches dropped"
+                )
         self.known = {(r.clause, r.context) for r in self.records}
 
     def seeds(self, circuit, prop, ctx, deadline, stats) -> tuple[tuple[int, ...], ...]:
@@ -283,7 +292,7 @@ class _ClauseStore:
                 deadline=deadline, stats=stats,
             )
         except ClauseDbError:
-            return ()  # out of budget or a malformed record; a seedless check is always sound
+            return ()  # out of budget; a seedless check is always sound
 
     def harvest(self, prop: PropertySpec, ctx, invariant) -> None:
         if not self.enabled or not invariant:

@@ -15,12 +15,14 @@ Bad outputs may read primary inputs, so "the property holds in a state"
 means no input valuation fires bad there; the final frame of a
 counterexample is exempt from every constraint.
 
-Solvers are built for the queries they serve (see `PdrEngine`). The
-step solver, which answers the induction precheck and every consecution
-query, comes from a `StepHolder` that keeps it across checks of one
-property set. `certify` takes its step from a second holder that no
-engine touches, so no engine state reaches it; a run's certificates all
-share that solver, each behind an activation literal it retires.
+Solvers are built for the queries they serve (see `PdrEngine`). Lifting
+needs none: a model fixes every latch and input, so one simulation pass
+finds the latches that justify the goal. The step solver, which answers
+the induction precheck and every consecution query, comes from a
+`StepHolder` that keeps it across checks of one property set.
+`certify` takes its step from a second holder that no engine touches,
+so no engine state reaches it; a run's certificates all share that
+solver, each behind an activation literal it retires.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ class _Frames:
 
 
 class PdrEngine:
-    """One property, one context, one solver per kind of query, each
+    """One property, one context, one solver per kind of SAT query, each
     built when the first query of its kind comes.
 
     The bad solver is built with the engine, because the reset query asks
@@ -141,9 +143,9 @@ class PdrEngine:
     engine gets a fresh one); the induction precheck takes it, replays
     the seeds into it and adds the target's next-state bad cone. The
     engine's frames sit there behind activation literals of its own,
-    which `run` retires however it ends. The lift solver carries an
-    unconstrained copy for unsat-core lifting and is built on the first
-    lift. A check decided at level 0 builds neither of the last two.
+    which `run` retires however it ends; a check decided at level 0 never
+    takes it. Lifting a model to a cube is a simulation pass over the
+    gates (`_lift`), so it needs no solver.
 
     With `respect` the lifted predecessors also keep the target and every
     constraint property clean, so no counterexample brushes a state that
@@ -248,10 +250,6 @@ class PdrEngine:
                 frames.add(clause, level)
         return frames
 
-    @cached_property
-    def _enc_lift(self) -> StepEncoding:
-        return StepEncoding(Solver(), self.circuit)
-
     def _solve(self, solver: Solver, assumptions) -> "object":
         if self._deadline is not None and time.monotonic() > self._deadline:
             raise _Exhausted
@@ -260,11 +258,6 @@ class PdrEngine:
         if result.status is Status.UNKNOWN:
             raise _Exhausted
         return result
-
-    def _temp_clause(self, solver: Solver, lits) -> int:
-        act = pos(solver.new_var())
-        solver.add_clause([act ^ 1, *lits])
-        return act
 
     # -------------------------------------------------------------- queries
 
@@ -281,9 +274,8 @@ class PdrEngine:
         assumps = self._frame_assumps(step, frame_level)
         act = None
         if exclude_cube:
-            act = self._temp_clause(
-                solver, [enc.latch_lit(l >> 1, l & 1) for l in cube]
-            )
+            act = pos(solver.new_var())
+            solver.add_clause([act ^ 1, *(enc.latch_lit(l >> 1, l & 1) for l in cube)])
             assumps.append(act)
         pairs = [(enc.next_lit(l >> 1) ^ (l & 1), l) for l in cube]
         assumps.extend(sl for sl, _ in pairs)
@@ -308,49 +300,45 @@ class PdrEngine:
 
     # -------------------------------------------------------------- lifting
 
-    def _lift_core(self, state, inputs, goal_lits, strict_goal_lits=None):
-        enc = self._enc_lift
-        solver = enc.solver
-        lat_pairs = [
-            (enc.latch_lit(i, state[i]), latch_literal(i, state[i]))
-            for i in range(self._nl)
-        ]
-        assumps = [enc.input_lit(j, inputs[j]) for j in range(self.circuit.num_inputs)]
-        assumps.extend(sl for sl, _ in lat_pairs)
-
-        def run(goal):
-            act = self._temp_clause(solver, goal)
-            try:
-                result = self._solve(solver, [act, *assumps])
-            finally:
-                solver.add_clause([act ^ 1])
-            if result.status is not Status.UNSAT:
-                raise PdrError("lifting query was satisfiable; encoding is broken")
-            return {cl for sl, cl in lat_pairs if sl in result.core}
-
-        kept = run(goal_lits)
-        if strict_goal_lits is not None:
-            kept |= run(strict_goal_lits)
-        return tuple(sorted(kept))
+    def _lift(self, state, inputs, goals) -> tuple[int, ...]:
+        """The latches of `state` that fix every goal literal true under
+        `inputs`, found by one simulation pass. Each variable carries a
+        bit mask of the latches that fix its value: an AND gate at 1
+        needs both operands, one at 0 only a 0 operand (the one with
+        fewer bits, the left on a tie)."""
+        val = [1, *inputs, *state]
+        mask = [0] * (1 + len(inputs)) + [1 << i for i in range(self._nl)]
+        for g in self.circuit.ands:
+            l, r = g.left.var, g.right.var
+            a = val[l] ^ g.left.negated
+            b = val[r] ^ g.right.negated
+            val.append(a & b)
+            if a and b:
+                mask.append(mask[l] | mask[r])
+            elif not a and (b or mask[l].bit_count() <= mask[r].bit_count()):
+                mask.append(mask[l])
+            else:
+                mask.append(mask[r])
+        kept = 0
+        for goal in goals:
+            if not val[goal.var] ^ goal.negated:
+                raise PdrError("lifting goal is false in the model; encoding is broken")
+            kept |= mask[goal.var]
+        return tuple(latch_literal(i, state[i]) for i in range(self._nl) if kept >> i & 1)
 
     def _lift_final(self, state, inputs) -> tuple[int, ...]:
         # every state of the cube fires bad under these inputs
-        goal = [self._enc_lift.lit(self.target.bad) ^ 1]
-        return self._lift_core(state, inputs, goal)
+        return self._lift(state, inputs, [self.target.bad])
 
     def _lift_pred(self, state, inputs, succ_cube) -> tuple[int, ...]:
         # the constraint section binds in both lifting modes; only the
         # property constraints may be ignored
-        enc = self._enc_lift
-        goal = [(enc.next_lit(l >> 1) ^ (l & 1)) ^ 1 for l in succ_cube]
-        for constr in self.circuit.constraints:
-            goal.append(enc.lit(constr) ^ 1)
-        strict = None
+        nxt = [(self.circuit.latches[l >> 1].next, l & 1) for l in succ_cube]
+        goals = [~n if neg else n for n, neg in nxt]
+        goals.extend(self.circuit.constraints)
         if self.respect:
-            strict = list(goal)
-            for prop in (self.target, *self.constraint_props):
-                strict.append(enc.lit(prop.bad))
-        return self._lift_core(state, inputs, goal, strict)
+            goals.extend(~p.bad for p in (self.target, *self.constraint_props))
+        return self._lift(state, inputs, goals)
 
     # ------------------------------------------------------- generalization
 

@@ -17,14 +17,14 @@ from japdr.circuit import (
     PropertySpec,
     TraceFrame,
     cone_latches,
-    constraints_hold,
     eval_circuit,
     eval_literal,
     eval_transition,
-    frame_satisfies,
     property_violated,
     replay_trace,
 )
+
+from frames import constraints_hold, frame_satisfies
 
 
 def frame(latches, inputs):

@@ -13,9 +13,7 @@ from japdr.circuit import (
     Latch,
     Literal,
     TraceFrame,
-    constraints_hold,
     eval_transition,
-    frame_satisfies,
 )
 from japdr.clausedb import (
     ClauseDbError,
@@ -26,6 +24,8 @@ from japdr.clausedb import (
     seeds_for_context,
 )
 from japdr.pdr import PdrStats, PdrStatus, check_property
+
+from frames import constraints_hold, frame_satisfies
 
 OTHER_FP = "deadbeef" * 8
 

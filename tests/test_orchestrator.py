@@ -397,6 +397,25 @@ def test_a_stored_record_the_reset_state_violates_is_not_seeded(tmp_path):
     assert all(v.status is S.HOLDS_GLOBAL and v.certified for v in rep.verdicts)
 
 
+def test_a_record_past_the_circuit_latches_is_dropped_alone(tmp_path):
+    # it used to reach seed selection, whose error then cost every check
+    # of the run its seeds
+    thr = build_counter(6, thresholds=10)
+    n = thr.circuit.num_latches
+    db = tmp_path / "clauses.db"
+    opts = TaskOptions(reuse_clauses=True, clause_db=str(db))
+    task = VerificationTask(thr.circuit, thr.props, Mode.SEPARATE_GLOBAL, opts)
+    run(task)
+    warm = run(task)
+    append([ClauseRecord((2 * n + 1,), 0, (), circuit_fingerprint(thr.circuit))], db)
+    with pytest.warns(UserWarning, match=f"1 records past the circuit's {n} latches dropped"):
+        rep = run(task)
+    assert sum(v.seeds_used for v in warm.verdicts) == 50
+    assert [v.seeds_used for v in rep.verdicts] == [v.seeds_used for v in warm.verdicts]
+    assert [v.status for v in rep.verdicts] == [v.status for v in warm.verdicts]
+    assert all(v.certified for v in rep.verdicts if v.status is S.HOLDS_GLOBAL)
+
+
 def test_separate_global_filters_records_from_local_proofs(tmp_path):
     # local records are re-earned under the empty context, not dropped
     seeded = 0

@@ -8,9 +8,7 @@ from japdr.aiger import build_counter, gen_counter, gen_random_circuit
 from japdr.circuit import (
     Literal,
     TraceFrame,
-    constraints_hold,
     eval_transition,
-    frame_satisfies,
     property_violated,
     replay_trace,
 )
@@ -24,7 +22,9 @@ from japdr.pdr import (
     check_property,
     latch_literal,
 )
-from japdr.sat import Status, pos
+from japdr.sat import Solver, Status, pos
+
+from frames import constraints_hold, frame_satisfies
 
 
 def cube_of_state(state):
@@ -242,6 +242,98 @@ def test_lift_produces_a_sufficient_predecessor_cube():
             assert all(nxt[l >> 1] == 1 - (l & 1) for l in succ)
 
 
+def bits(n, width):
+    return tuple((n >> i) & 1 for i in range(width))
+
+
+def all_frames(c):
+    for s in range(1 << c.num_latches):
+        for x in range(1 << c.num_inputs):
+            yield TraceFrame(bits(s, c.num_latches), bits(x, c.num_inputs))
+
+
+def states_in(c, cube):
+    for s in range(1 << c.num_latches):
+        state = bits(s, c.num_latches)
+        if all(state[l >> 1] == 1 - (l & 1) for l in cube):
+            yield state
+
+
+def constrained_systems(seed, count):
+    """Seeded random systems whose constraint section reads a gate."""
+    rng = random.Random(seed)
+    while count:
+        c, props = gen_random_circuit(
+            rng,
+            num_inputs=2,
+            num_latches=rng.randint(3, 5),
+            num_gates=rng.randint(10, 24),
+            num_props=3,
+            mutate=rng.random() < 0.5,
+        )
+        if c.ands:
+            gate = rng.choice(c.ands).out
+            yield dataclasses.replace(
+                c, constraints=(Literal(gate, rng.random() < 0.5),)
+            ), props
+            count -= 1
+
+
+def test_lifted_final_cubes_fire_bad_in_every_state():
+    lifted = dropped = 0
+    for c, props in constrained_systems(21, 20):
+        eng = PdrEngine(c, props[0], props[1:])
+        for frame in all_frames(c):
+            if not property_violated(c, frame, props[0]):
+                continue
+            cube = eng._lift_final(frame.latch_values, frame.input_values)
+            assert set(cube) <= set(cube_of_state(frame.latch_values))
+            for state in states_in(c, cube):
+                assert property_violated(c, TraceFrame(state, frame.input_values), props[0])
+            lifted += 1
+            dropped += c.num_latches - len(cube)
+    assert lifted and dropped
+
+
+@pytest.mark.parametrize("respect", [False, True])
+def test_lifted_predecessor_cubes_step_into_the_successor_in_every_state(respect):
+    # in respect mode the cube must also keep the target and its context
+    # clean; ignore mode only binds the constraint section
+    rng = random.Random(13)
+    lifted = dropped = 0
+    for c, props in constrained_systems(12, 15):
+        eng = PdrEngine(c, props[0], props[1:], respect=respect)
+        for frame in all_frames(c):
+            if not constraints_hold(c, frame):
+                continue
+            if respect and not frame_satisfies(c, frame, props):
+                continue
+            nxt = cube_of_state(eval_transition(c, frame))
+            succ = tuple(sorted(rng.sample(nxt, rng.randint(1, len(nxt)))))
+            cube = eng._lift_pred(frame.latch_values, frame.input_values, succ)
+            assert set(cube) <= set(cube_of_state(frame.latch_values))
+            for state in states_in(c, cube):
+                here = TraceFrame(state, frame.input_values)
+                assert constraints_hold(c, here)
+                there = eval_transition(c, here)
+                assert all(there[l >> 1] == 1 - (l & 1) for l in succ)
+                if respect:
+                    assert frame_satisfies(c, here, props)
+            lifted += 1
+            dropped += c.num_latches - len(cube)
+    assert lifted and dropped
+
+
+def test_a_goal_the_model_falsifies_is_an_engine_error():
+    c, props = gen_counter(3)
+    eng = PdrEngine(c, props[1])
+    # val=0 is below the bound, and with enable low it stays 0
+    with pytest.raises(PdrError, match="lifting goal"):
+        eng._lift_final((0, 0, 0), (0, 0))
+    with pytest.raises(PdrError, match="lifting goal"):
+        eng._lift_pred((0, 0, 0), (0, 0), cube_of_state((1, 0, 0)))
+
+
 def test_generalize_keeps_relative_induction():
     c, props = gen_counter(3)
     eng = PdrEngine(c, props[1], constraint_props=[props[0]])
@@ -355,12 +447,29 @@ def test_shared_step_solver_answers_like_a_fresh_one():
     assert cut == 10
 
 
-def test_a_check_decided_at_level_0_builds_no_step_or_lift_solver():
+def test_an_engine_builds_no_solver_but_its_bad_and_step_solvers(monkeypatch):
+    # lifting simulates the model, so a run that learns clauses builds
+    # the bad solver and the holder's step and nothing else; a check
+    # decided at level 0 never takes the step
+    built = []
+    real_init = Solver.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Solver, "__init__", counting)
+    thr = build_counter(5, thresholds=6)
+    out = check_property(thr.circuit, thr.props[-1], steps=StepHolder())
+    assert out.status is PdrStatus.HOLDS and out.stats.clauses_learned
+    assert len(built) == 2
+
+    built.clear()
     c, props = gen_counter(3)
     # the reset state fires req's bad
     eng = PdrEngine(c, props[0], [props[1]])
     assert eng.run().status is PdrStatus.FAILS
-    assert "_step" not in eng.__dict__ and "_enc_lift" not in eng.__dict__
+    assert "_step" not in eng.__dict__ and len(built) == 1
 
 
 def test_seeded_check_replays_its_seeds_into_the_step_solver():

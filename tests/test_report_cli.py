@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from japdr.aiger import emit_ascii, gen_counter, parse_file
+from japdr.aiger import circuit_fingerprint, emit_ascii, gen_counter, parse_file
 from japdr.circuit import Counterexample, TraceFrame
 from japdr.cli import main
 from japdr.clausedb import ClauseRecord, append
@@ -351,3 +351,15 @@ def test_unknown_status_row_has_unknown_witness(tmp_path):
     assert code == EXIT_FAILURES
     doc = json.loads(payload)
     assert {r["status"] for r in doc["verdicts"]} == {"Unknown", "FailsLocal"}
+
+
+def test_cli_prints_a_dropped_out_of_range_record_as_one_line(tmp_path, capsys):
+    path = counter_file(tmp_path)
+    circuit, _ = parse_file(path)
+    n = circuit.num_latches
+    db = tmp_path / "clauses.db"
+    append([ClauseRecord((2 * n,), 0, (), circuit_fingerprint(circuit))], db)
+    code = main(["check", str(path), "--clause-db", str(db)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_FAILURES
+    assert err == [f"japdr: clause db: {db}: 1 records past the circuit's {n} latches dropped"]
