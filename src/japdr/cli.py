@@ -50,6 +50,16 @@ def _positive(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad count {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must not be negative")
+    return value
+
+
 def _index_list(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok]
@@ -83,26 +93,26 @@ def parse_args(argv) -> argparse.Namespace:
     check.add_argument("--witness-dir", metavar="PATH")
 
     genc = sub.add_parser("gen-counter", help="write a counter benchmark")
-    genc.add_argument("--bits", type=int, required=True)
+    genc.add_argument("--bits", type=_count, required=True)
     genc.add_argument(
-        "--thresholds", type=int, metavar="N",
+        "--thresholds", type=_count, metavar="N",
         help="N threshold properties under a req=1 constraint instead of the default pair",
     )
     genc.add_argument("-o", "--output", required=True, metavar="PATH")
 
     genr = sub.add_parser("gen-random", help="write a random circuit")
     genr.add_argument("--seed", type=int, required=True)
-    genr.add_argument("--latches", type=int, default=6)
-    genr.add_argument("--inputs", type=int, default=3)
-    genr.add_argument("--gates", type=int, default=14)
-    genr.add_argument("--props", type=int, default=3)
+    genr.add_argument("--latches", type=_count, default=6)
+    genr.add_argument("--inputs", type=_count, default=3)
+    genr.add_argument("--gates", type=_count, default=14)
+    genr.add_argument("--props", type=_count, default=3)
     genr.add_argument("--mutate", action="store_true", help="plant a next-state bug")
     genr.add_argument("-o", "--output", required=True, metavar="PATH")
 
     bmcp = sub.add_parser("bmc", help="bounded counterexample search for one property")
     bmcp.add_argument("input")
     bmcp.add_argument("--prop", type=int, required=True, metavar="I")
-    bmcp.add_argument("--depth", type=int, required=True, metavar="D")
+    bmcp.add_argument("--depth", type=_count, required=True, metavar="D")
     bmcp.add_argument(
         "--assume", type=_index_list, default=[], metavar="I,J,...",
         help="property indices assumed on non-final frames",
@@ -194,36 +204,34 @@ def _cmd_check(args) -> int:
     return code
 
 
-def _emit_for(path: str, circuit) -> bytes:
-    # honor the AIGER naming convention: .aig binary, anything else ASCII
-    if path.endswith(".aig"):
-        return emit_binary(circuit)
-    return emit_ascii(circuit)
-
-
-def _cmd_gen_counter(args) -> int:
-    if args.thresholds is not None:
-        built = build_counter(args.bits, thresholds=args.thresholds)
-        circuit = built.circuit
+def _generated(args):
+    """The circuit a gen-* command describes."""
+    if args.command == "gen-random":
+        circuit, _ = gen_random_circuit(
+            random.Random(args.seed),
+            num_inputs=args.inputs,
+            num_latches=args.latches,
+            num_gates=args.gates,
+            num_props=args.props,
+            mutate=args.mutate,
+        )
+    elif args.thresholds is not None:
+        circuit = build_counter(args.bits, thresholds=args.thresholds).circuit
     else:
         circuit, _ = gen_counter(args.bits)
-    with open(args.output, "wb") as fh:
-        fh.write(_emit_for(args.output, circuit))
-    return EXIT_OK
+    return circuit
 
 
-def _cmd_gen_random(args) -> int:
-    rng = random.Random(args.seed)
-    circuit, _ = gen_random_circuit(
-        rng,
-        num_inputs=args.inputs,
-        num_latches=args.latches,
-        num_gates=args.gates,
-        num_props=args.props,
-        mutate=args.mutate,
-    )
+def _cmd_gen(args) -> int:
+    try:
+        circuit = _generated(args)
+    except ValueError as exc:  # sizes the generators reject
+        print(f"japdr: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    # honor the AIGER naming convention: .aig binary, anything else ASCII
+    emit = emit_binary if args.output.endswith(".aig") else emit_ascii
     with open(args.output, "wb") as fh:
-        fh.write(_emit_for(args.output, circuit))
+        fh.write(emit(circuit))
     return EXIT_OK
 
 
@@ -288,8 +296,8 @@ def main(argv=None) -> int:
         args = parse_args(argv)
         handler = {
             "check": _cmd_check,
-            "gen-counter": _cmd_gen_counter,
-            "gen-random": _cmd_gen_random,
+            "gen-counter": _cmd_gen,
+            "gen-random": _cmd_gen,
             "bmc": _cmd_bmc,
             "oracle": _cmd_oracle,
         }[args.command]

@@ -3,9 +3,12 @@
 One StepEncoding is one combinational copy: every circuit variable maps to
 a solver literal. Latch leaves may be supplied (to chain copies, or to
 force reset values), and encoding may be restricted to the cone of a few
-root literals so a duplicated bad cone stays small. `constrained_step`
-is the copy every induction query steps from: constraint section and a
-set of clean properties asserted on its present state.
+root literals so a copy holds only the gates its queries read.
+`constrained_step` is the copy every induction query steps from:
+constraint section and a set of clean properties asserted on its present
+state, over the cone of the latches, their next-state functions, those
+properties' bads and the constraints. BMC frames (`Unroller`) are whole
+copies.
 
 A copy is one bulk variable allocation (`Solver.new_vars`) plus one pass
 over the gates. A gate whose operands are free and on distinct variables
@@ -144,8 +147,19 @@ class StepEncoding:
 def constrained_step(solver: Solver, circuit: Circuit, props) -> StepEncoding:
     """A step copy whose present state obeys the constraint section and
     fires the bad of none of `props`: the relation every induction query
-    steps through."""
-    enc = StepEncoding(solver, circuit)
+    steps through.
+
+    The copy covers the cone of what its queries read: every latch (frame
+    clauses and cubes may name any), every next-state function, the bads
+    of `props` and the constraints. A gate feeding none of them is left
+    out, and an input outside the cone reads as 0 in a model."""
+    roots = [
+        *circuit.latch_vars,
+        *(latch.next for latch in circuit.latches),
+        *(prop.bad for prop in props),
+        *circuit.constraints,
+    ]
+    enc = StepEncoding(solver, circuit, cone_roots=roots)
     for constr in circuit.constraints:
         solver.add_clause([enc.lit(constr)])
     for prop in props:

@@ -136,15 +136,17 @@ class PdrEngine:
     it first. It holds one present-state copy of the target's bad cone
     plus every latch (frame clauses name them all), with bad forced; a
     primary input outside that cone reads as 0 in its models. The step
-    solver carries the whole transition relation with the constraint
-    section, every constraint property and the target forced clean on
-    the present-state copy. It comes from `steps`, which hands one solver
-    to consecutive checks of one property set (without a holder the
-    engine gets a fresh one); the induction precheck takes it, replays
-    the seeds into it and adds the target's next-state bad cone. The
-    engine's frames sit there behind activation literals of its own,
-    which `run` retires however it ends; a check decided at level 0 never
-    takes it. Lifting a model to a cube is a simulation pass over the
+    solver carries the transition relation over the cone of the latches,
+    their next-state functions, the constraints and the bads of the
+    target and every constraint property, with the constraint section
+    and those bads forced clean on the present-state copy; gates feeding
+    none of these are not encoded, and inputs outside the cone read as 0.
+    It comes from `steps`, which hands one solver to consecutive checks
+    of one property set (without a holder the engine gets a fresh one);
+    the induction precheck takes it, replays the seeds into it and adds
+    the target's next-state bad cone. The engine's frames sit there
+    behind activation literals of its own, which `run` retires however it
+    ends; a check decided at level 0 never takes it. Lifting a model to a cube is a simulation pass over the
     gates (`_lift`), so it needs no solver.
 
     With `respect` the lifted predecessors also keep the target and every

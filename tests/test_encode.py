@@ -9,9 +9,9 @@ the same query.
 import random
 
 from japdr.aiger import build_counter, gen_random_circuit
-from japdr.circuit import FALSE, TRUE, AndGate, Circuit, Latch, Literal
+from japdr.circuit import FALSE, TRUE, AndGate, Circuit, Latch, Literal, PropertySpec
 from japdr.encode import StepEncoding, Unroller, constrained_step
-from japdr.sat import Solver, pos
+from japdr.sat import Solver, Status, pos
 
 _UNDEF = -1
 
@@ -44,7 +44,7 @@ def _ref_const_true(solver: Solver) -> int:
 def _ref_cone(circuit, roots):
     gate_by_out = {g.out: g for g in circuit.ands}
     seen = set()
-    work = [r.var for r in roots]
+    work = [r if isinstance(r, int) else r.var for r in roots]
     while work:
         var = work.pop()
         if var in seen:
@@ -83,6 +83,37 @@ def _ref_encode(solver, circuit, latch_lits=None, cone_roots=None) -> dict:
 
 def _lit(varmap, literal: Literal) -> int:
     return varmap[literal.var] ^ int(literal.negated)
+
+
+def _step_roots(circuit, props) -> list:
+    """What a constrained step must cover: latches, next-state functions,
+    the bads of its properties and the constraints."""
+    return [
+        *circuit.latch_vars,
+        *(latch.next for latch in circuit.latches),
+        *(prop.bad for prop in props),
+        *circuit.constraints,
+    ]
+
+
+def _ref_constrained_step(solver, circuit, props) -> dict:
+    varmap = _ref_encode(solver, circuit, cone_roots=_step_roots(circuit, props))
+    for constr in circuit.constraints:
+        solver.add_clause([_lit(varmap, constr)])
+    for prop in props:
+        solver.add_clause([_lit(varmap, prop.bad) ^ 1])
+    return varmap
+
+
+def _end_props(circuit) -> tuple:
+    """The first and the last property of a circuit."""
+    last = len(circuit.bads) - 1
+    return (PropertySpec(0, circuit.bads[0]), PropertySpec(last, circuit.bads[last]))
+
+
+def _next_cube(enc) -> list:
+    """Consecution-shaped assumptions: every next-state latch at 1."""
+    return [enc.next_lit(i) for i in range(enc.circuit.num_latches)]
 
 
 def _state(solver: Solver):
@@ -155,20 +186,19 @@ def test_unrolled_frames_match_the_reference():
 
 
 def test_chained_copy_after_a_solve_matches_the_reference():
-    """The induction-query shape: a constrained step, a solve that learns
-    and fixes level-0 values, then a chained cone copy on the same solver."""
+    """The induction-query shape: a constrained step over its cone, a
+    solve that learns and fixes level-0 values, then a chained cone copy
+    on the same solver."""
     for circuit in _circuits():
         fast, ref = Solver(), Solver()
-        enc = constrained_step(fast, circuit, ())
-        fast.add_clause([enc.lit(circuit.bads[0]) ^ 1])
-        varmap = _ref_encode(ref, circuit)
-        for constr in circuit.constraints:
-            ref.add_clause([_lit(varmap, constr)])
-        ref.add_clause([_lit(varmap, circuit.bads[0]) ^ 1])
+        props = _end_props(circuit)
+        enc = constrained_step(fast, circuit, props)
+        varmap = _ref_constrained_step(ref, circuit, props)
+        assert enc.varmap == varmap
         assert _state(fast) == _state(ref)
-        fast.solve([enc.lit(circuit.bads[-1])])
-        ref.solve([_lit(varmap, circuit.bads[-1])])
-        nexts = [enc.next_lit(i) for i in range(circuit.num_latches)]
+        nexts = _next_cube(enc)
+        fast.solve(nexts)
+        ref.solve([_lit(varmap, l.next) for l in circuit.latches])
         roots = [circuit.bads[-1]]
         nxt = StepEncoding(fast, circuit, latch_lits=nexts, cone_roots=roots)
         ref_nxt = _ref_encode(
@@ -185,9 +215,8 @@ def test_new_vars_matches_repeated_new_var():
     solvers = []
     for _ in range(2):
         solver = Solver()
-        enc = constrained_step(solver, circuit, ())
-        solver.add_clause([enc.lit(circuit.bads[0]) ^ 1])
-        solver.solve([enc.lit(circuit.bads[-1])])
+        enc = constrained_step(solver, circuit, _end_props(circuit))
+        solver.solve(_next_cube(enc))
         solvers.append(solver)
     bulk, single = solvers
     assert bulk.n_conflicts and max(bulk.activity) > 0  # a heap that is not flat
@@ -197,3 +226,55 @@ def test_new_vars_matches_repeated_new_var():
     assert _state(bulk) == _state(single)
     assert bulk.new_var() == _ref_new_var(single)
     assert _state(bulk) == _state(single)
+
+
+def _with_dead_gates(circuit: Circuit, rng, count: int) -> Circuit:
+    """The circuit plus `count` gates that nothing reads."""
+    gates = list(circuit.ands)
+    for _ in range(count):
+        out = circuit.num_vars + len(gates) - len(circuit.ands)
+        left, right = (Literal(rng.randrange(out), rng.random() < 0.5) for _ in range(2))
+        gates.append(AndGate(out, left, right))
+    return Circuit(
+        circuit.num_inputs, circuit.latches, tuple(gates),
+        circuit.bads, circuit.constraints,
+    )
+
+
+def test_cone_step_answers_consecution_like_the_full_copy():
+    """A step cut to its cone and a full copy under the same clean units
+    agree on consecution-shaped queries: frame clauses over latches, a
+    present-state cube excluded, a next-state cube assumed."""
+    rng = random.Random(5)
+    answers = set()
+    for _ in range(12):
+        circuit, props = gen_random_circuit(
+            rng, num_inputs=3, num_latches=6, num_gates=30, num_props=3
+        )
+        circuit = _with_dead_gates(circuit, rng, 15)
+        props = props[: rng.randint(0, len(props))]
+        cone, full = Solver(), Solver()
+        enc_cone = constrained_step(cone, circuit, props)
+        enc_full = StepEncoding(full, circuit)
+        for constr in circuit.constraints:
+            full.add_clause([enc_full.lit(constr)])
+        for prop in props:
+            full.add_clause([enc_full.lit(prop.bad) ^ 1])
+        assert cone.n_vars < full.n_vars
+        n = circuit.num_latches
+        for _ in range(3):
+            clause = [(rng.randrange(n), rng.randint(0, 1)) for _ in range(2)]
+            for solver, enc in ((cone, enc_cone), (full, enc_full)):
+                solver.add_clause([enc.latch_lit(i, v) for i, v in clause])
+        for _ in range(20):
+            cube = [(i, rng.randint(0, 1)) for i in rng.sample(range(n), 3)]
+            got = []
+            for solver, enc in ((cone, enc_cone), (full, enc_full)):
+                act = pos(solver.new_var())
+                solver.add_clause([act ^ 1, *(enc.latch_lit(i, 1 - v) for i, v in cube)])
+                result = solver.solve([act, *(enc.next_lit(i) ^ (1 - v) for i, v in cube)])
+                solver.add_clause([act ^ 1])
+                got.append(result.status)
+            assert got[0] == got[1]
+            answers.add(got[0])
+    assert answers == {Status.SAT, Status.UNSAT}

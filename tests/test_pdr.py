@@ -25,6 +25,7 @@ from japdr.pdr import (
 from japdr.sat import Solver, Status, pos
 
 from frames import constraints_hold, frame_satisfies
+from test_encode import _with_dead_gates
 
 
 def cube_of_state(state):
@@ -594,3 +595,37 @@ def test_a_shared_certificate_holder_answers_like_a_fresh_one():
                     assert got == certify(c, ctx, clauses, p)
                     answers[got] += 1
     assert answers[True] and answers[False]
+
+
+def test_gates_nothing_reads_change_no_step_and_no_verdict():
+    # the step copy covers latches, next-state functions, the bads of
+    # its property set and the constraints; appended dead gates fall
+    # outside that cone, so every query and every answer stays the same
+    rng = random.Random(23)
+    thresholds = build_counter(5, thresholds=4)
+    systems = [(thresholds.circuit, thresholds.props), gen_counter(4)]
+    for _ in range(8):
+        systems.append(gen_random_circuit(
+            rng, num_inputs=2, num_latches=6, num_gates=30, num_props=3,
+            mutate=rng.random() < 0.5,
+        ))
+    seen = set()
+    for c, props in systems:
+        padded = _with_dead_gates(c, rng, 25)
+        assert len(padded.ands) == len(c.ands) + 25
+        for p in props:
+            for ctx in ([], [q for q in props if q is not p]):
+                sizes = [
+                    StepHolder().step(circ, (p, *ctx)).solver.n_vars
+                    for circ in (c, padded)
+                ]
+                assert sizes[0] == sizes[1]
+                for respect in (False, True):
+                    base = check_property(c, p, ctx, respect=respect)
+                    pad = check_property(padded, p, ctx, respect=respect)
+                    assert pad.status is base.status
+                    assert pad.invariant == base.invariant
+                    assert pad.cex == base.cex
+                    assert pad.stats.sat_calls == base.stats.sat_calls
+                    seen.add((base.status, bool(base.invariant)))
+    assert {(PdrStatus.HOLDS, True), (PdrStatus.FAILS, False)} <= seen

@@ -316,6 +316,48 @@ def test_cli_bmc(tmp_path, capsys):
     assert code == EXIT_OK and "no counterexample" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen-counter", "--bits", "1"], "at least 2 bits"),
+        (["gen-counter", "--bits", "4", "--thresholds", "20"], "exceed counter range"),
+        (["gen-random", "--seed", "1", "--latches", "0"], "at least one latch"),
+    ],
+)
+def test_cli_generator_rejects_bad_sizes_as_usage(tmp_path, capsys, argv, message):
+    out = tmp_path / "g.aag"
+    assert main([*argv, "-o", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("japdr: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-random", "--seed", "1", "--inputs", "-1"],
+        ["gen-random", "--seed", "1", "--gates", "-1"],
+        ["gen-counter", "--bits", "4", "--thresholds", "-3"],
+        ["gen-counter", "--bits", "x"],
+    ],
+)
+def test_cli_generator_rejects_negative_counts(tmp_path, capsys, argv):
+    out = tmp_path / "g.aag"
+    assert main([*argv, "-o", str(out)]) == EXIT_USAGE
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_bmc_rejects_a_negative_depth(tmp_path, capsys):
+    path = counter_file(tmp_path)
+    assert main(["bmc", str(path), "--prop", "1", "--depth", "-1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--depth" in captured.err and "no counterexample" not in captured.out
+    assert main(["bmc", str(path), "--prop", "1", "--depth", "0"]) == EXIT_OK
+    assert "up to depth 0" in capsys.readouterr().out
+
+
 def test_module_entry_point(tmp_path):
     import subprocess
     import sys
