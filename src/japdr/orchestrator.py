@@ -21,13 +21,13 @@ Expected-to-fail properties come last. A counterexample for one
 demonstrates the failure without breaking any expected behavior before
 its final frame; a proof instead is flagged, the expectation was wrong.
 
-Every check starts with ignore-mode lifting, whose counterexamples may
-violate an assumed property mid-trace. Every trace is replayed; a
-spurious one triggers a single retry with respect-mode lifting, which
-cannot repeat the artifact. Every proof is re-certified on the run's
-certificate solver, which no engine touches; when a proof built on
-seeded clauses is rejected, the seeds are dropped and the check re-runs,
-so clause re-use can never manufacture a verdict.
+Every check lifts its predecessors with the target and every assumed
+property kept clean, so a counterexample breaks nothing it assumes
+before its final frame. Every trace is replayed to confirm it; one that
+is invalid or spurious is an engine error. Every proof is re-certified
+on the run's certificate solver, which no engine touches; when a proof
+built on seeded clauses is rejected, the seeds are dropped and the check
+runs once more, so clause re-use can never manufacture a verdict.
 
 Joint mode decides several properties with one aggregate check, so each
 verdict it peels off reports the time and SAT calls of that whole check;
@@ -141,8 +141,8 @@ class Verdict:
     frames: int = 0
     sat_calls: int = 0
     certified: bool = False
-    retried_respect: bool = False
-    seeds_used: int = 0
+    retried_respect: bool = False  # always False: every check lifts in respect mode
+    seeds_used: int = 0  # seeds behind the reported outcome; 0 once they are dropped
 
 
 @dataclass(frozen=True)
@@ -185,10 +185,12 @@ def _check_one(
     steps: StepHolder,
     certs: StepHolder,
 ) -> tuple[Verdict, tuple | None, int]:
-    """One property, end to end: solve, replay, retry once on a spurious
-    trace, certify proofs. The deadline bounds all of it together. The
-    engine runs on the step solver the run's `steps` holder keeps,
-    certification on the one `certs` keeps.
+    """One property, end to end: solve, replay the trace, certify the
+    proof. The deadline bounds all of it together. The engine runs on the
+    step solver the run's `steps` holder keeps, certification on the one
+    `certs` keeps. An invalid or spurious trace is an engine error, and so
+    is a rejected proof that used no seeds; one that did runs once more
+    without them.
 
     Returns the verdict, whose status is `holds` or `fails` once the check
     is decided and Unknown otherwise, the invariant of a proof, and the
@@ -197,11 +199,11 @@ def _check_one(
     verdict = Verdict(target.index, VerdictStatus.UNKNOWN, seeds_used=len(seeds))
     stats = PdrStats()
     invariant = None
-    respect = False
-    while deadline is None or time.monotonic() < deadline:
+    for attempt in (seeds, ()):  # the seedless run only follows a rejected seeded proof
+        if deadline is not None and time.monotonic() >= deadline:
+            break
         out = check_property(
-            circuit, target, ctx, seeds,
-            respect=respect, deadline=deadline, steps=steps,
+            circuit, target, ctx, attempt, deadline=deadline, steps=steps
         )
         stats.sat_calls += out.stats.sat_calls
         stats.clauses_learned += out.stats.clauses_learned
@@ -210,17 +212,11 @@ def _check_one(
             break
         if out.status is PdrStatus.FAILS:
             rep = replay_trace(circuit, out.cex, target, ctx)
-            if not rep.valid:
+            if not rep.valid or rep.spurious:
+                kind = "spurious" if rep.valid else "invalid"
                 raise PdrError(
-                    f"engine returned an invalid trace for property {target.index}"
+                    f"engine returned a {kind} trace for property {target.index}"
                 )
-            if rep.spurious:
-                if respect:
-                    raise PdrError(
-                        "respect-mode lifting produced a spurious counterexample"
-                    )
-                verdict.retried_respect = respect = True
-                continue
             verdict.status, verdict.evidence = fails, out.cex
             break
         try:
@@ -235,11 +231,11 @@ def _check_one(
             verdict.status, verdict.evidence = holds, len(invariant)
             verdict.certified = True
             break
-        if not seeds:
+        if not attempt:
             raise PdrError(
                 f"certification rejected the proof of property {target.index}"
             )
-        seeds = ()  # the seed set let an unsound proof through; drop it
+        verdict.seeds_used = 0  # the seed set let an unsound proof through
     verdict.wall_s = time.monotonic() - t0
     verdict.sat_calls = stats.sat_calls
     return verdict, invariant, stats.clauses_learned

@@ -146,14 +146,14 @@ class PdrEngine:
     the induction precheck takes it, replays the seeds into it and adds
     the target's next-state bad cone. The engine's frames sit there
     behind activation literals of its own, which `run` retires however it
-    ends; a check decided at level 0 never takes it. Lifting a model to a cube is a simulation pass over the
-    gates (`_lift`), so it needs no solver.
+    ends; a check decided at level 0 never takes it.
 
-    With `respect` the lifted predecessors also keep the target and every
-    constraint property clean, so no counterexample brushes a state that
-    violates an assumed property. The
-    `deadline` is absolute (`time.monotonic()`); past it `run` reports
-    Exhausted.
+    Lifting a model to a cube is a simulation pass over the gates
+    (`_lift`), so it needs no solver. A lifted predecessor keeps the
+    constraint section, the target and every constraint property clean,
+    so no counterexample brushes a state that violates an assumed
+    property before its final frame. The `deadline` is absolute
+    (`time.monotonic()`); past it `run` reports Exhausted.
     """
 
     def __init__(
@@ -163,7 +163,6 @@ class PdrEngine:
         constraint_props=(),
         seed_clauses=(),
         *,
-        respect: bool = False,
         deadline: float | None = None,
         steps: StepHolder | None = None,
     ):
@@ -172,7 +171,6 @@ class PdrEngine:
         self.constraint_props = tuple(constraint_props)
         if any(p.index == target.index for p in self.constraint_props):
             raise ValueError("target cannot appear among its own constraints")
-        self.respect = respect
         self.stats = PdrStats(frames_opened=1)
         self.init = circuit.init_state()
         self._nl = circuit.num_latches
@@ -333,13 +331,12 @@ class PdrEngine:
         return self._lift(state, inputs, [self.target.bad])
 
     def _lift_pred(self, state, inputs, succ_cube) -> tuple[int, ...]:
-        # the constraint section binds in both lifting modes; only the
-        # property constraints may be ignored
+        # every state of the cube steps into the successor cube from a
+        # frame the constraint section and every assumed property allow
         nxt = [(self.circuit.latches[l >> 1].next, l & 1) for l in succ_cube]
         goals = [~n if neg else n for n, neg in nxt]
         goals.extend(self.circuit.constraints)
-        if self.respect:
-            goals.extend(~p.bad for p in (self.target, *self.constraint_props))
+        goals.extend(~p.bad for p in (self.target, *self.constraint_props))
         return self._lift(state, inputs, goals)
 
     # ------------------------------------------------------- generalization
@@ -522,7 +519,6 @@ def check_property(
     constraint_props=(),
     seed_clauses=(),
     *,
-    respect: bool = False,
     deadline: float | None = None,
     steps: StepHolder | None = None,
 ) -> PdrOutcome:
@@ -531,12 +527,14 @@ def check_property(
     An empty context is a global check; passing the other properties
     makes it a local one. Holds outcomes carry the strengthening clause
     set, Fails outcomes a counterexample whose final frame violates the
-    target, Exhausted only ever reflects the deadline, never an answer.
-    `respect`, `deadline` and `steps` are those of `PdrEngine`.
+    target and whose earlier frames keep the constraint section, the
+    target and the context clean. Exhausted only ever reflects the
+    deadline, never an answer. `deadline` and `steps` are those of
+    `PdrEngine`.
     """
     return PdrEngine(
         circuit, target, constraint_props, seed_clauses,
-        respect=respect, deadline=deadline, steps=steps,
+        deadline=deadline, steps=steps,
     ).run()
 
 

@@ -42,6 +42,7 @@ _ATTENTION = (
 # "?" marks an optional key. In joint mode one aggregate check decides
 # several properties, so each of their verdicts reports that whole
 # check's time_s and sat_calls; totals.sat_calls counts every check once.
+# retried_respect is always false: every check lifts in respect mode.
 REPORT_SCHEMA = {
     "mode": "str",
     "conclusion": "str",

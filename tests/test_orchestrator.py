@@ -28,6 +28,7 @@ from japdr.orchestrator import (
     ordered_eth,
     run,
 )
+from test_pdr import constraint_section_systems
 
 
 def verdict_for(report, index):
@@ -383,6 +384,68 @@ def test_reuse_is_verdict_neutral_in_ja_mode(tmp_path, monkeypatch):
                         k, mode, target.index, cl)
                 seeded += len(seeds)
     assert seeded > 0
+
+
+def test_a_rejected_seeded_proof_reruns_once_without_seeds(tmp_path, monkeypatch):
+    # certification rejects the first proof built on seeds; the check
+    # drops them and runs again, and the verdict reports no seeds
+    calls, rejected = [], []
+    real_check, real_certify = orchestrator.check_property, orchestrator.certify
+
+    def recording(circuit, target, ctx, seeds=(), **kwargs):
+        calls.append((target.index, len(seeds)))
+        return real_check(circuit, target, ctx, seeds, **kwargs)
+
+    def reject_first_seeded(*args, **kwargs):
+        if calls[-1][1] and not rejected:
+            rejected.append(calls[-1][0])
+            return False
+        return real_certify(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "check_property", recording)
+    monkeypatch.setattr(orchestrator, "certify", reject_first_seeded)
+    thr = build_counter(5, thresholds=6)
+    opts = TaskOptions(reuse_clauses=True, clause_db=str(tmp_path / "clauses.db"))
+    rep = run(VerificationTask(thr.circuit, thr.props, Mode.SEPARATE_GLOBAL, opts))
+    assert len(rejected) == 1
+    i = rejected[0]
+    n = calls.index((i, 0))
+    assert calls[n - 1][0] == i and calls[n - 1][1] > 0
+    v = verdict_for(rep, i)
+    assert v.status is _expected_status(thr.circuit, thr.props, i, Mode.SEPARATE_GLOBAL)
+    assert v.certified and v.seeds_used == 0
+    assert any(u.seeds_used for u in rep.verdicts)  # the other checks kept theirs
+
+    # a rejected proof that used no seeds has nothing to drop
+    monkeypatch.setattr(orchestrator, "certify", lambda *a, **k: False)
+    with pytest.raises(pdr.PdrError, match="certification rejected"):
+        run(VerificationTask(thr.circuit, thr.props, Mode.SEPARATE_GLOBAL))
+
+
+def test_replay_rejects_a_trace_lifted_past_the_assumptions(monkeypatch):
+    # a deliberately broken engine hook: predecessors lifted for the
+    # successor and the constraint section only, the assumed properties
+    # ignored; the run must stop on the spurious trace, never report it
+    def ignoring(self, state, inputs, succ_cube):
+        nxt = [(self.circuit.latches[l >> 1].next, l & 1) for l in succ_cube]
+        goals = [~n if neg else n for n, neg in nxt]
+        return self._lift(state, inputs, [*goals, *self.circuit.constraints])
+
+    monkeypatch.setattr(pdr.PdrEngine, "_lift_pred", ignoring)
+    caught = 0
+    for c, props in constraint_section_systems():
+        try:
+            rep = run(VerificationTask(c, tuple(props), Mode.JA))
+        except pdr.PdrError as err:
+            assert "spurious" in str(err)
+            caught += 1
+            continue
+        for v in rep.verdicts:
+            if v.status is S.FAILS_LOCAL:
+                others = [p for p in props if p.index != v.property_index]
+                rr = replay_trace(c, v.evidence, props[v.property_index], others)
+                assert rr.valid and not rr.spurious
+    assert caught == 2
 
 
 def test_a_stored_record_the_reset_state_violates_is_not_seeded(tmp_path):

@@ -69,24 +69,6 @@ def test_larger_counter_holds_locally_fast():
     assert out.status is PdrStatus.HOLDS and out.invariant == ()
 
 
-def check_with_retry(circuit, target, constraint_props, steps=None):
-    """Engine call plus the replay-and-retry step the driver performs."""
-    out = check_property(circuit, target, constraint_props, steps=steps)
-    retried = False
-    if out.status is PdrStatus.FAILS:
-        rep = replay_trace(circuit, out.cex, target, constraint_props)
-        assert rep.valid, "engine returned a mechanically broken trace"
-        if rep.spurious:
-            retried = True
-            out = check_property(
-                circuit, target, constraint_props, respect=True, steps=steps
-            )
-            if out.status is PdrStatus.FAILS:
-                rep = replay_trace(circuit, out.cex, target, constraint_props)
-                assert rep.valid and not rep.spurious
-    return out, retried
-
-
 def test_verdicts_agree_with_oracle_on_random_systems():
     rng = random.Random(31337)
     for trial in range(70):
@@ -101,7 +83,7 @@ def test_verdicts_agree_with_oracle_on_random_systems():
         for target in props:
             others = [p for p in props if p.index != target.index]
             for ctx in ([], others):
-                out, _ = check_with_retry(c, target, ctx)
+                out = check_property(c, target, ctx)
                 mode = CheckMode.GLOBAL if not ctx else CheckMode.LOCAL
                 want = brute_check(c, props, target.index, mode).holds
                 assert (out.status is PdrStatus.HOLDS) == want, (trial, target.index)
@@ -128,12 +110,12 @@ def test_invariants_hold_each_clause_once():
                 assert certify(c, ctx, out.invariant, p)
 
 
-def test_constraint_sections_force_replay_and_retry():
-    # pin one input high through the constraint section; ignore-mode
-    # lifting then produces the occasional trace that needs a respect rerun
+def constraint_section_systems():
+    """Seeded random systems with one input pinned high through the
+    constraint section; in two of them lifting that ignores the assumed
+    properties yields a local trace breaking one before its last frame."""
     rng = random.Random(9)
-    retries = 0
-    for trial in range(60):
+    for _ in range(60):
         base, props = gen_random_circuit(
             rng,
             num_inputs=2,
@@ -142,16 +124,24 @@ def test_constraint_sections_force_replay_and_retry():
             num_props=2,
             mutate=True,
         )
-        c = dataclasses.replace(base, constraints=[Literal(1)])
+        yield dataclasses.replace(base, constraints=[Literal(1)]), props
+
+
+def test_constraint_sections_leave_no_trace_spurious():
+    deep_local = 0  # local traces past reset, the ones that could be spurious
+    for trial, (c, props) in enumerate(constraint_section_systems()):
         for target in props:
             others = [p for p in props if p.index != target.index]
             for ctx in ([], others):
-                out, retried = check_with_retry(c, target, ctx)
-                retries += retried
+                out = check_property(c, target, ctx)
                 mode = CheckMode.GLOBAL if not ctx else CheckMode.LOCAL
                 want = brute_check(c, props, target.index, mode).holds
                 assert (out.status is PdrStatus.HOLDS) == want, (trial, target.index)
-    assert retries >= 1
+                if out.status is PdrStatus.FAILS:
+                    rep = replay_trace(c, out.cex, target, ctx)
+                    assert rep.valid and not rep.spurious, (trial, target.index)
+                    deep_local += bool(ctx) and len(out.cex.frames) > 1
+    assert deep_local
 
 
 def test_seed_clause_validation():
@@ -296,18 +286,15 @@ def test_lifted_final_cubes_fire_bad_in_every_state():
     assert lifted and dropped
 
 
-@pytest.mark.parametrize("respect", [False, True])
-def test_lifted_predecessor_cubes_step_into_the_successor_in_every_state(respect):
-    # in respect mode the cube must also keep the target and its context
-    # clean; ignore mode only binds the constraint section
+def test_lifted_predecessor_cubes_step_into_the_successor_in_every_state():
+    # the cube must also keep the constraint section, the target and its
+    # context clean
     rng = random.Random(13)
     lifted = dropped = 0
     for c, props in constrained_systems(12, 15):
-        eng = PdrEngine(c, props[0], props[1:], respect=respect)
+        eng = PdrEngine(c, props[0], props[1:])
         for frame in all_frames(c):
-            if not constraints_hold(c, frame):
-                continue
-            if respect and not frame_satisfies(c, frame, props):
+            if not (constraints_hold(c, frame) and frame_satisfies(c, frame, props)):
                 continue
             nxt = cube_of_state(eval_transition(c, frame))
             succ = tuple(sorted(rng.sample(nxt, rng.randint(1, len(nxt)))))
@@ -315,11 +302,9 @@ def test_lifted_predecessor_cubes_step_into_the_successor_in_every_state(respect
             assert set(cube) <= set(cube_of_state(frame.latch_values))
             for state in states_in(c, cube):
                 here = TraceFrame(state, frame.input_values)
-                assert constraints_hold(c, here)
+                assert constraints_hold(c, here) and frame_satisfies(c, here, props)
                 there = eval_transition(c, here)
                 assert all(there[l >> 1] == 1 - (l & 1) for l in succ)
-                if respect:
-                    assert frame_satisfies(c, here, props)
             lifted += 1
             dropped += c.num_latches - len(cube)
     assert lifted and dropped
@@ -440,11 +425,15 @@ def test_shared_step_solver_answers_like_a_fresh_one():
                 for act in (frames.inf_act, *frames.acts[1:]):
                     assert unsat_of(frames.solver, [act])
                 cut += 1
-            shared, _ = check_with_retry(c, p, ctx, steps)
-            fresh, _ = check_with_retry(c, p, ctx)
+            shared = check_property(c, p, ctx, steps=steps)
+            fresh = check_property(c, p, ctx)
             want = brute_check(c, props, p.index, CheckMode.LOCAL).holds
             assert (shared.status is PdrStatus.HOLDS) == want
             assert shared.status is fresh.status
+            for out in (shared, fresh):
+                if out.status is PdrStatus.FAILS:
+                    rep = replay_trace(c, out.cex, p, ctx)
+                    assert rep.valid and not rep.spurious
     assert cut == 10
 
 
@@ -491,7 +480,7 @@ def test_seeded_check_replays_its_seeds_into_the_step_solver():
         for p in props:
             ctx = [q for q in props if q is not p]
             seeds = [cl for i, inv in proofs.items() if i != p.index for cl in inv]
-            eng = PdrEngine(c, p, ctx, seeds, respect=True)
+            eng = PdrEngine(c, p, ctx, seeds)
             if seeds:
                 # no present state of the step solver breaks a seed
                 step = eng._step
@@ -620,12 +609,11 @@ def test_gates_nothing_reads_change_no_step_and_no_verdict():
                     for circ in (c, padded)
                 ]
                 assert sizes[0] == sizes[1]
-                for respect in (False, True):
-                    base = check_property(c, p, ctx, respect=respect)
-                    pad = check_property(padded, p, ctx, respect=respect)
-                    assert pad.status is base.status
-                    assert pad.invariant == base.invariant
-                    assert pad.cex == base.cex
-                    assert pad.stats.sat_calls == base.stats.sat_calls
-                    seen.add((base.status, bool(base.invariant)))
+                base = check_property(c, p, ctx)
+                pad = check_property(padded, p, ctx)
+                assert pad.status is base.status
+                assert pad.invariant == base.invariant
+                assert pad.cex == base.cex
+                assert pad.stats.sat_calls == base.stats.sat_calls
+                seen.add((base.status, bool(base.invariant)))
     assert {(PdrStatus.HOLDS, True), (PdrStatus.FAILS, False)} <= seen
