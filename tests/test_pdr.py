@@ -286,12 +286,16 @@ def test_lifted_final_cubes_fire_bad_in_every_state():
     assert lifted and dropped
 
 
-def test_lifted_predecessor_cubes_step_into_the_successor_in_every_state():
+@pytest.mark.parametrize("with_context", [False, True])
+def test_lifted_predecessor_cubes_step_into_the_successor_in_every_state(
+    with_context,
+):
     # the cube must also keep the constraint section, the target and its
-    # context clean
+    # context clean; without a context only the target is assumed
     rng = random.Random(13)
     lifted = dropped = 0
-    for c, props in constrained_systems(12, 15):
+    for c, all_props in constrained_systems(12, 15):
+        props = all_props if with_context else all_props[:1]
         eng = PdrEngine(c, props[0], props[1:])
         for frame in all_frames(c):
             if not (constraints_hold(c, frame) and frame_satisfies(c, frame, props)):
