@@ -7,24 +7,15 @@ root literals so a copy holds only the gates its queries read.
 `constrained_step` is the copy every induction query steps from:
 constraint section and a set of clean properties asserted on its present
 state, over the cone of the latches, their next-state functions, those
-properties' bads and the constraints. BMC frames (`Unroller`) cover the
-cone of the next-state functions, the bads and the constraints.
-
-BMC frames also collapse each gate in mux form, g = ~(x & y) & ~(~x & z),
-to one variable under the six clauses of ~g = ITE(x, y, z); XOR is the
-case z = ~y, whose last two clauses are tautologies. The cone walk steps
-from such a gate straight to x, y and z, so its two inner gates get a
-variable only when something else reads them (Een, Mishchenko &
-Sorensson, "Applying Logic Synthesis for Speeding Up SAT", SAT 2007).
-Only their roots may be asked for by `lit`.
+properties' bads and the constraints. BMC frames (`Unroller`) are whole
+copies.
 
 A copy is one bulk variable allocation (`Solver.new_vars`) plus one pass
 over the gates. A gate whose operands are free and on distinct variables
 has its three clauses and six watches appended straight to the solver,
 in the layout `add_clause` would give them; any other gate (constant or
 level-0 operands, `a & a`, `a & ~a`) goes through `add_clause`, so every
-copy leaves the solver exactly as gate-by-gate encoding would. ITE
-clauses always go through `add_clause`.
+copy leaves the solver exactly as gate-by-gate encoding would.
 """
 
 from __future__ import annotations
@@ -52,9 +43,7 @@ class StepEncoding:
     entries only occur under cone restriction.
     """
 
-    def __init__(
-        self, solver: Solver, circuit: Circuit, latch_lits=None, cone_roots=None, ites=None
-    ):
+    def __init__(self, solver: Solver, circuit: Circuit, latch_lits=None, cone_roots=None):
         self.solver = solver
         self.circuit = circuit
         if latch_lits is not None:
@@ -63,8 +52,7 @@ class StepEncoding:
                 raise ValueError("latch literal count mismatch")
         true_lit = const_true(solver)
         varmap: dict[int, int] = {0: true_lit}
-        ites = ites or {}
-        wanted = self._cone_vars(circuit, cone_roots, ites)
+        wanted = self._cone_vars(circuit, cone_roots)
         leaves = list(circuit.input_vars)
         if latch_lits is None:
             leaves.extend(circuit.latch_vars)
@@ -82,23 +70,6 @@ class StepEncoding:
         ok = solver.ok
         out = pos(first + len(leaves))
         for gate in gates:
-            mux = ites.get(gate.out)
-            if mux is not None:
-                x, y, z = (varmap[op.var] ^ op.negated for op in mux)
-                f = out ^ 1  # ~g = ITE(x, y, z)
-                for clause in (
-                    (x ^ 1, y ^ 1, f),
-                    (x ^ 1, y, f ^ 1),
-                    (x, z ^ 1, f),
-                    (x, z, f ^ 1),
-                    (y ^ 1, z ^ 1, f),
-                    (y, z, f ^ 1),
-                ):
-                    solver.add_clause(clause)
-                ok = solver.ok
-                varmap[gate.out] = out
-                out += 2
-                continue
             left, right = gate.left, gate.right
             a = varmap[left.var] ^ left.negated
             b = varmap[right.var] ^ right.negated
@@ -126,7 +97,7 @@ class StepEncoding:
         self.varmap = varmap
 
     @staticmethod
-    def _cone_vars(circuit, roots, ites):
+    def _cone_vars(circuit, roots):
         if roots is None:
             return None
         first_gate = 1 + circuit.num_inputs + circuit.num_latches
@@ -138,10 +109,7 @@ class StepEncoding:
             if var in seen:
                 continue
             seen.add(var)
-            mux = ites.get(var)
-            if mux is not None:
-                work.extend(op.var for op in mux)
-            elif var >= first_gate:
+            if var >= first_gate:
                 gate = ands[var - first_gate]
                 work.append(gate.left.var)
                 work.append(gate.right.var)
@@ -199,47 +167,15 @@ def constrained_step(solver: Solver, circuit: Circuit, props) -> StepEncoding:
     return enc
 
 
-def ite_gates(circuit: Circuit) -> dict[int, tuple[Literal, Literal, Literal]]:
-    """Each gate in mux form, g = ~(x & y) & ~(~x & z), mapped to the
-    (x, y, z) with ~g = ITE(x, y, z). The builder's `xor` and `mux` emit
-    this shape."""
-    first_gate = 1 + circuit.num_inputs + circuit.num_latches
-    ands = circuit.ands
-    found = {}
-    for gate in ands:
-        left, right = gate.left, gate.right
-        if not (left.negated and right.negated) or left.var == right.var:
-            continue
-        if left.var < first_gate or right.var < first_gate:
-            continue
-        g1, g2 = ands[left.var - first_gate], ands[right.var - first_gate]
-        for x, y in ((g1.left, g1.right), (g1.right, g1.left)):
-            if g2.left == ~x:
-                found[gate.out] = (x, y, g2.right)
-                break
-            if g2.right == ~x:
-                found[gate.out] = (x, y, g2.left)
-                break
-    return found
-
-
 class Unroller:
     """Time-frame expansion for bounded checks. Frame 0 latches are pinned
     to the reset values; frame t+1 latches alias frame t next-state
-    literals, so no equality clauses are needed. Every frame covers the
-    cone of the next-state functions, the bads and the constraints, with
-    mux-form gates collapsed (`ite_gates`, found once per unroller)."""
+    literals, so no equality clauses are needed."""
 
     def __init__(self, solver: Solver, circuit: Circuit):
         self.solver = solver
         self.circuit = circuit
         self.frames: list[StepEncoding] = []
-        self._roots = [
-            *(latch.next for latch in circuit.latches),
-            *circuit.bads,
-            *circuit.constraints,
-        ]
-        self._ites = ite_gates(circuit)
 
     def add_frame(self) -> StepEncoding:
         if not self.frames:
@@ -251,12 +187,6 @@ class Unroller:
         else:
             prev = self.frames[-1]
             leaves = [prev.next_lit(i) for i in range(self.circuit.num_latches)]
-        enc = StepEncoding(
-            self.solver,
-            self.circuit,
-            latch_lits=leaves,
-            cone_roots=self._roots,
-            ites=self._ites,
-        )
+        enc = StepEncoding(self.solver, self.circuit, latch_lits=leaves)
         self.frames.append(enc)
         return enc

@@ -395,14 +395,12 @@ class Solver:
         assign = self.assign
         phase = self.phase
         reason = self.reason
-        heap_pos = self.heap_pos
-        for lit in reversed(trail[bound:]):
-            v = lit >> 1
+        for i in range(len(trail) - 1, bound - 1, -1):
+            v = trail[i] >> 1
             phase[v] = assign[v]
             assign[v] = _UNDEF
             reason[v] = _UNDEF
-            if heap_pos[v] < 0:  # most propagated vars never left the heap
-                self._heap_insert(v)
+            self._heap_insert(v)
         del trail[bound:]
         del self.trail_lim[target:]
         self.qhead = min(self.qhead, bound)

@@ -1,10 +1,9 @@
 """Bulk circuit encoding against gate-by-gate encoding.
 
 The reference below is the plain Tseitin loop: one variable and three
-`add_clause` calls per gate, or six for a mux-form gate that an unrolled
-frame collapses. Every copy `encode` makes must leave the solver in
-exactly the state that loop leaves, so every SAT query stays the same
-query.
+`add_clause` calls per gate. Every copy `encode` makes must leave the
+solver in exactly the state that loop leaves, so every SAT query stays
+the same query.
 """
 
 import random
@@ -42,26 +41,7 @@ def _ref_const_true(solver: Solver) -> int:
     return lit
 
 
-def _ref_ites(circuit) -> dict:
-    """Gates g = ~(x & y) & ~(~x & z), mapped to (x, y, z)."""
-    gate_by_out = {g.out: g for g in circuit.ands}
-    found = {}
-    for gate in circuit.ands:
-        left, right = gate.left, gate.right
-        g1, g2 = gate_by_out.get(left.var), gate_by_out.get(right.var)
-        if not (left.negated and right.negated) or left.var == right.var:
-            continue
-        if g1 is None or g2 is None:
-            continue
-        for x, y in ((g1.left, g1.right), (g1.right, g1.left)):
-            zs = [b for a, b in ((g2.left, g2.right), (g2.right, g2.left)) if a == ~x]
-            if zs:
-                found[gate.out] = (x, y, zs[0])
-                break
-    return found
-
-
-def _ref_cone(circuit, roots, ites):
+def _ref_cone(circuit, roots):
     gate_by_out = {g.out: g for g in circuit.ands}
     seen = set()
     work = [r if isinstance(r, int) else r.var for r in roots]
@@ -71,19 +51,14 @@ def _ref_cone(circuit, roots, ites):
             continue
         seen.add(var)
         gate = gate_by_out.get(var)
-        if var in ites:
-            work += [l.var for l in ites[var]]
-        elif gate is not None:
+        if gate is not None:
             work += [gate.left.var, gate.right.var]
     return seen
 
 
-def _ref_encode(solver, circuit, latch_lits=None, cone_roots=None, ites=None) -> dict:
-    """Gate-by-gate Tseitin; a gate in `ites` is one variable under the
-    six clauses of ~g = ITE(x, y, z), and the cone steps through it."""
-    ites = ites or {}
+def _ref_encode(solver, circuit, latch_lits=None, cone_roots=None) -> dict:
     varmap = {0: _ref_const_true(solver)}
-    wanted = None if cone_roots is None else _ref_cone(circuit, cone_roots, ites)
+    wanted = None if cone_roots is None else _ref_cone(circuit, cone_roots)
     for var in circuit.input_vars:
         if wanted is None or var in wanted:
             varmap[var] = pos(_ref_new_var(solver))
@@ -97,22 +72,12 @@ def _ref_encode(solver, circuit, latch_lits=None, cone_roots=None, ites=None) ->
         if wanted is not None and gate.out not in wanted:
             continue
         out = pos(_ref_new_var(solver))
-        varmap[gate.out] = out
-        if gate.out in ites:
-            x, y, z = (_lit(varmap, l) for l in ites[gate.out])
-            g = out ^ 1  # ~gate
-            solver.add_clause([x ^ 1, y ^ 1, g])
-            solver.add_clause([x ^ 1, y, g ^ 1])
-            solver.add_clause([x, z ^ 1, g])
-            solver.add_clause([x, z, g ^ 1])
-            solver.add_clause([y ^ 1, z ^ 1, g])
-            solver.add_clause([y, z, g ^ 1])
-            continue
         a = varmap[gate.left.var] ^ int(gate.left.negated)
         b = varmap[gate.right.var] ^ int(gate.right.negated)
         solver.add_clause([out ^ 1, a])
         solver.add_clause([out ^ 1, b])
         solver.add_clause([out, a ^ 1, b ^ 1])
+        varmap[gate.out] = out
     return varmap
 
 
@@ -127,16 +92,6 @@ def _step_roots(circuit, props) -> list:
         *circuit.latch_vars,
         *(latch.next for latch in circuit.latches),
         *(prop.bad for prop in props),
-        *circuit.constraints,
-    ]
-
-
-def _frame_roots(circuit) -> list:
-    """What an unrolled frame covers: next-state functions, bads and
-    constraints."""
-    return [
-        *(latch.next for latch in circuit.latches),
-        *circuit.bads,
         *circuit.constraints,
     ]
 
@@ -217,24 +172,17 @@ def test_full_and_cone_copies_match_the_reference():
 
 
 def test_unrolled_frames_match_the_reference():
-    collapsed = 0
     for circuit in _circuits():
         fast, ref = Solver(), Solver()
         unroller = Unroller(fast, circuit)
-        ites = _ref_ites(circuit)
-        collapsed += len(ites)
         true_lit = _ref_const_true(ref)
         leaves = [true_lit if l.init else true_lit ^ 1 for l in circuit.latches]
         for _ in range(4):
             enc = unroller.add_frame()
-            varmap = _ref_encode(
-                ref, circuit, latch_lits=leaves,
-                cone_roots=_frame_roots(circuit), ites=ites,
-            )
+            varmap = _ref_encode(ref, circuit, latch_lits=leaves)
             assert enc.varmap == varmap
             assert _state(fast) == _state(ref)
             leaves = [_lit(varmap, l.next) for l in circuit.latches]
-    assert collapsed
 
 
 def test_chained_copy_after_a_solve_matches_the_reference():

@@ -5,14 +5,11 @@ import pytest
 from japdr.aiger import gen_counter, gen_random_circuit
 from japdr.circuit import (
     Circuit,
-    CircuitBuilder,
     Latch,
     Literal,
-    PropertySpec,
     property_violated,
     replay_trace,
 )
-from japdr.encode import ite_gates
 from japdr.oracle import (
     CheckMode,
     ExplicitModel,
@@ -205,45 +202,6 @@ def test_bmc_matches_breadth_first_shortest_depth():
             assert replay_trace(c, res.cex, props[0]).valid, trial
             checked += 1
     assert checked >= 20
-
-
-def mux_systems(rng, count):
-    """Random systems built from the builder's xor and mux over inputs
-    and latches, some with a constraint, each with two properties."""
-    for _ in range(count):
-        b = CircuitBuilder(2, rng.randint(2, 4), init=None)
-        pool = [b.input_lit(i) for i in range(2)]
-        pool += [b.latch_lit(i) for i in range(b.num_latches)]
-        for _ in range(rng.randint(3, 7)):
-            x, y, z = (rng.choice(pool) for _ in range(3))
-            x = ~x if rng.random() < 0.5 else x
-            pool.append(b.xor(x, y) if rng.random() < 0.5 else b.mux(x, y, z))
-        for i in range(b.num_latches):
-            b.set_next(i, rng.choice(pool[2:]))
-        b.bads = [b.conj(rng.sample(pool, 2)) for _ in range(2)]
-        if rng.random() < 0.3:
-            b.constraints = [~rng.choice(pool)]
-        c = b.build()
-        yield c, [PropertySpec(i, bad) for i, bad in enumerate(c.bads)]
-
-
-def test_bmc_on_collapsed_mux_frames_matches_breadth_first_depth():
-    # unrolled frames encode mux-form gates as ITE clauses; depths and
-    # traces must stay those of the explicit model
-    rng = random.Random(77)
-    checked = collapsed = 0
-    for trial, (c, props) in enumerate(mux_systems(rng, 40)):
-        collapsed += len(ite_gates(c))
-        g = ExplicitModel(c).brute_check(props, 0, CheckMode.GLOBAL)
-        res = bmc(c, props[0], max_depth=12)
-        if g.holds or len(g.cex.frames) - 1 > 12:
-            assert res.cex is None, trial
-            continue
-        assert res.cex is not None, trial
-        assert len(res.cex.frames) == len(g.cex.frames), trial
-        assert replay_trace(c, res.cex, props[0]).valid, trial
-        checked += 1
-    assert collapsed and checked >= 10
 
 
 def test_bmc_counter3_depths():
