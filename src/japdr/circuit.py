@@ -9,6 +9,7 @@ input valuation), because bad literals may read inputs.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 
@@ -136,6 +137,31 @@ class Circuit:
 
     def init_state(self) -> tuple[int, ...]:
         return tuple(l.init for l in self.latches)
+
+    @functools.cached_property
+    def ite_gates(self) -> dict[int, tuple[Literal, Literal, Literal]]:
+        """Each gate in mux form, g = ~(x & y) & ~(~x & z), mapped to the
+        (x, y, z) with ~g = ITE(x, y, z); XOR is the case z = ~y. The
+        builder's `xor` and `mux` emit this shape. Found on first use and
+        kept on the circuit, so it lives and dies with it."""
+        first_gate = 1 + self.num_inputs + len(self.latches)
+        ands = self.ands
+        found = {}
+        for gate in ands:
+            left, right = gate.left, gate.right
+            if not (left.negated and right.negated) or left.var == right.var:
+                continue
+            if left.var < first_gate or right.var < first_gate:
+                continue
+            g1, g2 = ands[left.var - first_gate], ands[right.var - first_gate]
+            for x, y in ((g1.left, g1.right), (g1.right, g1.left)):
+                if g2.left == ~x:
+                    found[gate.out] = (x, y, g2.right)
+                    break
+                if g2.right == ~x:
+                    found[gate.out] = (x, y, g2.left)
+                    break
+        return found
 
 
 def eval_literal(values, lit: Literal) -> int:

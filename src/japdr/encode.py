@@ -7,15 +7,25 @@ root literals so a copy holds only the gates its queries read.
 `constrained_step` is the copy every induction query steps from:
 constraint section and a set of clean properties asserted on its present
 state, over the cone of the latches, their next-state functions, those
-properties' bads and the constraints. BMC frames (`Unroller`) are whole
-copies.
+properties' bads and the constraints.
+
+BMC frames (`Unroller`) cover the cone of the bads they check, every
+next-state function and every constraint, and collapse each mux-form gate
+in that cone, g = ~(x & y) & ~(~x & z) (`Circuit.ite_gates`), to one
+variable under the six clauses of ~g = ITE(x, y, z); XOR is the case
+z = ~y. The cone walk steps from such a gate straight to x, y and z, so
+its two inner gates get a variable only when something else in the cone
+reads them (Eén, Mishchenko & Sörensson, "Applying Logic Synthesis for
+Speeding Up SAT", SAT 2007). A frame's `lit` is therefore only for its
+roots: bads, next-state functions and constraints.
 
 A copy is one bulk variable allocation (`Solver.new_vars`) plus one pass
 over the gates. A gate whose operands are free and on distinct variables
 has its three clauses and six watches appended straight to the solver,
 in the layout `add_clause` would give them; any other gate (constant or
 level-0 operands, `a & a`, `a & ~a`) goes through `add_clause`, so every
-copy leaves the solver exactly as gate-by-gate encoding would.
+copy leaves the solver exactly as gate-by-gate encoding would. ITE
+clauses always go through `add_clause`.
 """
 
 from __future__ import annotations
@@ -40,10 +50,13 @@ class StepEncoding:
 
     varmap[circuit var] is a solver literal (it can be negated: chained
     latch leaves are the previous copy's next-state literals). Missing
-    entries only occur under cone restriction.
+    entries only occur under cone restriction, or for the inner gates of
+    a collapsed mux (`ites`, set only by `Unroller`).
     """
 
-    def __init__(self, solver: Solver, circuit: Circuit, latch_lits=None, cone_roots=None):
+    def __init__(
+        self, solver: Solver, circuit: Circuit, latch_lits=None, cone_roots=None, ites=None
+    ):
         self.solver = solver
         self.circuit = circuit
         if latch_lits is not None:
@@ -52,7 +65,8 @@ class StepEncoding:
                 raise ValueError("latch literal count mismatch")
         true_lit = const_true(solver)
         varmap: dict[int, int] = {0: true_lit}
-        wanted = self._cone_vars(circuit, cone_roots)
+        ites = ites or {}
+        wanted = self._cone_vars(circuit, cone_roots, ites)
         leaves = list(circuit.input_vars)
         if latch_lits is None:
             leaves.extend(circuit.latch_vars)
@@ -70,6 +84,23 @@ class StepEncoding:
         ok = solver.ok
         out = pos(first + len(leaves))
         for gate in gates:
+            mux = ites.get(gate.out)
+            if mux is not None:
+                x, y, z = (varmap[op.var] ^ op.negated for op in mux)
+                f = out ^ 1  # ~g = ITE(x, y, z)
+                for clause in (
+                    (x ^ 1, y ^ 1, f),
+                    (x ^ 1, y, f ^ 1),
+                    (x, z ^ 1, f),
+                    (x, z, f ^ 1),
+                    (y ^ 1, z ^ 1, f),
+                    (y, z, f ^ 1),
+                ):
+                    solver.add_clause(clause)
+                ok = solver.ok
+                varmap[gate.out] = out
+                out += 2
+                continue
             left, right = gate.left, gate.right
             a = varmap[left.var] ^ left.negated
             b = varmap[right.var] ^ right.negated
@@ -97,7 +128,7 @@ class StepEncoding:
         self.varmap = varmap
 
     @staticmethod
-    def _cone_vars(circuit, roots):
+    def _cone_vars(circuit, roots, ites):
         if roots is None:
             return None
         first_gate = 1 + circuit.num_inputs + circuit.num_latches
@@ -109,14 +140,18 @@ class StepEncoding:
             if var in seen:
                 continue
             seen.add(var)
-            if var >= first_gate:
+            mux = ites.get(var)
+            if mux is not None:
+                work.extend(op.var for op in mux)
+            elif var >= first_gate:
                 gate = ands[var - first_gate]
                 work.append(gate.left.var)
                 work.append(gate.right.var)
         return seen
 
     def lit(self, literal: Literal) -> int:
-        """Solver literal for a circuit literal in this copy."""
+        """Solver literal for a circuit literal in this copy. In an
+        unrolled frame only its roots have one."""
         return self.varmap[literal.var] ^ int(literal.negated)
 
     def next_lit(self, latch_pos: int) -> int:
@@ -170,12 +205,22 @@ def constrained_step(solver: Solver, circuit: Circuit, props) -> StepEncoding:
 class Unroller:
     """Time-frame expansion for bounded checks. Frame 0 latches are pinned
     to the reset values; frame t+1 latches alias frame t next-state
-    literals, so no equality clauses are needed."""
+    literals, so no equality clauses are needed.
 
-    def __init__(self, solver: Solver, circuit: Circuit):
+    Every frame covers the cone of `roots` (the bads the caller checks,
+    which need not be among `circuit.bads`), every next-state function
+    and every constraint, with mux-form gates collapsed. A frame's `lit`
+    may be asked only for those roots; inputs outside the cone read as 0."""
+
+    def __init__(self, solver: Solver, circuit: Circuit, roots):
         self.solver = solver
         self.circuit = circuit
         self.frames: list[StepEncoding] = []
+        self._roots = [
+            *roots,
+            *(latch.next for latch in circuit.latches),
+            *circuit.constraints,
+        ]
 
     def add_frame(self) -> StepEncoding:
         if not self.frames:
@@ -187,6 +232,12 @@ class Unroller:
         else:
             prev = self.frames[-1]
             leaves = [prev.next_lit(i) for i in range(self.circuit.num_latches)]
-        enc = StepEncoding(self.solver, self.circuit, latch_lits=leaves)
+        enc = StepEncoding(
+            self.solver,
+            self.circuit,
+            latch_lits=leaves,
+            cone_roots=self._roots,
+            ites=self.circuit.ite_gates,
+        )
         self.frames.append(enc)
         return enc

@@ -333,9 +333,15 @@ def bmc(
     """Incrementally unroll the constrained relation and look for the
     shallowest trace violating the target. Depth counts transitions;
     non-final frames satisfy the target, every constraint property, and
-    the constraint section."""
+    the constraint section.
+
+    The frames' roots are the target's bad and the bads of
+    `constraint_props`, taken from the specs themselves, since a target
+    such as the one `orchestrator.aggregate_bad` builds is not in
+    `circuit.bads`. Each frame is asked `lit` only for those roots and
+    the constraints."""
     solver = Solver()
-    unroller = Unroller(solver, circuit)
+    unroller = Unroller(solver, circuit, [target.bad, *(p.bad for p in constraint_props)])
     deadline = time.monotonic() + timeout_s if timeout_s is not None else None
     calls = 0
     for depth in range(max_depth + 1):

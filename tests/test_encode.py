@@ -1,9 +1,10 @@
 """Bulk circuit encoding against gate-by-gate encoding.
 
 The reference below is the plain Tseitin loop: one variable and three
-`add_clause` calls per gate. Every copy `encode` makes must leave the
-solver in exactly the state that loop leaves, so every SAT query stays
-the same query.
+`add_clause` calls per gate, or six for a mux-form gate that an unrolled
+frame collapses. Every copy `encode` makes must leave the solver in
+exactly the state that loop leaves, so every SAT query stays the same
+query.
 """
 
 import random
@@ -41,7 +42,26 @@ def _ref_const_true(solver: Solver) -> int:
     return lit
 
 
-def _ref_cone(circuit, roots):
+def _ref_ites(circuit) -> dict:
+    """Gates g = ~(x & y) & ~(~x & z), mapped to (x, y, z)."""
+    gate_by_out = {g.out: g for g in circuit.ands}
+    found = {}
+    for gate in circuit.ands:
+        left, right = gate.left, gate.right
+        g1, g2 = gate_by_out.get(left.var), gate_by_out.get(right.var)
+        if not (left.negated and right.negated) or left.var == right.var:
+            continue
+        if g1 is None or g2 is None:
+            continue
+        for x, y in ((g1.left, g1.right), (g1.right, g1.left)):
+            zs = [b for a, b in ((g2.left, g2.right), (g2.right, g2.left)) if a == ~x]
+            if zs:
+                found[gate.out] = (x, y, zs[0])
+                break
+    return found
+
+
+def _ref_cone(circuit, roots, ites):
     gate_by_out = {g.out: g for g in circuit.ands}
     seen = set()
     work = [r if isinstance(r, int) else r.var for r in roots]
@@ -51,14 +71,19 @@ def _ref_cone(circuit, roots):
             continue
         seen.add(var)
         gate = gate_by_out.get(var)
-        if gate is not None:
+        if var in ites:
+            work += [op.var for op in ites[var]]
+        elif gate is not None:
             work += [gate.left.var, gate.right.var]
     return seen
 
 
-def _ref_encode(solver, circuit, latch_lits=None, cone_roots=None) -> dict:
+def _ref_encode(solver, circuit, latch_lits=None, cone_roots=None, ites=None) -> dict:
+    """Gate-by-gate Tseitin; a gate in `ites` is one variable under the
+    six clauses of ~g = ITE(x, y, z), and the cone steps through it."""
+    ites = ites or {}
     varmap = {0: _ref_const_true(solver)}
-    wanted = None if cone_roots is None else _ref_cone(circuit, cone_roots)
+    wanted = None if cone_roots is None else _ref_cone(circuit, cone_roots, ites)
     for var in circuit.input_vars:
         if wanted is None or var in wanted:
             varmap[var] = pos(_ref_new_var(solver))
@@ -72,12 +97,22 @@ def _ref_encode(solver, circuit, latch_lits=None, cone_roots=None) -> dict:
         if wanted is not None and gate.out not in wanted:
             continue
         out = pos(_ref_new_var(solver))
+        varmap[gate.out] = out
+        if gate.out in ites:
+            x, y, z = (_lit(varmap, op) for op in ites[gate.out])
+            g = out ^ 1  # ~gate
+            solver.add_clause([x ^ 1, y ^ 1, g])
+            solver.add_clause([x ^ 1, y, g ^ 1])
+            solver.add_clause([x, z ^ 1, g])
+            solver.add_clause([x, z, g ^ 1])
+            solver.add_clause([y ^ 1, z ^ 1, g])
+            solver.add_clause([y, z, g ^ 1])
+            continue
         a = varmap[gate.left.var] ^ int(gate.left.negated)
         b = varmap[gate.right.var] ^ int(gate.right.negated)
         solver.add_clause([out ^ 1, a])
         solver.add_clause([out ^ 1, b])
         solver.add_clause([out, a ^ 1, b ^ 1])
-        varmap[gate.out] = out
     return varmap
 
 
@@ -92,6 +127,16 @@ def _step_roots(circuit, props) -> list:
         *circuit.latch_vars,
         *(latch.next for latch in circuit.latches),
         *(prop.bad for prop in props),
+        *circuit.constraints,
+    ]
+
+
+def _frame_roots(circuit, bads) -> list:
+    """What an unrolled frame covers: the checked bads, next-state
+    functions and constraints."""
+    return [
+        *bads,
+        *(latch.next for latch in circuit.latches),
         *circuit.constraints,
     ]
 
@@ -172,17 +217,25 @@ def test_full_and_cone_copies_match_the_reference():
 
 
 def test_unrolled_frames_match_the_reference():
+    collapsed = 0
     for circuit in _circuits():
-        fast, ref = Solver(), Solver()
-        unroller = Unroller(fast, circuit)
-        true_lit = _ref_const_true(ref)
-        leaves = [true_lit if l.init else true_lit ^ 1 for l in circuit.latches]
-        for _ in range(4):
-            enc = unroller.add_frame()
-            varmap = _ref_encode(ref, circuit, latch_lits=leaves)
-            assert enc.varmap == varmap
-            assert _state(fast) == _state(ref)
-            leaves = [_lit(varmap, l.next) for l in circuit.latches]
+        ites = _ref_ites(circuit)
+        for bads in ([circuit.bads[0]], list(circuit.bads)):
+            fast, ref = Solver(), Solver()
+            unroller = Unroller(fast, circuit, bads)
+            roots = _frame_roots(circuit, bads)
+            collapsed += len(ites.keys() & _ref_cone(circuit, roots, ites))
+            true_lit = _ref_const_true(ref)
+            leaves = [true_lit if l.init else true_lit ^ 1 for l in circuit.latches]
+            for _ in range(4):
+                enc = unroller.add_frame()
+                varmap = _ref_encode(
+                    ref, circuit, latch_lits=leaves, cone_roots=roots, ites=ites
+                )
+                assert enc.varmap == varmap
+                assert _state(fast) == _state(ref)
+                leaves = [_lit(varmap, l.next) for l in circuit.latches]
+    assert collapsed  # the counter's xor and mux roots sit in its frame cones
 
 
 def test_chained_copy_after_a_solve_matches_the_reference():

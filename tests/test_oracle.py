@@ -5,8 +5,10 @@ import pytest
 from japdr.aiger import gen_counter, gen_random_circuit
 from japdr.circuit import (
     Circuit,
+    CircuitBuilder,
     Latch,
     Literal,
+    PropertySpec,
     property_violated,
     replay_trace,
 )
@@ -19,6 +21,7 @@ from japdr.oracle import (
     brute_debug_set,
     reachable,
 )
+from japdr.orchestrator import aggregate_bad
 
 
 def val_of(state):
@@ -176,10 +179,9 @@ def test_aggregate_agrees_between_raw_and_projected_relations():
             assert len(agg.cex.frames) - 1 == raw, trial
 
 
-def test_bmc_matches_breadth_first_shortest_depth():
-    rng = random.Random(622)
-    checked = 0
-    for trial in range(60):
+def random_systems(rng, count):
+    """Random one-property systems, nothing assumed."""
+    for _ in range(count):
         c, props = gen_random_circuit(
             rng,
             num_inputs=rng.randint(1, 2),
@@ -188,9 +190,43 @@ def test_bmc_matches_breadth_first_shortest_depth():
             num_props=1,
             mutate=True,
         )
+        yield c, props[0], ()
+
+
+def mux_systems(rng, count):
+    """Random systems built from the builder's xor and mux over inputs
+    and latches, some with a constraint section, some assuming their
+    second property while checking the first."""
+    for _ in range(count):
+        num_latches = rng.randint(2, 4)
+        b = CircuitBuilder(2, num_latches, [rng.randint(0, 1) for _ in range(num_latches)])
+        pool = [b.input_lit(i) for i in range(2)]
+        pool += [b.latch_lit(i) for i in range(num_latches)]
+        for _ in range(rng.randint(3, 7)):
+            x, y, z = (rng.choice(pool) for _ in range(3))
+            x = ~x if rng.random() < 0.5 else x
+            pool.append(b.xor(x, y) if rng.random() < 0.5 else b.mux(x, y, z))
+        for i in range(num_latches):
+            b.set_next(i, rng.choice(pool[2:]))
+        b.bads = [b.conj(rng.sample(pool, 2)) for _ in range(2)]
+        if rng.random() < 0.3:
+            b.constraints = [~rng.choice(pool)]
+        c = b.build()
+        props = [PropertySpec(i, bad) for i, bad in enumerate(c.bads)]
+        yield c, props[0], tuple(props[1:]) if rng.random() < 0.5 else ()
+
+
+def test_bmc_matches_breadth_first_shortest_depth():
+    # mux systems unroll into collapsed frames: ITE clauses over the
+    # mux-form gates, their inner gates left out
+    rng = random.Random(622)
+    systems = [*random_systems(rng, 60), *mux_systems(random.Random(77), 60)]
+    checked = collapsed = assumed = 0
+    for trial, (c, target, assumes) in enumerate(systems):
+        collapsed += len(c.ite_gates)
         m = ExplicitModel(c)
-        g = m.brute_check(props, props[0].index, CheckMode.GLOBAL)
-        res = bmc(c, props[0], max_depth=18)
+        g = m.brute_check([target, *assumes], target.index, CheckMode.LOCAL)
+        res = bmc(c, target, assumes, max_depth=18)
         if g.holds:
             assert res.cex is None, trial
         else:
@@ -199,9 +235,31 @@ def test_bmc_matches_breadth_first_shortest_depth():
                 continue
             assert res.cex is not None, trial
             assert len(res.cex.frames) - 1 == depth, trial
-            assert replay_trace(c, res.cex, props[0]).valid, trial
+            replay = replay_trace(c, res.cex, target, assumes)
+            assert replay.valid and not replay.violated_constraints, trial
             checked += 1
-    assert checked >= 20
+            assumed += bool(assumes)
+    assert checked >= 40 and collapsed and assumed
+
+
+def test_bmc_on_an_aggregate_bad_outside_the_circuit_bads():
+    # the aggregate's bad is a gate added after the circuit's bads, so the
+    # frames must cover the target's own cone
+    checked = 0
+    for trial, (c, _, _) in enumerate(mux_systems(random.Random(31), 20)):
+        props = [PropertySpec(i, bad) for i, bad in enumerate(c.bads)]
+        ext, agg = aggregate_bad(c, props)
+        assert agg.bad not in ext.bads
+        g = ExplicitModel(c).brute_check_aggregate(props)
+        res = bmc(ext, agg, max_depth=18)
+        if g.holds:
+            assert res.cex is None, trial
+            continue
+        assert res.cex is not None, trial
+        assert len(res.cex.frames) == len(g.cex.frames), trial
+        assert replay_trace(ext, res.cex, agg).valid, trial
+        checked += 1
+    assert checked >= 10
 
 
 def test_bmc_counter3_depths():
