@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -145,6 +146,117 @@ def test_parse_rejects_nonmonotone_binary_delta():
     data.extend(b"\xff\xff\xff\xff\xff")
     with pytest.raises(AigerError):
         parse(bytes(data))
+
+
+MALFORMED = {
+    # header
+    "no header newline": b"aag 1 1 0 0 0",
+    "unknown magic": b"aig2 1 1 0 0 0\n",
+    "four count fields": b"aag 1 1 0 0\n2\n",
+    "ten count fields": b"aag 1 1 0 0 0 0 0 0 0 0\n2\n",
+    "non-numeric count": b"aag 1 x 0 0 0\n2\n",
+    "negative count": b"aag 1 -1 0 0 0\n",
+    "fairness section": b"aag 1 1 0 0 0 0 0 0 1\n2\n",
+    "binary M above I+L+A": b"aig 2 1 0 0 0\n",
+    "binary M below I+L+A": b"aig 0 1 0 0 0\n",
+    "ascii M below I+L+A": b"aag 1 2 0 0 0\n2\n4\n",
+    # defined literals
+    "odd input": b"aag 1 1 0 0 0\n3\n",
+    "zero input": b"aag 1 1 0 0 0\n0\n",
+    "odd latch": b"aag 1 0 1 0 0\n3 2 0\n",
+    "zero latch": b"aag 1 0 1 0 0\n0 2 0\n",
+    "odd gate output": b"aag 2 1 0 0 1\n2\n5 2 2\n",
+    "zero gate output": b"aag 2 1 0 0 1\n2\n0 2 2\n",
+    # row shapes and values
+    "two fields on an input row": b"aag 1 1 0 0 0\n2 2\n",
+    "non-numeric input": b"aag 1 1 0 0 0\nx\n",
+    "negative output": b"aag 1 1 0 1 0\n2\n-2\n",
+    "ascii latch with one field": b"aag 1 0 1 0 0\n2\n",
+    "ascii latch with four fields": b"aag 1 0 1 0 0\n2 2 0 0\n",
+    "binary latch with no field": b"aig 1 0 1 0 0\n\n",
+    "binary latch with three fields": b"aig 1 0 1 0 0\n2 0 0\n",
+    "ascii gate with two fields": b"aag 2 1 0 0 1\n2\n4 2\n",
+    "ascii gate with four fields": b"aag 2 1 0 0 1\n2\n4 2 2 2\n",
+    # resets
+    "ascii X reset": b"aag 1 0 1 0 0\n2 2 2\n",
+    "binary X reset": b"aig 1 0 1 0 0\n2 2\n",
+    "ascii init 3": b"aag 1 0 1 0 0\n2 2 3\n",
+    "binary init 3": b"aig 1 0 1 0 0\n2 3\n",
+    # definitions
+    "input defined twice": b"aag 2 2 0 0 0\n2\n2\n",
+    "latch redefines input": b"aag 2 1 1 0 0\n2\n2 2 0\n",
+    "gate redefines latch": b"aag 2 0 1 0 1\n2 2 0\n2 3 3\n",
+    "gate defined twice": b"aag 3 1 0 0 2\n2\n4 2 2\n4 3 3\n",
+    "undefined latch next": b"aag 1 0 1 0 0\n2 4 0\n",
+    "undefined output, pre-1.9": b"aag 1 1 0 1 0\n2\n4\n",
+    "undefined output, 1.9": b"aag 1 1 0 1 0 0\n2\n4\n",
+    "undefined bad": b"aag 1 1 0 0 0 1\n2\n4\n",
+    "undefined constraint": b"aag 1 1 0 0 0 0 1\n2\n4\n",
+    "undefined gate operand": b"aag 2 1 0 0 1\n2\n4 2 6\n",
+    "binary undefined bad": b"aig 1 1 0 0 0 1\n4\n",
+    "self-cyclic gate": b"aag 1 0 0 0 1\n2 2 2\n",
+    "cyclic gate pair": b"aag 2 0 0 0 2\n2 4 4\n4 2 2\n",
+    # cut short
+    "ascii input missing": b"aag 2 2 0 0 0\n2",
+    "ascii empty input row": b"aag 1 1 0 0 0\n",
+    "ascii gate missing": b"aag 2 1 0 0 1\n2\n",
+    "binary latch row without newline": b"aig 1 0 1 0 0\n2",
+    "binary latch row missing": b"aig 1 0 1 0 0\n",
+    "binary bad row missing": b"aig 1 1 0 0 0 1\n",
+    # delta stream
+    "no delta bytes": b"aig 1 0 0 0 1\n",
+    "one delta only": b"aig 1 0 0 0 1\n\x02",
+    "delta cut mid-number": b"aig 1 0 0 0 1\n\x82",
+    "zero first delta": b"aig 1 0 0 0 1\n\x00\x00",
+    "first operand below zero": b"aig 1 0 0 0 1\n\x05\x00",
+    "second operand below zero": b"aig 1 0 0 0 1\n\x01\x05",
+}
+
+
+@pytest.mark.parametrize("data", MALFORMED.values(), ids=MALFORMED.keys())
+def test_parse_rejects_malformed(data):
+    with pytest.raises(AigerError):
+        parse(data)
+
+
+def test_repeated_input_is_not_orphaned_by_a_gate_reading_it():
+    # the second declaration used to win, leaving input 0 unread
+    with pytest.raises(AigerError, match="defined twice"):
+        parse(b"aag 3 2 0 1 1\n2\n2\n6\n6 2 2\n")
+
+
+def test_ascii_last_line_may_lack_its_newline():
+    c, props = parse(b"aag 2 1 0 0 1 1\n2\n4\n4 2 3")
+    assert c.num_inputs == 1 and len(c.ands) == 1 and len(props) == 1
+
+
+# sha256 of the emitted bytes; the clause store fingerprints the ASCII form
+# and the bench feeds the binary form to the checker
+GOLDEN = {
+    "counter3": (
+        lambda: gen_counter(3)[0],
+        "1e1557f097518f0855b2b3d0d6fb3ed12a7d527b942014c4bffdabe0b1990a08",
+        "952d07ca7ca54fd60c470146239994d0b6a89633f29b84bdf41a1d293867714f",
+    ),
+    "thresholds6x4": (
+        lambda: build_counter(6, thresholds=4).circuit,
+        "c7462528c0c63a11b3bd983bce2d081755021a573c331aa73f80591ae5d0473d",
+        "bf29c80e853175dba9ffb33c453b85dac448073572f88fe92b5378ed890949a9",
+    ),
+    "random1-mutated": (
+        lambda: random_circuit(1, mutate=True)[0],
+        "a07a18824100e07912808d37a31f7bd9f8cc77bc04c1fd8737580892863a2622",
+        "5f8f952d7cecd70323a0fb41183fa3a0672c7533909a5d9ca3ba8ab81154fa6f",
+    ),
+}
+
+
+@pytest.mark.parametrize("make, ascii_sha, binary_sha", GOLDEN.values(), ids=GOLDEN.keys())
+def test_emitted_bytes_are_golden(make, ascii_sha, binary_sha):
+    circuit = make()
+    assert hashlib.sha256(emit_ascii(circuit)).hexdigest() == ascii_sha
+    assert hashlib.sha256(emit_binary(circuit)).hexdigest() == binary_sha
+    assert parse(emit_ascii(circuit))[0] == circuit
 
 
 def test_witness_bytes_exact():
