@@ -1,5 +1,6 @@
-"""AIGER 1.9 frontend: ASCII and binary readers, a canonical ASCII writer,
-witness emission, and circuit generators used throughout the test rig.
+"""AIGER 1.9 frontend: one reader and one writer for both encodings, ASCII
+and binary, witness emission, and circuit generators used throughout the
+test rig.
 
 File literals use the AIGER convention (0 = false, 1 = true); the in-memory
 Literal inverts the polarity of variable 0, so conversion happens here and
@@ -41,6 +42,7 @@ def parse(data: bytes):
 
     Sections M I L O A B C are honored; J and F are rejected. Files without
     a B section treat outputs as bad literals. Properties default to ETH.
+    A binary file leaves input and latch literals implicit and delta-codes gates.
     """
     if not isinstance(data, (bytes, bytearray)):
         raise AigerError("expected bytes")
@@ -67,19 +69,48 @@ def parse(data: bytes):
     if binary and m != ni + nl + na:
         raise AigerError(f"binary header M={m} != I+L+A={ni + nl + na}")
     pre_19 = len(counts) == 5
+    pos = newline + 1
+
+    def row(what: str, widths=(1,)) -> list[int]:
+        """The next text row as numbers. Every row ends in a newline, except
+        that the last row of an ASCII file may end where the data does."""
+        nonlocal pos
+        end = data.find(b"\n", pos)
+        if end < 0:
+            if binary or pos > len(data):
+                raise AigerError(f"unexpected end of file reading {what}")
+            end = len(data)
+        toks = data[pos:end].split()
+        pos = end + 1
+        if len(toks) not in widths:
+            raise AigerError(f"{what} has {len(toks)} fields, not {' or '.join(map(str, widths))}")
+        return [_read_uint(tok, what) for tok in toks]
 
     if binary:
-        circuit = _parse_binary(data, newline + 1, ni, nl, no, na, nb, nc)
+        input_lits = [2 * (1 + i) for i in range(ni)]
     else:
-        circuit = _parse_ascii(data, newline + 1, m, ni, nl, no, na, nb, nc)
-    circuit, outputs, bads = circuit
+        input_lits = [row(f"input {i}")[0] for i in range(ni)]
+    latch_rows = []
+    for i in range(nl):
+        if binary:
+            fields = [2 * (1 + ni + i), *row(f"latch {i}", (1, 2))]
+        else:
+            fields = row(f"latch {i}", (2, 3))
+        if len(fields) == 2:
+            fields.append(0)  # the reset value defaults to 0
+        latch_rows.append(fields)
+    output_lits = [row(f"output {i}")[0] for i in range(no)]
+    bad_lits = [row(f"bad {i}")[0] for i in range(nb)]
+    constr_lits = [row(f"constraint {i}")[0] for i in range(nc)]
+    if binary:
+        and_rows = _read_deltas(data, pos, 1 + ni + nl, na)
+    else:
+        and_rows = [row(f"and gate {i}", (3,)) for i in range(na)]
     if pre_19:
-        bads = outputs  # outputs double as properties in pre-1.9 files
-    props = [PropertySpec(i, bad, PropertyKind.ETH) for i, bad in enumerate(bads)]
-    final = Circuit(
-        circuit.num_inputs, circuit.latches, circuit.ands, tuple(bads), circuit.constraints
-    )
-    return final, props
+        bad_lits = output_lits  # outputs double as properties in pre-1.9 files
+    circuit = _assemble(m, input_lits, latch_rows, and_rows, output_lits, bad_lits, constr_lits)
+    props = [PropertySpec(i, bad, PropertyKind.ETH) for i, bad in enumerate(circuit.bads)]
+    return circuit, props
 
 
 def parse_file(path):
@@ -97,136 +128,59 @@ def _read_uint(tok: bytes, what: str) -> int:
     return value
 
 
-def _parse_ascii(data, pos, m, ni, nl, no, na, nb, nc):
-    lines = data[pos:].split(b"\n")
-    cursor = 0
-
-    def next_line(what):
-        nonlocal cursor
-        if cursor >= len(lines):
-            raise AigerError(f"unexpected end of file reading {what}")
-        line = lines[cursor]
-        cursor += 1
-        return line
-
-    input_lits = []
-    for i in range(ni):
-        lit = _read_uint(next_line(f"input {i}").strip(), "input literal")
-        if lit < 2 or lit & 1:
-            raise AigerError(f"input literal must be even and nonzero: {lit}")
-        input_lits.append(lit)
-    latch_rows = []
-    for i in range(nl):
-        toks = next_line(f"latch {i}").split()
-        if len(toks) not in (2, 3):
-            raise AigerError(f"latch line needs 2 or 3 fields: {toks}")
-        cur = _read_uint(toks[0], "latch literal")
-        nxt = _read_uint(toks[1], "latch next literal")
-        init = _read_uint(toks[2], "latch init") if len(toks) == 3 else 0
-        if cur < 2 or cur & 1:
-            raise AigerError(f"latch literal must be even and nonzero: {cur}")
-        latch_rows.append((cur, nxt, init))
-    output_lits = [
-        _read_uint(next_line(f"output {i}").strip(), "output literal") for i in range(no)
-    ]
-    bad_lits = [_read_uint(next_line(f"bad {i}").strip(), "bad literal") for i in range(nb)]
-    constr_lits = [
-        _read_uint(next_line(f"constraint {i}").strip(), "constraint literal")
-        for i in range(nc)
-    ]
-    and_rows = []
-    for i in range(na):
-        toks = next_line(f"and gate {i}").split()
-        if len(toks) != 3:
-            raise AigerError(f"and line needs 3 fields: {toks}")
-        lhs, r0, r1 = (_read_uint(t, "and literal") for t in toks)
-        if lhs < 2 or lhs & 1:
-            raise AigerError(f"and output literal must be even and nonzero: {lhs}")
-        and_rows.append((lhs, r0, r1))
-    return _assemble(m, input_lits, latch_rows, and_rows, output_lits, bad_lits, constr_lits)
-
-
-def _parse_binary(data, pos, ni, nl, no, na, nb, nc):
-    text_end = pos
-    # latch/output/bad/constraint lines are ASCII even inside binary files
-    rows_needed = nl + no + nb + nc
-    for _ in range(rows_needed):
-        nxt = data.find(b"\n", text_end)
-        if nxt < 0:
-            raise AigerError("unexpected end of file in binary section header")
-        text_end = nxt + 1
-    lines = data[pos:text_end].split(b"\n")[:rows_needed]
-    cursor = 0
-    latch_rows = []
-    for i in range(nl):
-        toks = lines[cursor].split()
-        cursor += 1
-        if len(toks) not in (1, 2):
-            raise AigerError(f"binary latch line needs 1 or 2 fields: {toks}")
-        cur = 2 * (ni + 1 + i)
-        nxt = _read_uint(toks[0], "latch next literal")
-        init = _read_uint(toks[1], "latch init") if len(toks) == 2 else 0
-        latch_rows.append((cur, nxt, init))
-    output_lits = []
-    for i in range(no):
-        output_lits.append(_read_uint(lines[cursor].strip(), "output literal"))
-        cursor += 1
-    bad_lits = []
-    for i in range(nb):
-        bad_lits.append(_read_uint(lines[cursor].strip(), "bad literal"))
-        cursor += 1
-    constr_lits = []
-    for i in range(nc):
-        constr_lits.append(_read_uint(lines[cursor].strip(), "constraint literal"))
-        cursor += 1
-
-    offset = text_end
+def _read_deltas(data, pos, first_var, count):
+    """The gate rows of a binary file, read from `pos`. Gate i defines
+    variable first_var + i, and its operands follow as two deltas, each
+    seven bits a byte, least significant first."""
 
     def read_delta():
-        nonlocal offset
+        nonlocal pos
         value, shift = 0, 0
         while True:
-            if offset >= len(data):
+            if pos >= len(data):
                 raise AigerError("unexpected end of file in binary and section")
-            byte = data[offset]
-            offset += 1
+            byte = data[pos]
+            pos += 1
             value |= (byte & 0x7F) << shift
             if not byte & 0x80:
                 return value
             shift += 7
 
     and_rows = []
-    for i in range(na):
-        lhs = 2 * (ni + nl + 1 + i)
+    for i in range(count):
+        lhs = 2 * (first_var + i)
         delta0 = read_delta()
-        delta1 = read_delta()
         rhs0 = lhs - delta0
-        rhs1 = rhs0 - delta1
-        if delta0 == 0 or rhs0 < 0 or rhs1 < 0:
+        rhs1 = rhs0 - read_delta()
+        if delta0 == 0 or rhs1 < 0:
             raise AigerError(f"non-monotone binary delta for and gate {i}")
         and_rows.append((lhs, rhs0, rhs1))
-    input_lits = [2 * (i + 1) for i in range(ni)]
-    m = ni + nl + na
-    return _assemble(m, input_lits, latch_rows, and_rows, output_lits, bad_lits, constr_lits)
+    return and_rows
 
 
 def _assemble(m, input_lits, latch_rows, and_rows, output_lits, bad_lits, constr_lits):
-    """Remap arbitrary file numbering onto the dense in-memory layout."""
+    """Remap arbitrary file numbering onto the dense in-memory layout and
+    build the circuit. Each input, latch and gate output must be an even
+    nonzero literal of its own; outputs are checked but not kept."""
     ni, nl = len(input_lits), len(latch_rows)
-    var_map: dict[int, int] = {0: 0}
-    for i, lit in enumerate(input_lits):
-        var_map[lit >> 1] = 1 + i
-    for i, (cur, _, _) in enumerate(latch_rows):
-        if cur >> 1 in var_map:
-            raise AigerError(f"variable {cur >> 1} defined twice")
-        var_map[cur >> 1] = 1 + ni + i
-    gate_defs = {}
-    for lhs, r0, r1 in and_rows:
-        if lhs >> 1 in var_map or lhs >> 1 in gate_defs:
-            raise AigerError(f"variable {lhs >> 1} defined twice")
-        gate_defs[lhs >> 1] = (r0, r1)
     if m < ni + nl + len(and_rows):
         raise AigerError(f"header M={m} smaller than I+L+A")
+    var_map: dict[int, int] = {0: 0}
+    gate_defs = {}
+
+    def define(lit, what):
+        if lit < 2 or lit & 1:
+            raise AigerError(f"{what} literal must be even and nonzero: {lit}")
+        if lit >> 1 in var_map or lit >> 1 in gate_defs:
+            raise AigerError(f"variable {lit >> 1} defined twice")
+        return lit >> 1
+
+    for i, lit in enumerate(input_lits):
+        var_map[define(lit, "input")] = 1 + i
+    for i, (cur, _, _) in enumerate(latch_rows):
+        var_map[define(cur, "latch")] = 1 + ni + i
+    for lhs, r0, r1 in and_rows:
+        gate_defs[define(lhs, "and output")] = (r0, r1)
 
     # topologically order gates; ASCII files may list them in any order
     order: list[int] = []
@@ -279,59 +233,55 @@ def _assemble(m, input_lits, latch_rows, and_rows, output_lits, bad_lits, constr
         gates.append(
             AndGate(var_map[var], convert(r0, "and operand"), convert(r1, "and operand"))
         )
-    outputs = [convert(lit, "output") for lit in output_lits]
-    bads = [convert(lit, "bad") for lit in bad_lits]
-    constrs = [convert(lit, "constraint") for lit in constr_lits]
-    circuit = Circuit(ni, tuple(latches), tuple(gates), (), tuple(constrs))
-    return circuit, outputs, bads
+    for lit in output_lits:
+        convert(lit, "output")
+    bads = tuple(convert(lit, "bad") for lit in bad_lits)
+    constrs = tuple(convert(lit, "constraint") for lit in constr_lits)
+    return Circuit(ni, tuple(latches), tuple(gates), bads, constrs)
 
 
 def emit_ascii(circuit: Circuit) -> bytes:
     """Canonical aag emission; the clause-db fingerprint hashes these bytes."""
+    return _emit(circuit, binary=False)
+
+
+def emit_binary(circuit: Circuit) -> bytes:
+    return _emit(circuit, binary=True)
+
+
+def _emit(circuit: Circuit, binary: bool) -> bytes:
+    """The header and the latch, bad and constraint rows are shared. ASCII
+    adds the input rows, latch literals and gate rows; binary leaves those
+    implicit and appends two operand deltas per gate (see `_read_deltas`)."""
     ni, nl, na = circuit.num_inputs, circuit.num_latches, len(circuit.ands)
     nb, nc = len(circuit.bads), len(circuit.constraints)
-    header = f"aag {ni + nl + na} {ni} {nl} 0 {na}"
+    header = f"{'aig' if binary else 'aag'} {ni + nl + na} {ni} {nl} 0 {na}"
     if nb or nc:
         header += f" {nb}"
     if nc:
         header += f" {nc}"
     lines = [header]
-    for var in circuit.input_vars:
-        lines.append(str(2 * var))
+    if not binary:
+        for var in circuit.input_vars:
+            lines.append(str(2 * var))
     for latch in circuit.latches:
-        lines.append(f"{2 * latch.var} {_lit_to_file(latch.next)} {latch.init}")
-    for bad in circuit.bads:
-        lines.append(str(_lit_to_file(bad)))
-    for constr in circuit.constraints:
-        lines.append(str(_lit_to_file(constr)))
-    for gate in circuit.ands:
-        lines.append(f"{2 * gate.out} {_lit_to_file(gate.left)} {_lit_to_file(gate.right)}")
-    return ("\n".join(lines) + "\n").encode()
-
-
-def emit_binary(circuit: Circuit) -> bytes:
-    ni, nl, na = circuit.num_inputs, circuit.num_latches, len(circuit.ands)
-    nb, nc = len(circuit.bads), len(circuit.constraints)
-    header = f"aig {ni + nl + na} {ni} {nl} 0 {na}"
-    if nb or nc:
-        header += f" {nb}"
-    if nc:
-        header += f" {nc}"
-    out = bytearray((header + "\n").encode())
-    for latch in circuit.latches:
-        out += f"{_lit_to_file(latch.next)} {latch.init}\n".encode()
-    for bad in circuit.bads:
-        out += f"{_lit_to_file(bad)}\n".encode()
-    for constr in circuit.constraints:
-        out += f"{_lit_to_file(constr)}\n".encode()
-    for gate in circuit.ands:
-        lhs = 2 * gate.out
-        r0, r1 = sorted((_lit_to_file(gate.left), _lit_to_file(gate.right)), reverse=True)
-        for delta in (lhs - r0, r0 - r1):
-            while delta >= 0x80:
-                out.append(0x80 | (delta & 0x7F))
-                delta >>= 7
-            out.append(delta)
+        fields = f"{_lit_to_file(latch.next)} {latch.init}"
+        lines.append(fields if binary else f"{2 * latch.var} {fields}")
+    for lit in (*circuit.bads, *circuit.constraints):
+        lines.append(str(_lit_to_file(lit)))
+    if not binary:
+        for gate in circuit.ands:
+            lines.append(f"{2 * gate.out} {_lit_to_file(gate.left)} {_lit_to_file(gate.right)}")
+    out = bytearray(("\n".join(lines) + "\n").encode())
+    if binary:
+        for gate in circuit.ands:
+            lhs = 2 * gate.out
+            r0, r1 = sorted((_lit_to_file(gate.left), _lit_to_file(gate.right)), reverse=True)
+            for delta in (lhs - r0, r0 - r1):
+                while delta >= 0x80:
+                    out.append(0x80 | (delta & 0x7F))
+                    delta >>= 7
+                out.append(delta)
     return bytes(out)
 
 
@@ -361,17 +311,12 @@ def emit_witness(prop_index: int, cex: Counterexample | None, status: str = "sat
 
 @dataclass(frozen=True)
 class CounterBuild:
-    """Counter circuit plus handles on its named internal nets."""
+    """Counter circuit with its properties, width and reset threshold rval."""
 
     circuit: Circuit
     props: tuple[PropertySpec, ...]
     bits: int
     rval: int
-    enable: Literal
-    req: Literal
-    val: tuple[Literal, ...]  # LSB first
-    eq_rval: Literal
-    reset: Literal
 
 
 def build_counter(bits: int, thresholds=None) -> CounterBuild:
@@ -435,9 +380,7 @@ def build_counter(bits: int, thresholds=None) -> CounterBuild:
     props = tuple(
         PropertySpec(i, bad, PropertyKind.ETH) for i, bad in enumerate(circuit.bads)
     )
-    return CounterBuild(
-        circuit, props, bits, rval, enable, req, val, eq_rval, reset
-    )
+    return CounterBuild(circuit, props, bits, rval)
 
 
 def gen_counter(bits: int):

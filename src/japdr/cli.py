@@ -29,7 +29,7 @@ from .aiger import (
 )
 from .circuit import Counterexample, PropertyKind, PropertySpec
 from .clausedb import ClauseDbError
-from .oracle import CheckMode, OracleError, bmc, brute_check, brute_debug_set
+from .oracle import CheckMode, ExplicitModel, OracleError, bmc
 from .orchestrator import Mode, TaskOptions, VerificationTask, run
 from .report import (
     EXIT_FAILURES,
@@ -272,23 +272,21 @@ def _cmd_bmc(args) -> int:
 def _cmd_oracle(args) -> int:
     circuit, props = _load(args.input)
     try:
-        debug = brute_debug_set(circuit, props, cap_bits=args.cap_bits)
-        rows = []
-        for i in range(len(props)):
-            local = brute_check(circuit, props, i, CheckMode.LOCAL, cap_bits=args.cap_bits)
-            global_ = brute_check(circuit, props, i, CheckMode.GLOBAL, cap_bits=args.cap_bits)
-            rows.append((i, local, global_))
+        model = ExplicitModel(circuit, cap_bits=args.cap_bits)
     except OracleError as exc:
         print(f"japdr: oracle: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    any_fail = False
-    for i, local, global_ in rows:
+    debug = []
+    for i in range(len(props)):
+        local = model.brute_check(props, i, CheckMode.LOCAL)
+        global_ = model.brute_check(props, i, CheckMode.GLOBAL)
         ltxt = "holds" if local.holds else f"fails (depth {local.cex.depth})"
         gtxt = "holds" if global_.holds else f"fails (depth {global_.cex.depth})"
         print(f"P{i}: local {ltxt}; global {gtxt}")
-        any_fail = any_fail or not local.holds
-    print("debugging set: {" + ", ".join(f"P{i}" for i in sorted(debug)) + "}")
-    return EXIT_FAILURES if any_fail else EXIT_OK
+        if not local.holds:
+            debug.append(i)
+    print("debugging set: {" + ", ".join(f"P{i}" for i in debug) + "}")
+    return EXIT_FAILURES if debug else EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -161,10 +161,6 @@ class StepEncoding:
         base = self.varmap[self.circuit.latch_vars[latch_pos]]
         return base if value else base ^ 1
 
-    def input_lit(self, input_pos: int, value: int) -> int:
-        base = self.varmap[1 + input_pos]
-        return base if value else base ^ 1
-
     def read_latches(self, result) -> tuple[int, ...]:
         return tuple(
             result.value(self.varmap[v]) for v in self.circuit.latch_vars

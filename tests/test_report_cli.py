@@ -4,8 +4,10 @@ import pytest
 
 from japdr.aiger import circuit_fingerprint, emit_ascii, gen_counter, parse_file
 from japdr.circuit import Counterexample, TraceFrame
+from japdr import cli
 from japdr.cli import main
 from japdr.clausedb import ClauseRecord, append
+from japdr.oracle import CheckMode, ExplicitModel, brute_check
 from japdr.orchestrator import (
     Mode,
     RunReport,
@@ -283,7 +285,7 @@ def test_cli_gen_output_format_follows_extension(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_gen_random_and_oracle(tmp_path, capsys):
+def test_cli_gen_random_and_oracle(tmp_path, capsys, monkeypatch):
     out = tmp_path / "r.aag"
     assert (
         main(
@@ -293,10 +295,31 @@ def test_cli_gen_random_and_oracle(tmp_path, capsys):
         == EXIT_OK
     )
     capsys.readouterr()
+    built = []
+
+    class CountingModel(ExplicitModel):
+        def __init__(self, *args, **kw):
+            built.append(1)
+            super().__init__(*args, **kw)
+
+    monkeypatch.setattr(cli, "ExplicitModel", CountingModel)
     code = main(["oracle", str(out)])
-    text = capsys.readouterr().out
-    assert code in (EXIT_OK, EXIT_FAILURES)
-    assert "local" in text.lower()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(built) == 1  # one tabulation answers every question
+
+    def verdict(result):
+        return "holds" if result.holds else f"fails (depth {result.cex.depth})"
+
+    circuit, props = parse_file(out)
+    debug = []
+    for i in range(len(props)):
+        local = brute_check(circuit, props, i, CheckMode.LOCAL)
+        global_ = brute_check(circuit, props, i, CheckMode.GLOBAL)
+        assert lines[i] == f"P{i}: local {verdict(local)}; global {verdict(global_)}"
+        if not local.holds:
+            debug.append(f"P{i}")
+    assert lines[len(props):] == ["debugging set: {" + ", ".join(debug) + "}"]
+    assert code == (EXIT_FAILURES if debug else EXIT_OK)
 
 
 def test_cli_bmc(tmp_path, capsys):
@@ -359,14 +382,18 @@ def test_cli_bmc_rejects_a_negative_depth(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
     path = counter_file(tmp_path)
+    src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "japdr", "check", str(path), "--reuse-clauses", "off"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert proc.returncode == EXIT_FAILURES
     assert "FailsLocal" in proc.stdout
