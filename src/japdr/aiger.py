@@ -182,34 +182,6 @@ def _assemble(m, input_lits, latch_rows, and_rows, output_lits, bad_lits, constr
     for lhs, r0, r1 in and_rows:
         gate_defs[define(lhs, "and output")] = (r0, r1)
 
-    # topologically order gates; ASCII files may list them in any order
-    order: list[int] = []
-    state: dict[int, int] = {}  # 1 = on stack, 2 = done
-    for root in gate_defs:
-        if state.get(root):
-            continue
-        stack = [(root, False)]
-        while stack:
-            var, expanded = stack.pop()
-            if expanded:
-                state[var] = 2
-                order.append(var)
-                continue
-            if state.get(var) == 2:
-                continue
-            if state.get(var) == 1:
-                raise AigerError(f"cyclic and definition at variable {var}")
-            state[var] = 1
-            stack.append((var, True))
-            for operand in gate_defs[var]:
-                opv = operand >> 1
-                if opv in gate_defs and state.get(opv) != 2:
-                    if state.get(opv) == 1:
-                        raise AigerError(f"cyclic and definition at variable {opv}")
-                    stack.append((opv, False))
-    for i, var in enumerate(order):
-        var_map[var] = 1 + ni + nl + i
-
     def convert(aiger_lit, what):
         var = aiger_lit >> 1
         if var not in var_map:
@@ -220,6 +192,34 @@ def _assemble(m, input_lits, latch_rows, and_rows, output_lits, bad_lits, constr
             neg = not neg
         return Literal(mapped, neg)
 
+    # number each gate after its operands; ASCII files may list them in any order
+    gates = []
+    on_path = set()  # gates whose operands are being numbered
+    for root in gate_defs:
+        stack = [root]
+        while stack:
+            var = stack[-1]
+            if var in var_map:
+                stack.pop()
+                continue
+            on_path.add(var)
+            waiting = False
+            for operand in gate_defs[var]:
+                opv = operand >> 1
+                if opv in gate_defs and opv not in var_map:
+                    if opv in on_path:
+                        raise AigerError(f"cyclic and definition at variable {opv}")
+                    stack.append(opv)
+                    waiting = True
+            if waiting:
+                continue
+            stack.pop()
+            on_path.discard(var)
+            var_map[var] = 1 + ni + nl + len(gates)
+            r0, r1 = gate_defs[var]
+            left, right = convert(r0, "and operand"), convert(r1, "and operand")
+            gates.append(AndGate(var_map[var], left, right))
+
     latches = []
     for i, (cur, nxt, init) in enumerate(latch_rows):
         if init == cur:
@@ -227,12 +227,6 @@ def _assemble(m, input_lits, latch_rows, and_rows, output_lits, bad_lits, constr
         if init not in (0, 1):
             raise AigerError(f"latch {i} init literal {init} not supported")
         latches.append(Latch(1 + ni + i, convert(nxt, f"latch {i} next"), init))
-    gates = []
-    for var in order:
-        r0, r1 = gate_defs[var]
-        gates.append(
-            AndGate(var_map[var], convert(r0, "and operand"), convert(r1, "and operand"))
-        )
     for lit in output_lits:
         convert(lit, "output")
     bads = tuple(convert(lit, "bad") for lit in bad_lits)
