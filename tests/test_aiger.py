@@ -219,12 +219,6 @@ def test_parse_rejects_malformed(data):
         parse(data)
 
 
-def test_repeated_input_is_not_orphaned_by_a_gate_reading_it():
-    # the second declaration used to win, leaving input 0 unread
-    with pytest.raises(AigerError, match="defined twice"):
-        parse(b"aag 3 2 0 1 1\n2\n2\n6\n6 2 2\n")
-
-
 def test_ascii_last_line_may_lack_its_newline():
     c, props = parse(b"aag 2 1 0 0 1 1\n2\n4\n4 2 3")
     assert c.num_inputs == 1 and len(c.ands) == 1 and len(props) == 1

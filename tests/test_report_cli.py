@@ -2,9 +2,9 @@ import json
 
 import pytest
 
+from japdr import cli
 from japdr.aiger import circuit_fingerprint, emit_ascii, gen_counter, parse_file
 from japdr.circuit import Counterexample, TraceFrame
-from japdr import cli
 from japdr.cli import main
 from japdr.clausedb import ClauseRecord, append
 from japdr.oracle import CheckMode, ExplicitModel, brute_check
