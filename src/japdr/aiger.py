@@ -56,12 +56,7 @@ def parse(data: bytes):
     counts = header[1:]
     if not 5 <= len(counts) <= 9:
         raise AigerError(f"header has {len(counts)} count fields, expected 5..9")
-    try:
-        nums = [int(tok) for tok in counts]
-    except ValueError as exc:
-        raise AigerError(f"non-numeric header field: {exc}") from None
-    if any(n < 0 for n in nums):
-        raise AigerError("negative header field")
+    nums = [_read_uint(tok, "header field") for tok in counts]
     nums += [0] * (9 - len(nums))
     m, ni, nl, no, na, nb, nc, nj, nf = nums
     if nj or nf:
@@ -119,13 +114,11 @@ def parse_file(path):
 
 
 def _read_uint(tok: bytes, what: str) -> int:
-    try:
-        value = int(tok)
-    except ValueError:
-        raise AigerError(f"bad {what}: {tok!r}") from None
-    if value < 0:
-        raise AigerError(f"negative {what}")
-    return value
+    # ASCII digits only: `int` would also take a sign, underscores and
+    # other scripts' digits
+    if not tok.isdigit():
+        raise AigerError(f"bad {what}: {tok!r}")
+    return int(tok)
 
 
 def _read_deltas(data, pos, first_var, count):
@@ -161,7 +154,8 @@ def _read_deltas(data, pos, first_var, count):
 def _assemble(m, input_lits, latch_rows, and_rows, output_lits, bad_lits, constr_lits):
     """Remap arbitrary file numbering onto the dense in-memory layout and
     build the circuit. Each input, latch and gate output must be an even
-    nonzero literal of its own; outputs are checked but not kept."""
+    nonzero literal of its own, its variable at most M; outputs are
+    checked but not kept."""
     ni, nl = len(input_lits), len(latch_rows)
     if m < ni + nl + len(and_rows):
         raise AigerError(f"header M={m} smaller than I+L+A")
@@ -171,6 +165,8 @@ def _assemble(m, input_lits, latch_rows, and_rows, output_lits, bad_lits, constr
     def define(lit, what):
         if lit < 2 or lit & 1:
             raise AigerError(f"{what} literal must be even and nonzero: {lit}")
+        if lit >> 1 > m:
+            raise AigerError(f"{what} variable {lit >> 1} above M={m}")
         if lit >> 1 in var_map or lit >> 1 in gate_defs:
             raise AigerError(f"variable {lit >> 1} defined twice")
         return lit >> 1

@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import fcntl
 import os
-import time
 import warnings
 from dataclasses import dataclass
 
 from .circuit import Circuit, PropertySpec
-from .encode import constrained_step
-from .sat import Solver, Status, pos
+from .pdr import StepHolder, houdini
+from .sat import Status
 
 _HEADER = "japdr-clausedb v1"
 
@@ -178,51 +177,28 @@ def filter_invariant(
     deadline: float | None = None,
     stats=None,
 ) -> tuple[tuple[int, ...], ...]:
-    """Greatest fixpoint of mutually inductive candidates.
-
-    Repeatedly deletes any clause the reset state violates or whose
-    consecution under the surviving set, the constraint section and the
-    constraint properties fails, until stable. Every survivor holds on
-    every state the constrained system can reach. Output order follows
-    input order; duplicates collapse to their first occurrence.
+    """Greatest fixpoint of mutually inductive candidates: `pdr.houdini`
+    on a fresh step constrained by the constraint section and the
+    constraint properties. Every survivor holds on every state the
+    constrained system can reach. Output order follows input order;
+    duplicates collapse to their first occurrence.
     """
     clauses = list(dict.fromkeys(tuple(sorted(c)) for c in candidates if c))
     init = circuit.init_state()
-    alive = [_holds_at_reset(cl, init) for cl in clauses]
-    if not any(alive):
+    clauses = [cl for cl in clauses if _holds_at_reset(cl, init)]
+    if not clauses:
         return ()
 
-    solver = Solver()
-    enc = constrained_step(solver, circuit, constraint_props)
-    acts = []
-    for cl in clauses:
-        act = pos(solver.new_var())
-        solver.add_clause(
-            [act ^ 1, *(enc.latch_lit(l >> 1, 1 - (l & 1)) for l in cl)]
-        )
-        acts.append(act)
+    def unsat(solver, assumptions) -> bool:
+        result = solver.solve(assumptions, deadline=deadline)
+        if stats is not None:
+            stats.sat_calls += 1
+        if result.status is Status.UNKNOWN:
+            raise ClauseDbError("invariance filtering ran out of budget")
+        return result.status is Status.UNSAT
 
-    changed = True
-    while changed:
-        changed = False
-        for i, cl in enumerate(clauses):
-            if not alive[i]:
-                continue
-            if deadline is not None and time.monotonic() > deadline:
-                raise ClauseDbError("invariance filtering ran out of budget")
-            assumps = [acts[j] for j, a in enumerate(alive) if a]
-            assumps.extend(
-                enc.next_lit(l >> 1) ^ (1 - (l & 1)) for l in cl
-            )
-            result = solver.solve(assumps, deadline=deadline)
-            if stats is not None:
-                stats.sat_calls += 1
-            if result.status is Status.UNKNOWN:
-                raise ClauseDbError("invariance filtering ran out of budget")
-            if result.status is Status.SAT:
-                alive[i] = False
-                changed = True
-    return tuple(cl for i, cl in enumerate(clauses) if alive[i])
+    enc = StepHolder().step(circuit, constraint_props)
+    return houdini(enc, clauses, unsat)
 
 
 def seeds_for_context(

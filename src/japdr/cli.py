@@ -5,7 +5,8 @@ Subcommands: `check` runs the multi-property verifier on an AIGER file,
 for a bounded counterexample, `oracle` brute-forces small systems.
 
 Exit codes follow the report contract: 0 clean, 10 failures to debug,
-20 budget exhausted, 2 usage, 3 unreadable input.
+30 an engine error on some property, 20 budget exhausted, 2 usage,
+3 unreadable input.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .aiger import (
 from .circuit import Counterexample, PropertyKind, PropertySpec
 from .clausedb import ClauseDbError
 from .oracle import CheckMode, ExplicitModel, OracleError, bmc
-from .orchestrator import Mode, TaskOptions, VerificationTask, run
+from .orchestrator import Mode, TaskOptions, VerdictStatus, VerificationTask, run
 from .report import (
     EXIT_FAILURES,
     EXIT_OK,
@@ -144,7 +145,7 @@ def _write_witnesses(directory, report) -> dict[int, str]:
     for v in report.verdicts:
         if isinstance(v.evidence, Counterexample):
             data = emit_witness(v.property_index, v.evidence, "sat")
-        elif v.status.value == "Unknown":
+        elif v.status in (VerdictStatus.UNKNOWN, VerdictStatus.ERROR):
             data = emit_witness(v.property_index, None, "unknown")
         else:
             data = emit_witness(v.property_index, None, "unsat")
@@ -196,6 +197,12 @@ def _cmd_check(args) -> int:
     except ClauseDbError as exc:
         print(f"japdr: clause db: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    for v in report.verdicts:
+        if v.status is VerdictStatus.ERROR:
+            print(
+                f"japdr: engine error on P{v.property_index}: {v.evidence}",
+                file=sys.stderr,
+            )
     witnesses = None
     if args.witness_dir:
         witnesses = _write_witnesses(args.witness_dir, report)

@@ -1,25 +1,33 @@
 """Multi-property verification runs.
 
-One driver, `run`, serves every mode. The modes differ only in the set
-of properties a check of property p assumes on non-final frames: in JA
-mode every other expected-to-hold property, in separate-global mode
-none, and for an expected-to-fail property, in any mode, every
-expected-to-hold one. Each check takes its seeds from the clause store,
-runs, becomes a verdict and hands its invariant back to the store. The
-store trusts a record whose context lies within the check's assumed set
-plus its target, and filters the rest for invariance first. In JA mode
-every record of the pass qualifies, since every check assumes the
-whole expected-to-hold set bar its target, so a pass seeds each check
-from its siblings' proofs with no filtering at all.
+One driver, `run`, serves every mode from one worklist of property
+groups. The modes differ only in the set of properties a check assumes
+on non-final frames, and in how the expected-to-hold properties are
+grouped. In JA mode each is a group of its own and assumes every other
+expected-to-hold property; in separate-global mode each is a group of
+its own and assumes none; in joint mode they form one group, checked as
+the aggregate "some bad fires" under no assumptions. A counterexample to
+an aggregate decides the members whose bad fires on its final frame,
+and the rest go back to the front of the worklist as a smaller group,
+down to a lone survivor, which is checked like a separate-global one.
+Expected-to-fail properties come last, each a group of its own assuming
+every expected-to-hold property. A counterexample for one demonstrates
+the failure without breaking any expected behavior before its final
+frame; a proof instead is flagged, the expectation was wrong.
+
+A one-property group takes its seeds from the clause store, runs,
+becomes a verdict and hands its invariant back to the store. The store
+trusts a record whose context lies within the check's assumed set plus
+its target, and filters the rest for invariance first. In JA mode every
+record of the pass qualifies, since every check assumes the whole
+expected-to-hold set bar its target, so a pass seeds each check from its
+siblings' proofs with no filtering at all. An aggregate neither seeds
+nor harvests: its index, one past its members', may be another
+property's, whose records it does not assume.
 
 In JA mode the properties that still fail form the debugging set; if it
 is empty the local proofs jointly imply the global claim, so every
-expected-to-hold verdict is upgraded. Joint mode is the one special
-case: it conjoins the outstanding expected-to-hold properties into one
-aggregate check and peels off whatever each counterexample refutes.
-Expected-to-fail properties come last. A counterexample for one
-demonstrates the failure without breaking any expected behavior before
-its final frame; a proof instead is flagged, the expectation was wrong.
+expected-to-hold verdict is upgraded.
 
 Every check lifts its predecessors with the target and every assumed
 property kept clean, so a counterexample breaks nothing it assumes
@@ -27,11 +35,14 @@ before its final frame. Every trace is replayed to confirm it; one that
 is invalid or spurious is an engine error. Every proof is re-certified
 on the run's certificate solver, which no engine touches; when a proof
 built on seeded clauses is rejected, the seeds are dropped and the check
-runs once more, so clause re-use can never manufacture a verdict.
+runs once more, so clause re-use can never manufacture a verdict. An
+engine error makes every property of its group an Error verdict; the
+other groups are still checked, the JA upgrade does not fire, and the
+run is reported incomplete.
 
-Joint mode decides several properties with one aggregate check, so each
-verdict it peels off reports the time and SAT calls of that whole check;
-the run totals count every check once.
+An aggregate check decides several properties at once, so each verdict
+it decides reports the time and SAT calls of that whole check; the run
+totals count every check once.
 
 Each run keeps one `pdr.StepHolder` and hands it to every check, so
 consecutive checks over the same property set share one step solver. In
@@ -90,6 +101,7 @@ class VerdictStatus(enum.Enum):
     ETF_CONFIRMED = "EtfConfirmed"
     ETF_HOLDS_LOCAL = "EtfHoldsLocal"
     UNKNOWN = "Unknown"
+    ERROR = "Error"
 
 
 @dataclass(frozen=True)
@@ -136,7 +148,8 @@ class VerificationTask:
 class Verdict:
     property_index: int
     status: VerdictStatus
-    evidence: object = None  # clause count on holds, Counterexample on fails
+    evidence: object = None  # clause count on holds, Counterexample on fails,
+    # the error message on Error
     wall_s: float = 0.0
     frames: int = 0
     sat_calls: int = 0
@@ -213,9 +226,9 @@ def _check_one(
         if out.status is PdrStatus.FAILS:
             rep = replay_trace(circuit, out.cex, target, ctx)
             if not rep.valid or rep.spurious:
-                kind = "spurious" if rep.valid else "invalid"
+                kind = "a spurious" if rep.valid else "an invalid"
                 raise PdrError(
-                    f"engine returned a {kind} trace for property {target.index}"
+                    f"engine returned {kind} trace for property {target.index}"
                 )
             verdict.status, verdict.evidence = fails, out.cex
             break
@@ -310,7 +323,12 @@ def _conclusion(task, verdicts_by_index) -> str:
     counts = {}
     for v in verdicts_by_index.values():
         counts[v.status] = counts.get(v.status, 0) + 1
-    if eth and all(v.status is VerdictStatus.HOLDS_GLOBAL for v in eth):
+    errors = sorted(
+        i for i, v in verdicts_by_index.items() if v.status is VerdictStatus.ERROR
+    )
+    if errors:
+        head = "incomplete: engine error on " + ", ".join(f"P{i}" for i in errors)
+    elif eth and all(v.status is VerdictStatus.HOLDS_GLOBAL for v in eth):
         head = "all expected-to-hold properties hold globally"
     elif any(v.status is VerdictStatus.UNKNOWN for v in eth):
         head = "incomplete: some properties ran out of budget"
@@ -361,58 +379,21 @@ def _assumed(task: VerificationTask, prop: PropertySpec) -> tuple[PropertySpec, 
     return ()
 
 
-def _peel(
-    task: VerificationTask,
-    verdicts: dict,
-    total_deadline,
-    steps: StepHolder,
-    certs: StepHolder,
-) -> tuple[int, int]:
-    """Joint mode's expected-to-hold pass: one aggregate check over the
-    conjunction, repeated. Each counterexample refutes every property
-    whose bad fires on its final frame; those leave the aggregate and the
-    rest is re-checked, until a proof covers the survivors or the budget
-    runs out. A peeled verdict carries the cost of the aggregate check
-    that decided it. Returns the SAT calls and the clauses the engine
-    learned, each check counted once."""
-    circuit = task.circuit
-    sat_calls = learned = 0
-    unsolved = list(ordered_eth(task))
-    while unsolved:
-        prop_deadline = _prop_deadline(task.options, total_deadline)
-        if len(unsolved) == 1:
-            check_circuit, agg = circuit, unsolved[0]
-        else:
-            check_circuit, agg = aggregate_bad(circuit, unsolved)
-        v, _, n = _check_one(
-            check_circuit, agg, (), (), prop_deadline,
-            VerdictStatus.HOLDS_GLOBAL, VerdictStatus.FAILS_GLOBAL, steps, certs,
-        )
-        sat_calls += v.sat_calls
-        learned += n
-        if v.status is not VerdictStatus.FAILS_GLOBAL:
-            for p in unsolved:
-                verdicts[p.index] = replace(v, property_index=p.index)
-            break
-        frames = v.evidence.frames
-        values = eval_circuit(circuit, frames[-1])
-        confirmed = [p for p in unsolved if eval_literal(values, p.bad)]
-        if not confirmed:
-            raise PdrError("aggregate counterexample refutes no property")
-        for p in confirmed:
-            verdicts[p.index] = replace(
-                v, property_index=p.index, evidence=Counterexample(frames, p.index)
-            )
-        unsolved = [p for p in unsolved if p not in confirmed]
-    return sat_calls, learned
-
-
 def run(task: VerificationTask) -> RunReport:
-    """Check every property of the task, each under `_assumed(task, p)`.
+    """Check every property of the task from one worklist of groups, each
+    property under `_assumed(task, p)`.
 
-    Expected-to-hold properties go first, in `ordered_eth` order (joint
-    mode peels them instead), then the expected-to-fail ones. In JA mode
-    an empty debugging set upgrades every expected-to-hold verdict to
+    Each expected-to-hold property is a group of its own, in
+    `ordered_eth` order, except in joint mode, where they form one group;
+    each expected-to-fail property follows as a group of its own. A group
+    of several is checked as its `aggregate_bad`: a counterexample
+    decides the members whose bad fires on its final frame and puts the
+    rest back at the front, and any other outcome decides the whole
+    group. Only one-property groups take seeds from the clause store and
+    hand their invariant back: an aggregate's index may name another
+    property. An engine error makes every property of its group an Error
+    verdict, and the run goes on with the other groups. In JA mode an
+    empty debugging set upgrades every expected-to-hold verdict to
     HoldsGlobal.
     """
     opts = task.options
@@ -423,12 +404,12 @@ def run(task: VerificationTask) -> RunReport:
     steps, certs = StepHolder(), StepHolder()
     verdicts: dict[int, Verdict] = {}
     sat_calls = learned = 0
-    if task.mode is Mode.JOINT:
-        sat_calls, learned = _peel(task, verdicts, total_deadline, steps, certs)
-        singles = list(task.etf_properties)
-    else:
-        singles = [*ordered_eth(task), *task.etf_properties]
-    for prop in singles:
+    eth = ordered_eth(task)
+    work = [eth] if task.mode is Mode.JOINT and eth else [[p] for p in eth]
+    work += [[p] for p in task.etf_properties]
+    while work:
+        group = work.pop(0)
+        prop = group[0]
         if prop.kind is PropertyKind.ETF:
             outcomes = VerdictStatus.ETF_HOLDS_LOCAL, VerdictStatus.ETF_CONFIRMED
         elif task.mode is Mode.JA:
@@ -438,16 +419,41 @@ def run(task: VerificationTask) -> RunReport:
         prop_deadline = _prop_deadline(opts, total_deadline)
         ctx = _assumed(task, prop)
         pre = PdrStats()
-        seeds = store.seeds(circuit, prop, ctx, prop_deadline, pre)
-        v, invariant, n = _check_one(
-            circuit, prop, ctx, seeds, prop_deadline, *outcomes, steps, certs
-        )
+        g0 = time.monotonic()
+        try:
+            if len(group) == 1:
+                seeds = store.seeds(circuit, prop, ctx, prop_deadline, pre)
+                v, invariant, n = _check_one(
+                    circuit, prop, ctx, seeds, prop_deadline, *outcomes, steps, certs
+                )
+                store.harvest(prop, ctx, invariant)
+            else:
+                v, _, n = _check_one(
+                    *aggregate_bad(circuit, group), ctx, (), prop_deadline,
+                    *outcomes, steps, certs,
+                )
+            decided = group
+            if v.status is outcomes[1] and len(group) > 1:
+                values = eval_circuit(circuit, v.evidence.frames[-1])
+                decided = [p for p in group if eval_literal(values, p.bad)]
+                if not decided:
+                    raise PdrError("aggregate counterexample refutes no property")
+        except PdrError as err:
+            wall = time.monotonic() - g0
+            for p in group:
+                verdicts[p.index] = Verdict(p.index, VerdictStatus.ERROR, str(err), wall)
+            continue
         v.sat_calls += pre.sat_calls
         sat_calls += v.sat_calls
         learned += n
-        verdicts[prop.index] = v
-        store.harvest(prop, ctx, invariant)
-    eth = task.eth_properties
+        for p in decided:
+            evidence = v.evidence
+            if isinstance(evidence, Counterexample):
+                evidence = Counterexample(evidence.frames, p.index)
+            verdicts[p.index] = replace(v, property_index=p.index, evidence=evidence)
+        rest = [p for p in group if p not in decided]
+        if rest:
+            work.insert(0, rest)
     if task.mode is Mode.JA and eth and all(
         verdicts[p.index].status is VerdictStatus.HOLDS_LOCAL for p in eth
     ):

@@ -22,7 +22,9 @@ the induction precheck and every consecution query, comes from a
 `StepHolder` that keeps it across checks of one property set.
 `certify` takes its step from a second holder that no engine touches,
 so no engine state reaches it; a run's certificates all share that
-solver, each behind an activation literal it retires.
+solver, each behind an activation literal it retires. `houdini`, the
+fixpoint of inductive clauses, answers both a certificate and the clause
+store's seed filter.
 """
 
 from __future__ import annotations
@@ -102,8 +104,8 @@ class _CexFound(Exception):
 class _Frames:
     """One solver's image of the frames: a circuit copy, one activation
     literal per level and one for the inductive clauses. The reset frame
-    F_0 is assumed latch by latch, never a clause set. `certify` uses
-    one with no levels for the strengthening it checks."""
+    F_0 is assumed latch by latch, never a clause set. `houdini` uses
+    one with no levels for each round of candidates."""
 
     def __init__(self, enc: StepEncoding, levels: int):
         self.enc = enc
@@ -538,6 +540,42 @@ def check_property(
     ).run()
 
 
+def houdini(enc: StepEncoding, clauses, unsat, bad: int | None = None):
+    """The largest subset of `clauses` that holds at reset and is
+    inductive on `enc`'s constrained step (Flanagan & Leino, FME 2001).
+
+    Candidates false at reset go first. Then each round puts the
+    survivors behind one activation literal, asks `bad` (a next-state
+    literal) and each survivor's next-state negation, drops every
+    survivor that can break, and retires the literal; the first round
+    that drops nothing ends it, so an inductive set costs one query per
+    clause and one for `bad`. `unsat(solver, assumptions)` answers each
+    query. Returns the survivors in input order, or None once `bad` can
+    fire: fewer survivors only make that easier."""
+    init = enc.circuit.init_state()
+    alive = [c for c in clauses if any(init[l >> 1] == 1 - (l & 1) for l in c)]
+    solver = enc.solver
+    while True:
+        frames = _Frames(enc, 0)
+        act = frames.inf_act
+        try:
+            for clause in alive:
+                frames.add(clause, None)
+            if bad is not None and not unsat(solver, [act, bad]):
+                return None
+            kept = [
+                c for c in alive
+                if unsat(solver, [act, *(enc.next_lit(l >> 1) ^ (1 - (l & 1)) for l in c)])
+            ]
+        finally:
+            frames.retire()
+            if alive:
+                solver.simplify()
+        if len(kept) == len(alive):
+            return tuple(kept)
+        alive = kept
+
+
 def certify(
     circuit: Circuit,
     constraint_props,
@@ -550,22 +588,18 @@ def certify(
 ) -> bool:
     """Independent inductiveness check of target plus strengthening.
 
-    Checks: from any constrained frame satisfying target and
-    strengthening, the successor satisfies both again; and the reset
-    state satisfies the strengthening and cannot fire bad. The step and
-    the target's next-state bad cone come from `steps`, a holder no
-    engine touches (without one, a fresh holder), so engine state cannot
-    leak in. The strengthening sits behind an activation literal of this
-    call, retired however the call ends, so none of it stays active for
-    the next certificate. The reset check gets a small solver of its own
-    over the target's reset cone: a step whose level-0 units contradict
-    each other answers every query UNSAT, and must not answer that one.
+    Checks: the reset state satisfies the strengthening and cannot fire
+    bad; and from any constrained frame satisfying target and
+    strengthening, the successor satisfies both again, which is `houdini`
+    keeping every clause with the target's next-state bad as `bad`. The
+    step and that bad cone come from `steps`, a holder no engine touches
+    (without one, a fresh holder), so engine state cannot leak in, and
+    `houdini` leaves none of the strengthening active for the next
+    certificate. The reset check gets a small solver of its own over the
+    target's reset cone: a step whose level-0 units contradict each
+    other answers every query UNSAT, and must not answer that one.
     """
     clauses = [tuple(sorted(c)) for c in invariant_clauses]
-    init = circuit.init_state()
-    for clause in clauses:
-        if not any(init[l >> 1] == 1 - (l & 1) for l in clause):
-            return False
 
     def unsat(solver, assumptions) -> bool:
         result = solver.solve(assumptions, deadline=deadline)
@@ -577,28 +611,16 @@ def certify(
 
     steps = steps or StepHolder()
     enc = steps.step(circuit, (target, *constraint_props))
-    nxt = steps.next_bad(target)
-    frames = _Frames(enc, 0)
-    solver, act = frames.solver, frames.inf_act
-    try:
-        for clause in clauses:
-            frames.add(clause, None)
-        if not unsat(solver, [act, nxt.lit(target.bad)]):
-            return False
-        for clause in clauses:
-            broken = [enc.next_lit(l >> 1) ^ (1 - (l & 1)) for l in clause]
-            if not unsat(solver, [act, *broken]):
-                return False
-    finally:
-        frames.retire()
-        if clauses:
-            solver.simplify()
+    bad = steps.next_bad(target).lit(target.bad)
+    kept = houdini(enc, clauses, unsat, bad)
+    if kept is None or len(kept) < len(clauses):
+        return False
     reset = Solver()
     true_lit = const_true(reset)
     enc_init = StepEncoding(
         reset,
         circuit,
-        latch_lits=[true_lit if v else true_lit ^ 1 for v in init],
+        latch_lits=[true_lit if v else true_lit ^ 1 for v in circuit.init_state()],
         cone_roots=[target.bad],
     )
     return unsat(reset, [enc_init.lit(target.bad)])
@@ -610,9 +632,10 @@ class StepHolder:
     expected-to-hold check assumes all the others, so one solver serves
     the whole pass. A run keeps two: one its engines share, each keeping
     its frames behind activation literals of its own and retiring them
-    when its run ends, and one for `certify`, which no engine touches. A
-    fresh step is simplified once, after its constraint and clean units
-    have fixed what they fix at level 0."""
+    when its run ends, and one for `certify`, which no engine touches;
+    the seed filter takes a fresh one per call. A fresh step is
+    simplified once, after its constraint and clean units have fixed
+    what they fix at level 0."""
 
     def __init__(self):
         self._circuit: Circuit | None = None

@@ -6,12 +6,15 @@ Exit codes are a pure function of the verdict multiset:
         every expected-to-fail property was confirmed failing
     10  something demands developer attention: a failing property
         (locally or globally) or an expected failure that held instead
-    20  no failures, but some verdicts ran out of budget
+    30  no failures, but the engine hit an internal error on some
+        property (an Error verdict); the other verdicts stand
+    20  no failures or errors, but some verdicts ran out of budget
     2   usage error (argument parsing)
     3   input parse error
 
-Failures outrank unknowns: a run with both exits 10, since the
-debugging work it points at does not wait on the undecided rest.
+Failures outrank errors, and errors outrank unknowns: a run with a
+failure exits 10, since the debugging work it points at does not wait
+on the undecided rest.
 
 JSON reports follow REPORT_SCHEMA below and serialize with sorted keys
 and fixed separators, so parse and re-emit is byte-stable.
@@ -29,6 +32,7 @@ from .orchestrator import RunReport, Verdict, VerdictStatus
 EXIT_OK = 0
 EXIT_FAILURES = 10
 EXIT_UNKNOWN = 20
+EXIT_ERROR = 30
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 
@@ -43,6 +47,8 @@ _ATTENTION = (
 # several properties, so each of their verdicts reports that whole
 # check's time_s and sat_calls; totals.sat_calls counts every check once.
 # retried_respect is always false: every check lifts in respect mode.
+# An Error verdict has empty evidence; `japdr check` prints its message
+# on stderr.
 REPORT_SCHEMA = {
     "mode": "str",
     "conclusion": "str",
@@ -70,6 +76,8 @@ def exit_code(verdicts) -> int:
     statuses = [v.status for v in verdicts]
     if any(s in _ATTENTION for s in statuses):
         return EXIT_FAILURES
+    if any(s is VerdictStatus.ERROR for s in statuses):
+        return EXIT_ERROR
     if any(s is VerdictStatus.UNKNOWN for s in statuses):
         return EXIT_UNKNOWN
     return EXIT_OK

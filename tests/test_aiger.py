@@ -167,10 +167,15 @@ MALFORMED = {
     "zero latch": b"aag 1 0 1 0 0\n0 2 0\n",
     "odd gate output": b"aag 2 1 0 0 1\n2\n5 2 2\n",
     "zero gate output": b"aag 2 1 0 0 1\n2\n0 2 2\n",
+    "input above M": b"aag 1 1 0 0 0\n8\n",
+    "gate above M": b"aag 2 1 0 0 1\n2\n40 2 3\n",
     # row shapes and values
     "two fields on an input row": b"aag 1 1 0 0 0\n2 2\n",
     "non-numeric input": b"aag 1 1 0 0 0\nx\n",
     "negative output": b"aag 1 1 0 1 0\n2\n-2\n",
+    "signed input": b"aag 1 1 0 0 0\n+2\n",
+    "underscored input": b"aag 1 1 0 0 0\n1_0\n",
+    "signed count": b"aag 1 +1 0 0 0\n2\n",
     "ascii latch with one field": b"aag 1 0 1 0 0\n2\n",
     "ascii latch with four fields": b"aag 1 0 1 0 0\n2 2 0 0\n",
     "binary latch with no field": b"aig 1 0 1 0 0\n\n",

@@ -8,6 +8,7 @@ from japdr.aiger import build_counter, circuit_fingerprint, gen_counter, gen_ran
 from japdr.circuit import (
     TRUE,
     Circuit,
+    Counterexample,
     Latch,
     Literal,
     PropertyKind,
@@ -16,7 +17,7 @@ from japdr.circuit import (
     property_violated,
     replay_trace,
 )
-from japdr import encode, orchestrator, pdr
+from japdr import clausedb, encode, orchestrator, pdr
 from japdr.clausedb import ClauseRecord, append, load
 from japdr.oracle import CheckMode, brute_check, brute_debug_set, reachable
 from japdr.orchestrator import (
@@ -416,16 +417,19 @@ def test_a_rejected_seeded_proof_reruns_once_without_seeds(tmp_path, monkeypatch
     assert v.certified and v.seeds_used == 0
     assert any(u.seeds_used for u in rep.verdicts)  # the other checks kept theirs
 
-    # a rejected proof that used no seeds has nothing to drop
+    # a rejected proof that used no seeds has nothing to drop: an engine
+    # error, reported on its property alone
     monkeypatch.setattr(orchestrator, "certify", lambda *a, **k: False)
-    with pytest.raises(pdr.PdrError, match="certification rejected"):
-        run(VerificationTask(thr.circuit, thr.props, Mode.SEPARATE_GLOBAL))
+    rep = run(VerificationTask(thr.circuit, thr.props, Mode.SEPARATE_GLOBAL))
+    assert all(v.status is S.ERROR for v in rep.verdicts)
+    assert all("certification rejected" in v.evidence for v in rep.verdicts)
 
 
 def test_replay_rejects_a_trace_lifted_past_the_assumptions(monkeypatch):
     # a deliberately broken engine hook: predecessors lifted for the
     # successor and the constraint section only, the assumed properties
-    # ignored; the run must stop on the spurious trace, never report it
+    # ignored; the spurious trace is an engine error on its property,
+    # never a verdict
     def ignoring(self, state, inputs, succ_cube):
         nxt = [(self.circuit.latches[l >> 1].next, l & 1) for l in succ_cube]
         goals = [~n if neg else n for n, neg in nxt]
@@ -434,12 +438,10 @@ def test_replay_rejects_a_trace_lifted_past_the_assumptions(monkeypatch):
     monkeypatch.setattr(pdr.PdrEngine, "_lift_pred", ignoring)
     caught = 0
     for c, props in constraint_section_systems():
-        try:
-            rep = run(VerificationTask(c, tuple(props), Mode.JA))
-        except pdr.PdrError as err:
-            assert "spurious" in str(err)
-            caught += 1
-            continue
+        rep = run(VerificationTask(c, tuple(props), Mode.JA))
+        errors = [v for v in rep.verdicts if v.status is S.ERROR]
+        assert all("spurious" in v.evidence for v in errors)
+        caught += bool(errors)
         for v in rep.verdicts:
             if v.status is S.FAILS_LOCAL:
                 others = [p for p in props if p.index != v.property_index]
@@ -580,3 +582,110 @@ def test_ja_run_encodes_one_constrained_step_per_pass(monkeypatch):
         counts.append((steps, certified))
     assert counts[0] == (2, 6)
     assert report.debugging_set  # the last system has failing checks too
+
+
+def test_a_joint_aggregate_never_takes_seeds_meant_for_its_index(tmp_path, monkeypatch):
+    # the aggregate of ETH {0, 1} has index 2, which is also the ETF
+    # property's; a record proven while P2 stayed clean is trusted for
+    # target 2 under no assumptions, yet false on a globally reachable
+    # state, so an aggregate that took store seeds would start from a lie
+    calls = []
+    real_check = orchestrator.check_property
+
+    def recording(circuit, target, ctx=(), seeds=(), **kwargs):
+        calls.append((circuit, len(seeds)))
+        return real_check(circuit, target, ctx, seeds, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "check_property", recording)
+    tested = 0
+    for seed in (5, 6, 11):
+        c, props = gen_random_circuit(
+            random.Random(seed), num_inputs=2, num_latches=5, num_gates=16,
+            num_props=3, mutate=seed % 2 == 1,
+        )
+        props = (*props[:2], replace(props[2], kind=PropertyKind.ETF))
+        init = c.init_state()
+        kept_clean = reachable(c, [props[2]]).states()
+        everywhere = reachable(c, []).states()
+        latch = next(
+            i for i in range(c.num_latches)
+            if all(s[i] == init[i] for s in kept_clean)
+            and any(s[i] != init[i] for s in everywhere)
+        )
+        db = tmp_path / f"{seed}.db"
+        clause = (pdr.latch_literal(latch, init[latch]),)
+        append([ClauseRecord(clause, 2, (2,), circuit_fingerprint(c))], str(db))
+        calls.clear()
+        opts = TaskOptions(reuse_clauses=True, clause_db=str(db))
+        rep = run(VerificationTask(c, props, Mode.JOINT, opts))
+        assert any(circuit is not c for circuit, _ in calls)  # an aggregate ran
+        assert all(n == 0 for circuit, n in calls if circuit is not c)
+        for p in props[:2]:
+            v = verdict_for(rep, p.index)
+            assert v.seeds_used == 0, (seed, v)
+            o_global = brute_check(c, props, p.index, CheckMode.GLOBAL)
+            assert (v.status is S.HOLDS_GLOBAL) == o_global.holds, (seed, v)
+        tested += 1
+    assert tested == 3
+
+
+def test_joint_verdicts_keep_their_index_when_etf_and_eth_interleave():
+    rng = random.Random(41)
+    decided = {S.HOLDS_GLOBAL: 0, S.FAILS_GLOBAL: 0}
+    for _ in range(12):
+        c, props = gen_random_circuit(
+            rng, num_inputs=2, num_latches=5, num_gates=18, num_props=4,
+            mutate=rng.random() < 0.5,
+        )
+        props = tuple(
+            replace(p, kind=PropertyKind.ETF) if p.index % 2 else p for p in props
+        )
+        eth = [p for p in props if p.kind is PropertyKind.ETH]
+        rep = run(VerificationTask(c, props, Mode.JOINT))
+        assert [v.property_index for v in rep.verdicts] == [0, 1, 2, 3]
+        for v, p in zip(rep.verdicts, props):
+            if p.kind is PropertyKind.ETH:
+                holds = brute_check(c, props, p.index, CheckMode.GLOBAL).holds
+                assert v.status is (S.HOLDS_GLOBAL if holds else S.FAILS_GLOBAL), v
+                decided[v.status] += 1
+                ctx = ()
+            else:
+                holds = brute_check(c, [*eth, p], p.index, CheckMode.LOCAL).holds
+                assert v.status is (S.ETF_HOLDS_LOCAL if holds else S.ETF_CONFIRMED), v
+                ctx = eth
+            if isinstance(v.evidence, Counterexample):
+                assert v.evidence.violated_property == p.index
+                rr = replay_trace(c, v.evidence, p, ctx)
+                assert rr.valid and not rr.spurious
+    assert all(decided.values())
+
+
+def test_the_seed_filter_builds_its_step_through_the_one_builder(tmp_path, monkeypatch):
+    # a separate-global run over a store a JA run wrote must filter the
+    # local records; each filter call builds exactly one constrained step,
+    # through the same builder the engines and certificates use
+    built, filtered = [], []
+    build, real_filter = pdr.constrained_step, clausedb.filter_invariant
+
+    def counting_step(solver, circuit, props):
+        built.append(tuple(p.index for p in props))
+        return build(solver, circuit, props)
+
+    def recording(candidates, circuit, constraint_props, **kwargs):
+        before = len(built)
+        out = real_filter(candidates, circuit, constraint_props, **kwargs)
+        filtered.append((tuple(p.index for p in constraint_props), built[before:]))
+        return out
+
+    monkeypatch.setattr(pdr, "constrained_step", counting_step)
+    monkeypatch.setattr(clausedb, "filter_invariant", recording)
+    for seed in range(4):
+        c, props = gen_random_circuit(
+            random.Random(seed), num_inputs=2, num_latches=6, num_gates=20, num_props=3
+        )
+        opts = TaskOptions(reuse_clauses=True, clause_db=str(tmp_path / f"{seed}.db"))
+        run(VerificationTask(c, tuple(props), Mode.JA, opts))
+        run(VerificationTask(c, tuple(props), Mode.SEPARATE_GLOBAL, opts))
+    assert filtered
+    for ctx, steps in filtered:
+        assert steps == [ctx]

@@ -1,10 +1,18 @@
 import json
+import random
 
 import pytest
 
-from japdr import cli
-from japdr.aiger import circuit_fingerprint, emit_ascii, gen_counter, parse_file
-from japdr.circuit import Counterexample, TraceFrame
+from japdr import cli, orchestrator, pdr
+from japdr.aiger import (
+    build_counter,
+    circuit_fingerprint,
+    emit_ascii,
+    gen_counter,
+    gen_random_circuit,
+    parse_file,
+)
+from japdr.circuit import Counterexample, TraceFrame, property_violated
 from japdr.cli import main
 from japdr.clausedb import ClauseRecord, append
 from japdr.oracle import CheckMode, ExplicitModel, brute_check
@@ -18,6 +26,7 @@ from japdr.orchestrator import (
     run,
 )
 from japdr.report import (
+    EXIT_ERROR,
     EXIT_FAILURES,
     EXIT_OK,
     EXIT_PARSE,
@@ -31,6 +40,7 @@ from japdr.report import (
     validate_report_json,
 )
 from test_acceptance import replay_witness_file
+from test_orchestrator import _expected_status, verdict_for
 
 
 def v(index, status):
@@ -49,6 +59,11 @@ def v(index, status):
         # a failure somewhere outranks an unknown elsewhere
         ([S.UNKNOWN, S.FAILS_LOCAL], EXIT_FAILURES),
         ([], EXIT_OK),
+        # an engine error sits between the two
+        ([S.ERROR, S.HOLDS_LOCAL], EXIT_ERROR),
+        ([S.ERROR, S.UNKNOWN], EXIT_ERROR),
+        ([S.ERROR, S.FAILS_GLOBAL], EXIT_FAILURES),
+        ([S.ERROR, S.ETF_HOLDS_LOCAL], EXIT_FAILURES),
     ],
 )
 def test_exit_code_table(statuses, want):
@@ -226,6 +241,60 @@ def test_cli_prints_clause_store_warnings_as_single_lines(tmp_path, capsys):
     assert all(line.startswith("japdr: clause db: ") for line in err)
     assert "torn last record" in err[0]
     assert "section for unknown circuit ffffffffffff skipped" in err[1]
+
+
+def test_an_engine_error_costs_only_its_own_verdict(tmp_path, monkeypatch, capsys):
+    # a deliberately broken engine hook: the check of P1 returns a one-frame
+    # trace from reset on which P1's bad does not fire, so replay rejects it
+    real_check = orchestrator.check_property
+
+    def non_replaying(circuit, target, ctx=(), seeds=(), **kwargs):
+        if target.index != 1:
+            return real_check(circuit, target, ctx, seeds, **kwargs)
+        frame = TraceFrame(circuit.init_state(), (0,) * circuit.num_inputs)
+        cex = Counterexample((frame,), target.index)
+        return pdr.PdrOutcome(pdr.PdrStatus.FAILS, pdr.PdrStats(), cex=cex)
+
+    monkeypatch.setattr(orchestrator, "check_property", non_replaying)
+    thr = build_counter(5, thresholds=4)
+    systems = [(thr.circuit, thr.props)]
+    for seed in range(6):
+        systems.append(gen_random_circuit(
+            random.Random(seed),
+            num_inputs=2, num_latches=5, num_gates=16, num_props=3, mutate=seed % 2 == 1,
+        ))
+    checked = 0
+    for c, props in systems:
+        props = tuple(props)
+        frame = TraceFrame(c.init_state(), (0,) * c.num_inputs)
+        if property_violated(c, frame, props[1]):
+            continue  # the planted trace would replay
+        checked += 1
+        for mode in (Mode.JA, Mode.SEPARATE_GLOBAL):
+            rep = run(VerificationTask(c, props, mode))
+            broken = verdict_for(rep, 1)
+            assert broken.status is S.ERROR and "invalid trace" in broken.evidence
+            assert rep.conclusion.startswith("incomplete: engine error on P1 (")
+            for v in rep.verdicts:
+                if v.property_index == 1:
+                    continue
+                want = _expected_status(c, props, v.property_index, mode)
+                if want is S.HOLDS_GLOBAL and mode is Mode.JA:
+                    want = S.HOLDS_LOCAL  # the error leaves the upgrade unproven
+                assert v.status is want, (mode, v)
+    assert checked >= 4
+
+    path = tmp_path / "thresholds.aag"
+    path.write_bytes(emit_ascii(thr.circuit))
+    wdir = tmp_path / "wit"
+    code = main(["check", str(path), "--reuse-clauses", "off", "--report", "json",
+                 "--witness-dir", str(wdir)])
+    out, err = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert validate_report_json(json.loads(out)) == []
+    assert err.startswith("japdr: engine error on P1: engine returned an invalid trace")
+    assert (wdir / "b1.wit").read_bytes() == b"2\nb1\n"
+    assert (wdir / "b0.wit").read_bytes() == b"0\nb0\n"
 
 
 def test_cli_parse_error_exit(tmp_path, capsys):
