@@ -35,8 +35,7 @@ import warnings
 from dataclasses import dataclass
 
 from .circuit import Circuit, PropertySpec
-from .pdr import StepHolder, houdini
-from .sat import Status
+from .pdr import Exhausted, StepHolder, clause_holds, houdini
 
 _HEADER = "japdr-clausedb v1"
 
@@ -64,11 +63,17 @@ def _signed(lit: int) -> str:
     return str(v) if not lit & 1 else str(-v)
 
 
+def _digits(token: str, error: str, signed: bool = False) -> int:
+    # ASCII digits only, after a leading `-` if `signed`: `int` would
+    # also take `+`, underscores and other scripts' digits
+    body = token[1:] if signed and token.startswith("-") else token
+    if not (body.isascii() and body.isdigit()):
+        raise ClauseDbError(error)
+    return int(token)
+
+
 def _unsigned(token: str, num_latches: int, where: str) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise ClauseDbError(f"{where}: malformed literal {token!r}") from None
+    value = _digits(token, f"{where}: malformed literal {token!r}", signed=True)
     if value == 0 or abs(value) > num_latches:
         raise ClauseDbError(f"{where}: literal {token} out of range 1..{num_latches}")
     return 2 * (abs(value) - 1) + (0 if value > 0 else 1)
@@ -109,9 +114,10 @@ def append(records, path) -> None:
 def load(path, fingerprint: str) -> tuple[ClauseRecord, ...]:
     """Records for the given circuit; sections for other circuits are
     skipped with a warning, and so is a torn last record; anything else
-    malformed is an error."""
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read()
+    malformed is an error. A byte outside ASCII reads as U+FFFD, which
+    no field accepts, so it fails only where a field is parsed."""
+    with open(path, "rb") as fh:
+        raw = fh.read().decode("ascii", "replace")
     if raw and not raw.endswith("\n"):
         raw, _, torn = raw.rpartition("\n")
         warnings.warn(f"{path}: torn last record {torn!r} dropped", stacklevel=2)
@@ -128,10 +134,7 @@ def load(path, fingerprint: str) -> tuple[ClauseRecord, ...]:
             if len(parts) != 4 or " ".join(parts[:2]) != _HEADER:
                 raise ClauseDbError(f"line {lineno}: unsupported header {line!r}")
             section_fp = parts[2]
-            try:
-                section_width = int(parts[3])
-            except ValueError:
-                raise ClauseDbError(f"line {lineno}: bad latch count {parts[3]!r}") from None
+            section_width = _digits(parts[3], f"line {lineno}: bad latch count {parts[3]!r}")
             if section_fp != fingerprint and section_fp not in skipped:
                 skipped.add(section_fp)
                 warnings.warn(
@@ -150,14 +153,9 @@ def load(path, fingerprint: str) -> tuple[ClauseRecord, ...]:
         if parts[0] == "-":
             context: tuple[int, ...] = ()
         else:
-            try:
-                context = tuple(int(t) for t in parts[0].split(","))
-            except ValueError:
-                raise ClauseDbError(f"{where}: bad context {parts[0]!r}") from None
-        try:
-            origin = int(parts[1])
-        except ValueError:
-            raise ClauseDbError(f"{where}: bad origin {parts[1]!r}") from None
+            error = f"{where}: bad context {parts[0]!r}"
+            context = tuple(_digits(t, error) for t in parts[0].split(","))
+        origin = _digits(parts[1], f"{where}: bad origin {parts[1]!r}")
         clause = tuple(_unsigned(t, section_width, where) for t in parts[2:])
         out.append(ClauseRecord(clause, origin, context, section_fp))
     return tuple(out)
@@ -166,7 +164,7 @@ def load(path, fingerprint: str) -> tuple[ClauseRecord, ...]:
 def _holds_at_reset(clause, init) -> bool:
     if any(l >> 1 >= len(init) for l in clause):
         raise ClauseDbError(f"clause literal out of range: {clause}")
-    return any(init[l >> 1] == 1 - (l & 1) for l in clause)
+    return clause_holds(init, clause)
 
 
 def filter_invariant(
@@ -188,17 +186,11 @@ def filter_invariant(
     clauses = [cl for cl in clauses if _holds_at_reset(cl, init)]
     if not clauses:
         return ()
-
-    def unsat(solver, assumptions) -> bool:
-        result = solver.solve(assumptions, deadline=deadline)
-        if stats is not None:
-            stats.sat_calls += 1
-        if result.status is Status.UNKNOWN:
-            raise ClauseDbError("invariance filtering ran out of budget")
-        return result.status is Status.UNSAT
-
     enc = StepHolder().step(circuit, constraint_props)
-    return houdini(enc, clauses, unsat)
+    try:
+        return houdini(enc, clauses, deadline, stats)
+    except Exhausted:
+        raise ClauseDbError("invariance filtering ran out of budget") from None
 
 
 def seeds_for_context(

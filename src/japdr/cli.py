@@ -194,7 +194,8 @@ def _cmd_check(args) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _clause_db_warning
             report = run(task)
-    except ClauseDbError as exc:
+    except (ClauseDbError, OSError) as exc:
+        # the clause store is the only file a run opens
         print(f"japdr: clause db: {exc}", file=sys.stderr)
         return EXIT_PARSE
     for v in report.verdicts:

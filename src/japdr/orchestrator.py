@@ -36,13 +36,15 @@ is invalid or spurious is an engine error. Every proof is re-certified
 on the run's certificate solver, which no engine touches; when a proof
 built on seeded clauses is rejected, the seeds are dropped and the check
 runs once more, so clause re-use can never manufacture a verdict. An
-engine error makes every property of its group an Error verdict; the
-other groups are still checked, the JA upgrade does not fire, and the
-run is reported incomplete.
+engine error, or an aggregate counterexample that refutes no member,
+makes every property of its group an Error verdict; the other groups
+are still checked, the JA upgrade does not fire, and the run is
+reported incomplete.
 
-An aggregate check decides several properties at once, so each verdict
-it decides reports the time and SAT calls of that whole check; the run
-totals count every check once.
+Every verdict, Error and Unknown included, reports the time, frames and
+SAT calls of its check. An aggregate check decides several properties at
+once, so each verdict it decides reports the cost of that whole check;
+the run totals count every check once.
 
 Each run keeps one `pdr.StepHolder` and hands it to every check, so
 consecutive checks over the same property set share one step solver. In
@@ -78,6 +80,7 @@ from .circuit import (
 )
 from .clausedb import ClauseDbError, ClauseRecord, append, load, seeds_for_context
 from .pdr import (
+    Exhausted,
     PdrError,
     PdrStats,
     PdrStatus,
@@ -191,67 +194,71 @@ def _check_one(
     circuit: Circuit,
     target: PropertySpec,
     ctx,
-    seeds,
     deadline: float | None,
     holds: VerdictStatus,
     fails: VerdictStatus,
     steps: StepHolder,
     certs: StepHolder,
-) -> tuple[Verdict, tuple | None, int]:
-    """One property, end to end: solve, replay the trace, certify the
-    proof. The deadline bounds all of it together. The engine runs on the
-    step solver the run's `steps` holder keeps, certification on the one
-    `certs` keeps. An invalid or spurious trace is an engine error, and so
-    is a rejected proof that used no seeds; one that did runs once more
-    without them.
+    store: _ClauseStore | None,
+) -> tuple[Verdict, int]:
+    """One property, end to end, under one `PdrStats`: seeds, solve,
+    replay the trace or certify the proof, harvest it. The deadline
+    bounds all of it together. The engine runs on the step solver the
+    run's `steps` holder keeps, certification on the one `certs` keeps;
+    `store` is None for an aggregate and without clause re-use.
 
-    Returns the verdict, whose status is `holds` or `fails` once the check
-    is decided and Unknown otherwise, the invariant of a proof, and the
-    number of clauses the engine learned."""
+    Returns the verdict and the number of clauses the engines learned.
+    Its status is `holds` or `fails` once the check is decided, Unknown
+    once a query runs out of budget, and Error on an engine error: an
+    invalid or spurious trace, or a rejected proof that used no seeds
+    (one that did runs once more without them)."""
     t0 = time.monotonic()
-    verdict = Verdict(target.index, VerdictStatus.UNKNOWN, seeds_used=len(seeds))
+    verdict = Verdict(target.index, VerdictStatus.UNKNOWN)
     stats = PdrStats()
-    invariant = None
-    for attempt in (seeds, ()):  # the seedless run only follows a rejected seeded proof
-        if deadline is not None and time.monotonic() >= deadline:
-            break
-        out = check_property(
-            circuit, target, ctx, attempt, deadline=deadline, steps=steps
-        )
-        stats.sat_calls += out.stats.sat_calls
-        stats.clauses_learned += out.stats.clauses_learned
-        verdict.frames = out.stats.frames_opened
-        if out.status is PdrStatus.EXHAUSTED:
-            break
-        if out.status is PdrStatus.FAILS:
-            rep = replay_trace(circuit, out.cex, target, ctx)
-            if not rep.valid or rep.spurious:
-                kind = "a spurious" if rep.valid else "an invalid"
-                raise PdrError(
-                    f"engine returned {kind} trace for property {target.index}"
-                )
-            verdict.status, verdict.evidence = fails, out.cex
-            break
-        try:
-            ok = certify(
+    try:
+        seeds = store.seeds(circuit, target, ctx, deadline, stats) if store is not None else ()
+        verdict.seeds_used = len(seeds)
+        for attempt in (seeds, ()):  # the seedless run only follows a rejected seeded proof
+            if deadline is not None and time.monotonic() >= deadline:
+                break
+            out = check_property(
+                circuit, target, ctx, attempt, deadline=deadline, steps=steps
+            )
+            stats.sat_calls += out.stats.sat_calls
+            stats.clauses_learned += out.stats.clauses_learned
+            verdict.frames = out.stats.frames_opened
+            if out.status is PdrStatus.EXHAUSTED:
+                break
+            if out.status is PdrStatus.FAILS:
+                rep = replay_trace(circuit, out.cex, target, ctx)
+                if not rep.valid or rep.spurious:
+                    kind = "a spurious" if rep.valid else "an invalid"
+                    raise PdrError(
+                        f"engine returned {kind} trace for property {target.index}"
+                    )
+                verdict.status, verdict.evidence = fails, out.cex
+                break
+            if certify(
                 circuit, ctx, out.invariant, target,
                 stats=stats, deadline=deadline, steps=certs,
-            )
-        except PdrError:
-            break  # the deadline ran out inside certification
-        if ok:
-            invariant = out.invariant
-            verdict.status, verdict.evidence = holds, len(invariant)
-            verdict.certified = True
-            break
-        if not attempt:
-            raise PdrError(
-                f"certification rejected the proof of property {target.index}"
-            )
-        verdict.seeds_used = 0  # the seed set let an unsound proof through
+            ):
+                verdict.status, verdict.evidence = holds, len(out.invariant)
+                verdict.certified = True
+                if store is not None:
+                    store.harvest(target, ctx, out.invariant)
+                break
+            if not attempt:
+                raise PdrError(
+                    f"certification rejected the proof of property {target.index}"
+                )
+            verdict.seeds_used = 0  # the seed set let an unsound proof through
+    except Exhausted:
+        pass  # the deadline ran out inside certification
+    except PdrError as err:
+        verdict.status, verdict.evidence = VerdictStatus.ERROR, str(err)
     verdict.wall_s = time.monotonic() - t0
     verdict.sat_calls = stats.sat_calls
-    return verdict, invariant, stats.clauses_learned
+    return verdict, stats.clauses_learned
 
 
 def _prop_deadline(opts: TaskOptions, total_deadline: float | None) -> float | None:
@@ -275,10 +282,8 @@ class _ClauseStore:
     """
 
     def __init__(self, task: VerificationTask):
-        opts = task.options
-        self.enabled = opts.reuse_clauses
-        self.path = opts.clause_db if self.enabled else None
-        self.fingerprint = circuit_fingerprint(task.circuit) if self.enabled else ""
+        self.path = task.options.clause_db
+        self.fingerprint = circuit_fingerprint(task.circuit)
         self.records: list[ClauseRecord] = []
         if self.path and os.path.exists(self.path):
             loaded = load(self.path, self.fingerprint)
@@ -293,7 +298,7 @@ class _ClauseStore:
         self.known = {(r.clause, r.context) for r in self.records}
 
     def seeds(self, circuit, prop, ctx, deadline, stats) -> tuple[tuple[int, ...], ...]:
-        if not self.enabled or not self.records:
+        if not self.records:
             return ()
         try:
             return seeds_for_context(
@@ -304,7 +309,7 @@ class _ClauseStore:
             return ()  # out of budget; a seedless check is always sound
 
     def harvest(self, prop: PropertySpec, ctx, invariant) -> None:
-        if not self.enabled or not invariant:
+        if not invariant:
             return
         context = tuple(sorted(p.index for p in ctx))
         new = []
@@ -389,18 +394,18 @@ def run(task: VerificationTask) -> RunReport:
     of several is checked as its `aggregate_bad`: a counterexample
     decides the members whose bad fires on its final frame and puts the
     rest back at the front, and any other outcome decides the whole
-    group. Only one-property groups take seeds from the clause store and
-    hand their invariant back: an aggregate's index may name another
-    property. An engine error makes every property of its group an Error
-    verdict, and the run goes on with the other groups. In JA mode an
-    empty debugging set upgrades every expected-to-hold verdict to
-    HoldsGlobal.
+    group; one that refutes no member is an Error verdict for all of
+    them. Only one-property groups get the clause store: an aggregate's
+    index may name another property. `_check_one` hands back every
+    outcome, an engine error included, as a verdict, so the loop has no
+    error path and goes on with the other groups. In JA mode an empty
+    debugging set upgrades every expected-to-hold verdict to HoldsGlobal.
     """
     opts = task.options
     t0 = time.monotonic()
     total_deadline = t0 + opts.total_timeout_s if opts.total_timeout_s else None
     circuit = task.circuit
-    store = _ClauseStore(task)
+    store = _ClauseStore(task) if opts.reuse_clauses else None
     steps, certs = StepHolder(), StepHolder()
     verdicts: dict[int, Verdict] = {}
     sat_calls = learned = 0
@@ -416,36 +421,23 @@ def run(task: VerificationTask) -> RunReport:
             outcomes = VerdictStatus.HOLDS_LOCAL, VerdictStatus.FAILS_LOCAL
         else:
             outcomes = VerdictStatus.HOLDS_GLOBAL, VerdictStatus.FAILS_GLOBAL
-        prop_deadline = _prop_deadline(opts, total_deadline)
         ctx = _assumed(task, prop)
-        pre = PdrStats()
-        g0 = time.monotonic()
-        try:
-            if len(group) == 1:
-                seeds = store.seeds(circuit, prop, ctx, prop_deadline, pre)
-                v, invariant, n = _check_one(
-                    circuit, prop, ctx, seeds, prop_deadline, *outcomes, steps, certs
-                )
-                store.harvest(prop, ctx, invariant)
-            else:
-                v, _, n = _check_one(
-                    *aggregate_bad(circuit, group), ctx, (), prop_deadline,
-                    *outcomes, steps, certs,
-                )
-            decided = group
-            if v.status is outcomes[1] and len(group) > 1:
-                values = eval_circuit(circuit, v.evidence.frames[-1])
-                decided = [p for p in group if eval_literal(values, p.bad)]
-                if not decided:
-                    raise PdrError("aggregate counterexample refutes no property")
-        except PdrError as err:
-            wall = time.monotonic() - g0
-            for p in group:
-                verdicts[p.index] = Verdict(p.index, VerdictStatus.ERROR, str(err), wall)
-            continue
-        v.sat_calls += pre.sat_calls
+        deadline = _prop_deadline(opts, total_deadline)
+        one = len(group) == 1
+        checked = (circuit, prop) if one else aggregate_bad(circuit, group)
+        v, n = _check_one(
+            *checked, ctx, deadline, *outcomes, steps, certs, store if one else None
+        )
         sat_calls += v.sat_calls
         learned += n
+        decided = group
+        if v.status is outcomes[1] and len(group) > 1:
+            values = eval_circuit(circuit, v.evidence.frames[-1])
+            decided = [p for p in group if eval_literal(values, p.bad)]
+            if not decided:
+                v.status = VerdictStatus.ERROR
+                v.evidence = "aggregate counterexample refutes no property"
+                decided = group
         for p in decided:
             evidence = v.evidence
             if isinstance(evidence, Counterexample):

@@ -22,9 +22,13 @@ the induction precheck and every consecution query, comes from a
 `StepHolder` that keeps it across checks of one property set.
 `certify` takes its step from a second holder that no engine touches,
 so no engine state reaches it; a run's certificates all share that
-solver, each behind an activation literal it retires. `houdini`, the
-fixpoint of inductive clauses, answers both a certificate and the clause
-store's seed filter.
+solver, each behind an activation literal it retires. A certificate is
+one Houdini round; `houdini`, the fixpoint of those rounds, is the
+clause store's seed filter.
+
+Every SAT query goes through `ask`, which counts it and raises
+`Exhausted` (a `PdrError`) once the deadline passes; the engine reports
+that as an Exhausted outcome, `certify` lets it through.
 """
 
 from __future__ import annotations
@@ -44,6 +48,10 @@ class PdrError(Exception):
     pass
 
 
+class Exhausted(PdrError):
+    """The deadline passed before a SAT query had its answer."""
+
+
 # ----------------------------------------------------------- latch literals
 
 
@@ -54,6 +62,11 @@ def latch_literal(latch_pos: int, value: int) -> int:
 def negate_lits(lits) -> tuple[int, ...]:
     """A cube's negation as a clause (and the other way round)."""
     return tuple(sorted(l ^ 1 for l in lits))
+
+
+def clause_holds(state, clause) -> bool:
+    """Whether the latch values `state` satisfy the clause."""
+    return any(state[l >> 1] == 1 - (l & 1) for l in clause)
 
 
 # ------------------------------------------------------------------- types
@@ -89,10 +102,6 @@ class ProofObligation:
     seq: int = 0
 
 
-class _Exhausted(Exception):
-    pass
-
-
 class _CexFound(Exception):
     def __init__(self, ob: ProofObligation):
         self.ob = ob
@@ -104,7 +113,7 @@ class _CexFound(Exception):
 class _Frames:
     """One solver's image of the frames: a circuit copy, one activation
     literal per level and one for the inductive clauses. The reset frame
-    F_0 is assumed latch by latch, never a clause set. `houdini` uses
+    F_0 is assumed latch by latch, never a clause set. `_round` uses
     one with no levels for each round of candidates."""
 
     def __init__(self, enc: StepEncoding, levels: int):
@@ -194,7 +203,7 @@ class PdrEngine:
             cl = tuple(sorted(clause))
             if not cl or any(l >= 2 * self._nl for l in cl):
                 raise ValueError(f"seed clause out of range: {clause}")
-            if not any(self._true_at_init(l) for l in cl):
+            if not clause_holds(self.init, cl):
                 raise ValueError(f"seed clause violates the reset state: {clause}")
             if cl not in self._inf:
                 self._inf.append(cl)
@@ -207,12 +216,9 @@ class PdrEngine:
 
     # ------------------------------------------------------------- plumbing
 
-    def _true_at_init(self, lit: int) -> bool:
-        return self.init[lit >> 1] == 1 - (lit & 1)
-
     def _cube_holds_init(self, cube) -> bool:
         """Whether the reset state lies inside the cube."""
-        return all(self._true_at_init(l) for l in cube)
+        return not clause_holds(self.init, (l ^ 1 for l in cube))
 
     def _frame_assumps(self, frames: _Frames, level: int | None) -> list[int]:
         if level is None:
@@ -252,14 +258,8 @@ class PdrEngine:
                 frames.add(clause, level)
         return frames
 
-    def _solve(self, solver: Solver, assumptions) -> "object":
-        if self._deadline is not None and time.monotonic() > self._deadline:
-            raise _Exhausted
-        result = solver.solve(assumptions, deadline=self._deadline)
-        self.stats.sat_calls += 1
-        if result.status is Status.UNKNOWN:
-            raise _Exhausted
-        return result
+    def _solve(self, solver: Solver, assumptions):
+        return ask(solver, assumptions, self._deadline, self.stats)
 
     # -------------------------------------------------------------- queries
 
@@ -293,7 +293,7 @@ class PdrEngine:
         kept = {cl for sl, cl in pairs if sl in result.core}
         if self._cube_holds_init(kept):
             for l in sorted(base_cube):
-                if not self._true_at_init(l) and l not in kept:
+                if not clause_holds(self.init, (l,)) and l not in kept:
                     kept.add(l)
                     break
             else:
@@ -410,7 +410,7 @@ class PdrEngine:
                         return PdrOutcome(
                             PdrStatus.HOLDS, self.stats, invariant=invariant
                         )
-        except _Exhausted:
+        except Exhausted:
             return PdrOutcome(PdrStatus.EXHAUSTED, self.stats)
         except _CexFound as found:
             cex = self._reconstruct(found.ob)
@@ -540,37 +540,58 @@ def check_property(
     ).run()
 
 
-def houdini(enc: StepEncoding, clauses, unsat, bad: int | None = None):
+def ask(solver: Solver, assumptions, deadline: float | None, stats: PdrStats | None):
+    """The one gate of every SAT query the engine, `houdini` and
+    `certify` ask: counts the call in `stats` (when given) and raises
+    `Exhausted` when the absolute `deadline` passes before the answer."""
+    if deadline is None or time.monotonic() <= deadline:
+        result = solver.solve(assumptions, deadline=deadline)
+        if stats is not None:
+            stats.sat_calls += 1
+        if result.status is not Status.UNKNOWN:
+            return result
+    raise Exhausted("SAT query ran out of budget")
+
+
+def _round(enc: StepEncoding, clauses, bad, deadline, stats):
+    """One Houdini round: the clauses behind one activation literal on
+    `enc`, then `bad` (a next-state literal, or None) and each clause's
+    next-state negation asked under it, and the literal retired however
+    the round ends. Returns the clauses that cannot break, in input
+    order, or None once `bad` can fire."""
+    solver = enc.solver
+    frames = _Frames(enc, 0)
+    act = frames.inf_act
+    try:
+        for clause in clauses:
+            frames.add(clause, None)
+        if bad is not None and ask(solver, [act, bad], deadline, stats).status is Status.SAT:
+            return None
+        kept = []
+        for c in clauses:
+            nxt = [enc.next_lit(l >> 1) ^ (1 - (l & 1)) for l in c]
+            if ask(solver, [act, *nxt], deadline, stats).status is Status.UNSAT:
+                kept.append(c)
+        return kept
+    finally:
+        frames.retire()
+        if clauses:
+            solver.simplify()
+
+
+def houdini(
+    enc: StepEncoding, clauses, deadline: float | None = None, stats: PdrStats | None = None
+):
     """The largest subset of `clauses` that holds at reset and is
     inductive on `enc`'s constrained step (Flanagan & Leino, FME 2001).
 
-    Candidates false at reset go first. Then each round puts the
-    survivors behind one activation literal, asks `bad` (a next-state
-    literal) and each survivor's next-state negation, drops every
-    survivor that can break, and retires the literal; the first round
-    that drops nothing ends it, so an inductive set costs one query per
-    clause and one for `bad`. `unsat(solver, assumptions)` answers each
-    query. Returns the survivors in input order, or None once `bad` can
-    fire: fewer survivors only make that easier."""
+    Candidates false at reset go first; then `_round`s run until one
+    drops nothing, so an inductive set costs one query per clause.
+    Returns the survivors in input order. Queries go through `ask`."""
     init = enc.circuit.init_state()
-    alive = [c for c in clauses if any(init[l >> 1] == 1 - (l & 1) for l in c)]
-    solver = enc.solver
+    alive = [c for c in clauses if clause_holds(init, c)]
     while True:
-        frames = _Frames(enc, 0)
-        act = frames.inf_act
-        try:
-            for clause in alive:
-                frames.add(clause, None)
-            if bad is not None and not unsat(solver, [act, bad]):
-                return None
-            kept = [
-                c for c in alive
-                if unsat(solver, [act, *(enc.next_lit(l >> 1) ^ (1 - (l & 1)) for l in c)])
-            ]
-        finally:
-            frames.retire()
-            if alive:
-                solver.simplify()
+        kept = _round(enc, alive, None, deadline, stats)
         if len(kept) == len(alive):
             return tuple(kept)
         alive = kept
@@ -590,29 +611,23 @@ def certify(
 
     Checks: the reset state satisfies the strengthening and cannot fire
     bad; and from any constrained frame satisfying target and
-    strengthening, the successor satisfies both again, which is `houdini`
-    keeping every clause with the target's next-state bad as `bad`. The
-    step and that bad cone come from `steps`, a holder no engine touches
-    (without one, a fresh holder), so engine state cannot leak in, and
-    `houdini` leaves none of the strengthening active for the next
+    strengthening, the successor satisfies both again: one `_round`
+    with the target's next-state bad, after no query at all if a clause
+    is false at reset. The step and that bad cone come from `steps`, a
+    holder no engine touches (without one, a fresh holder), so engine
+    state cannot leak in, and no clause stays active for the next
     certificate. The reset check gets a small solver of its own over the
     target's reset cone: a step whose level-0 units contradict each
     other answers every query UNSAT, and must not answer that one.
     """
     clauses = [tuple(sorted(c)) for c in invariant_clauses]
-
-    def unsat(solver, assumptions) -> bool:
-        result = solver.solve(assumptions, deadline=deadline)
-        if stats is not None:
-            stats.sat_calls += 1
-        if result.status is Status.UNKNOWN:
-            raise PdrError("certification ran out of budget")
-        return result.status is Status.UNSAT
-
+    init = circuit.init_state()
+    if not all(clause_holds(init, c) for c in clauses):
+        return False
     steps = steps or StepHolder()
     enc = steps.step(circuit, (target, *constraint_props))
     bad = steps.next_bad(target).lit(target.bad)
-    kept = houdini(enc, clauses, unsat, bad)
+    kept = _round(enc, clauses, bad, deadline, stats)
     if kept is None or len(kept) < len(clauses):
         return False
     reset = Solver()
@@ -620,10 +635,10 @@ def certify(
     enc_init = StepEncoding(
         reset,
         circuit,
-        latch_lits=[true_lit if v else true_lit ^ 1 for v in circuit.init_state()],
+        latch_lits=[true_lit if v else true_lit ^ 1 for v in init],
         cone_roots=[target.bad],
     )
-    return unsat(reset, [enc_init.lit(target.bad)])
+    return ask(reset, [enc_init.lit(target.bad)], deadline, stats).status is Status.UNSAT
 
 
 class StepHolder:

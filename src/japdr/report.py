@@ -48,7 +48,8 @@ _ATTENTION = (
 # check's time_s and sat_calls; totals.sat_calls counts every check once.
 # retried_respect is always false: every check lifts in respect mode.
 # An Error verdict has empty evidence; `japdr check` prints its message
-# on stderr.
+# on stderr. Like an Unknown one, it reports the time_s, frames and
+# sat_calls its check spent, and totals count them.
 REPORT_SCHEMA = {
     "mode": "str",
     "conclusion": "str",

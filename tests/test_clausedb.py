@@ -137,11 +137,19 @@ def test_append_waits_for_the_writer_holding_the_lock(tmp_path):
         ("- 0 1\n", "before any header"),
         ("japdr-clausedb v1 aa 3\n- 0\n", "truncated"),
         ("japdr-clausedb v1 aa 3\n1,q 0 1\n", "bad context"),
+        # every number is ASCII digits, a literal after an optional `-`
+        ("japdr-clausedb v1 aa 3\n- 0 +1\n", "malformed literal"),
+        ("japdr-clausedb v1 aa 3\n- 0 1_0\n", "malformed literal"),
+        ("japdr-clausedb v1 aa 3\n0,1_0 0 -1\n", "bad context"),
+        ("japdr-clausedb v1 aa 3\n+0 0 1\n", "bad context"),
+        ("japdr-clausedb v1 aa 3\n- +0 1\n", "bad origin"),
+        ("japdr-clausedb v1 aa +3\n- 0 1\n", "bad latch count"),
+        ("japdr-clausedb v1 aa 3\n- 0 1\u00e9\n", "malformed literal"),
     ],
 )
 def test_parse_errors_name_the_problem(tmp_path, text, fragment):
     path = tmp_path / "bad.txt"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(ClauseDbError, match=fragment):
         load(path, "aa")
 

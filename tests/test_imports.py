@@ -13,6 +13,10 @@ alive only where the package uses it: every public module-level
 function of every package module must be named in `src/` outside its
 own definition, or be exported from `japdr/__init__.py`. A local
 variable or argument of the same name does not count as a use.
+
+A fourth keeps one budget gate: only `pdr.ask`, which counts each SAT
+call and turns an out-of-budget answer into `pdr.Exhausted`, and
+`oracle.bmc`, which reports its own timeout, call a `.solve(` method.
 """
 
 import ast
@@ -189,3 +193,46 @@ def test_no_public_function_lives_only_for_its_tests():
         for alias in node.names
     }
     assert unreferenced_public_functions(sources, sorted(sources), exported) == []
+
+
+def solve_callers(sources: dict[str, str]) -> list[str]:
+    """`module.function` of every function (or `<module>`) whose own
+    body calls a `.solve(` method; a nested function counts on its own."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.partition('.')[0]}.{node.name}"
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "solve"
+        ):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for name, source in sources.items():
+        visit(ast.parse(source), f"{Path(name).stem}.<module>")
+    return sorted(set(found))
+
+
+def test_the_scan_sees_every_solve_caller():
+    sources = {
+        "pkg/a.py": (
+            "def ask(s): return s.solve([])\n"
+            "def outer(s):\n"
+            "    def inner(): return s.solve([1])\n"
+            "    return inner\n"
+            "class K:\n"
+            "    def m(self, s): return s.solve()\n"
+            "    def solve(self): pass\n"
+        ),
+        "pkg/b.py": "import a\na.solver.solve([])\nsolve = None\n",
+    }
+    assert solve_callers(sources) == ["a.ask", "a.inner", "a.m", "b.<module>"]
+
+
+def test_only_the_budget_gate_and_bmc_call_solve():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    assert solve_callers(sources) == ["oracle.bmc", "pdr.ask"]

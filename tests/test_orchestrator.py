@@ -423,6 +423,9 @@ def test_a_rejected_seeded_proof_reruns_once_without_seeds(tmp_path, monkeypatch
     rep = run(VerificationTask(thr.circuit, thr.props, Mode.SEPARATE_GLOBAL))
     assert all(v.status is S.ERROR for v in rep.verdicts)
     assert all("certification rejected" in v.evidence for v in rep.verdicts)
+    # each Error verdict still reports the SAT calls its check made
+    assert all(v.sat_calls > 0 for v in rep.verdicts)
+    assert rep.totals.sat_calls == sum(v.sat_calls for v in rep.verdicts)
 
 
 def test_replay_rejects_a_trace_lifted_past_the_assumptions(monkeypatch):

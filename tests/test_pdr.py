@@ -16,6 +16,7 @@ from japdr.oracle import CheckMode, ExplicitModel, brute_check
 from japdr.pdr import (
     PdrEngine,
     PdrError,
+    PdrStats,
     PdrStatus,
     StepHolder,
     certify,
@@ -580,9 +581,13 @@ def test_a_shared_certificate_holder_answers_like_a_fresh_one():
                 ]
                 if moved:
                     wrong.append((latch_literal(moved[0], init[moved[0]]),))
-                for w in wrong:
+                # a clause false at reset costs no query; otherwise one
+                # round: the next-state bad and every clause
+                for w, cap in zip(wrong, (0, len(proof) + 2)):
                     assert not certify_on(steps, c, ctx, (*proof, w), p)
-                    assert not certify(c, ctx, (*proof, w), p)
+                    stats = PdrStats()
+                    assert not certify(c, ctx, (*proof, w), p, stats=stats)
+                    assert stats.sat_calls <= cap
                 for clauses in (proof, ()):
                     got = certify_on(steps, c, ctx, clauses, p)
                     assert got == certify(c, ctx, clauses, p)

@@ -243,6 +243,29 @@ def test_cli_prints_clause_store_warnings_as_single_lines(tmp_path, capsys):
     assert "section for unknown circuit ffffffffffff skipped" in err[1]
 
 
+def test_cli_skips_a_foreign_section_holding_a_non_ascii_byte(tmp_path, capsys):
+    args = ["check", str(counter_file(tmp_path)), "--report", "json"]
+    assert main([*args, "--reuse-clauses", "off"]) == EXIT_FAILURES
+    plain = json.loads(capsys.readouterr().out)
+    db = tmp_path / "clauses.db"
+    db.write_bytes(b"japdr-clausedb v1 " + b"f" * 64 + b" 1\n- 0 1\xe9\n")
+    code = main([*args, "--clause-db", str(db)])
+    out, err = capsys.readouterr()
+    assert code == EXIT_FAILURES
+    err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith("japdr: clause db: ")
+    assert "section for unknown circuit ffffffffffff skipped" in err[0]
+    statuses = [[v["status"] for v in doc["verdicts"]] for doc in (plain, json.loads(out))]
+    assert statuses[0] == statuses[1]
+
+
+def test_cli_reports_a_clause_db_it_cannot_open(tmp_path, capsys):
+    code = main(["check", str(counter_file(tmp_path)), "--clause-db", str(tmp_path)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_PARSE
+    assert len(err) == 1 and err[0].startswith("japdr: clause db: ")
+
+
 def test_an_engine_error_costs_only_its_own_verdict(tmp_path, monkeypatch, capsys):
     # a deliberately broken engine hook: the check of P1 returns a one-frame
     # trace from reset on which P1's bad does not fire, so replay rejects it
