@@ -35,7 +35,7 @@ import warnings
 from dataclasses import dataclass
 
 from .circuit import Circuit, PropertySpec
-from .pdr import Exhausted, StepHolder, clause_holds, houdini
+from .pdr import PdrStats, StepHolder, clause_holds, houdini
 
 _HEADER = "japdr-clausedb v1"
 
@@ -172,25 +172,21 @@ def filter_invariant(
     circuit: Circuit,
     constraint_props,
     *,
-    deadline: float | None = None,
-    stats=None,
+    stats: PdrStats | None = None,
 ) -> tuple[tuple[int, ...], ...]:
     """Greatest fixpoint of mutually inductive candidates: `pdr.houdini`
     on a fresh step constrained by the constraint section and the
     constraint properties. Every survivor holds on every state the
     constrained system can reach. Output order follows input order;
-    duplicates collapse to their first occurrence.
+    duplicates collapse to their first occurrence. Out of budget it
+    raises `pdr.Exhausted`: an early stop could keep non-invariants.
     """
     clauses = list(dict.fromkeys(tuple(sorted(c)) for c in candidates if c))
     init = circuit.init_state()
     clauses = [cl for cl in clauses if _holds_at_reset(cl, init)]
     if not clauses:
         return ()
-    enc = StepHolder().step(circuit, constraint_props)
-    try:
-        return houdini(enc, clauses, deadline, stats)
-    except Exhausted:
-        raise ClauseDbError("invariance filtering ran out of budget") from None
+    return houdini(StepHolder().step(circuit, constraint_props), clauses, stats)
 
 
 def seeds_for_context(
@@ -200,8 +196,7 @@ def seeds_for_context(
     target: PropertySpec,
     constraint_props,
     *,
-    deadline: float | None = None,
-    stats=None,
+    stats: PdrStats | None = None,
 ) -> tuple[tuple[int, ...], ...]:
     """Seed clauses for the check of `target` under `constraint_props`.
 
@@ -220,9 +215,5 @@ def seeds_for_context(
             rest.append(rec.clause)
         elif _holds_at_reset(rec.clause, init):
             trusted.append(rec.clause)
-    filtered = (
-        filter_invariant(rest, circuit, constraint_props, deadline=deadline, stats=stats)
-        if rest
-        else ()
-    )
+    filtered = filter_invariant(rest, circuit, constraint_props, stats=stats) if rest else ()
     return tuple(dict.fromkeys((*trusted, *filtered)))

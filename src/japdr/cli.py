@@ -61,9 +61,18 @@ def _count(text: str) -> int:
     return value
 
 
+def _indices(tokens) -> list[int]:
+    # ASCII digits only, like the AIGER and clause-store readers: `int`
+    # would also take `+`, underscores and other scripts' digits
+    for tok in tokens:
+        if not (tok.isascii() and tok.isdigit()):
+            raise ValueError(f"bad property index {tok!r}")
+    return [int(tok) for tok in tokens]
+
+
 def _index_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        return _indices([tok for tok in text.split(",") if tok])
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad index list {text!r}") from None
 
@@ -167,7 +176,7 @@ def _cmd_check(args) -> int:
             order = None
         elif order != "easy-first":
             with open(order) as fh:
-                order = [int(tok) for tok in fh.read().replace(",", " ").split()]
+                order = _indices(fh.read().replace(",", " ").split())
     except (OSError, ValueError) as exc:
         print(f"japdr: bad arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -35,7 +35,7 @@ class BruteResult:
 
 @dataclass(frozen=True)
 class ReachSet:
-    """Reachable latch states with shortest distfrom reset.
+    """Reachable latch states with shortest distance from reset.
 
     Under projection (`projected_on` non-empty) a frame violating any of
     those properties contributes only its self-loop, so traversal follows

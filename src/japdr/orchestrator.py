@@ -78,7 +78,7 @@ from .circuit import (
     eval_literal,
     replay_trace,
 )
-from .clausedb import ClauseDbError, ClauseRecord, append, load, seeds_for_context
+from .clausedb import ClauseRecord, append, load, seeds_for_context
 from .pdr import (
     Exhausted,
     PdrError,
@@ -194,39 +194,35 @@ def _check_one(
     circuit: Circuit,
     target: PropertySpec,
     ctx,
-    deadline: float | None,
+    stats: PdrStats,
     holds: VerdictStatus,
     fails: VerdictStatus,
     steps: StepHolder,
     certs: StepHolder,
     store: _ClauseStore | None,
-) -> tuple[Verdict, int]:
-    """One property, end to end, under one `PdrStats`: seeds, solve,
-    replay the trace or certify the proof, harvest it. The deadline
-    bounds all of it together. The engine runs on the step solver the
-    run's `steps` holder keeps, certification on the one `certs` keeps;
-    `store` is None for an aggregate and without clause re-use.
+) -> Verdict:
+    """One property, end to end: seeds, solve, replay the trace or
+    certify the proof, harvest it. `stats` is the check's budget: its
+    deadline bounds all of it, and the seed filter, engines and
+    certificate count into it, so the verdict reports them however the
+    check ends. The engine runs on the step solver the run's `steps`
+    holder keeps, certification on the one `certs` keeps; `store` is
+    None for an aggregate and without clause re-use.
 
-    Returns the verdict and the number of clauses the engines learned.
-    Its status is `holds` or `fails` once the check is decided, Unknown
-    once a query runs out of budget, and Error on an engine error: an
-    invalid or spurious trace, or a rejected proof that used no seeds
-    (one that did runs once more without them)."""
+    The status is `holds` or `fails` once the check is decided, Unknown
+    once the deadline passes (seeds are not looked up past it), and
+    Error on an engine error: an invalid or spurious trace, or a
+    rejected proof that used no seeds (one that did runs once more
+    without them)."""
     t0 = time.monotonic()
     verdict = Verdict(target.index, VerdictStatus.UNKNOWN)
-    stats = PdrStats()
     try:
-        seeds = store.seeds(circuit, target, ctx, deadline, stats) if store is not None else ()
+        if stats.deadline is not None and t0 >= stats.deadline:
+            raise Exhausted("the deadline passed before the check began")
+        seeds = store.seeds(circuit, target, ctx, stats) if store is not None else ()
         verdict.seeds_used = len(seeds)
         for attempt in (seeds, ()):  # the seedless run only follows a rejected seeded proof
-            if deadline is not None and time.monotonic() >= deadline:
-                break
-            out = check_property(
-                circuit, target, ctx, attempt, deadline=deadline, steps=steps
-            )
-            stats.sat_calls += out.stats.sat_calls
-            stats.clauses_learned += out.stats.clauses_learned
-            verdict.frames = out.stats.frames_opened
+            out = check_property(circuit, target, ctx, attempt, stats=stats, steps=steps)
             if out.status is PdrStatus.EXHAUSTED:
                 break
             if out.status is PdrStatus.FAILS:
@@ -238,10 +234,7 @@ def _check_one(
                     )
                 verdict.status, verdict.evidence = fails, out.cex
                 break
-            if certify(
-                circuit, ctx, out.invariant, target,
-                stats=stats, deadline=deadline, steps=certs,
-            ):
+            if certify(circuit, ctx, out.invariant, target, stats=stats, steps=certs):
                 verdict.status, verdict.evidence = holds, len(out.invariant)
                 verdict.certified = True
                 if store is not None:
@@ -253,12 +246,12 @@ def _check_one(
                 )
             verdict.seeds_used = 0  # the seed set let an unsound proof through
     except Exhausted:
-        pass  # the deadline ran out inside certification
+        pass  # the deadline ran out outside the engine
     except PdrError as err:
         verdict.status, verdict.evidence = VerdictStatus.ERROR, str(err)
     verdict.wall_s = time.monotonic() - t0
-    verdict.sat_calls = stats.sat_calls
-    return verdict, stats.clauses_learned
+    verdict.frames, verdict.sat_calls = stats.frames_opened, stats.sat_calls
+    return verdict
 
 
 def _prop_deadline(opts: TaskOptions, total_deadline: float | None) -> float | None:
@@ -297,16 +290,12 @@ class _ClauseStore:
                 )
         self.known = {(r.clause, r.context) for r in self.records}
 
-    def seeds(self, circuit, prop, ctx, deadline, stats) -> tuple[tuple[int, ...], ...]:
+    def seeds(self, circuit, prop, ctx, stats) -> tuple[tuple[int, ...], ...]:
         if not self.records:
             return ()
-        try:
-            return seeds_for_context(
-                self.records, circuit, self.fingerprint, prop, ctx,
-                deadline=deadline, stats=stats,
-            )
-        except ClauseDbError:
-            return ()  # out of budget; a seedless check is always sound
+        return seeds_for_context(
+            self.records, circuit, self.fingerprint, prop, ctx, stats=stats
+        )
 
     def harvest(self, prop: PropertySpec, ctx, invariant) -> None:
         if not invariant:
@@ -422,14 +411,12 @@ def run(task: VerificationTask) -> RunReport:
         else:
             outcomes = VerdictStatus.HOLDS_GLOBAL, VerdictStatus.FAILS_GLOBAL
         ctx = _assumed(task, prop)
-        deadline = _prop_deadline(opts, total_deadline)
+        stats = PdrStats(deadline=_prop_deadline(opts, total_deadline))
         one = len(group) == 1
         checked = (circuit, prop) if one else aggregate_bad(circuit, group)
-        v, n = _check_one(
-            *checked, ctx, deadline, *outcomes, steps, certs, store if one else None
-        )
+        v = _check_one(*checked, ctx, stats, *outcomes, steps, certs, store if one else None)
         sat_calls += v.sat_calls
-        learned += n
+        learned += stats.clauses_learned
         decided = group
         if v.status is outcomes[1] and len(group) > 1:
             values = eval_circuit(circuit, v.evidence.frames[-1])

@@ -26,9 +26,10 @@ solver, each behind an activation literal it retires. A certificate is
 one Houdini round; `houdini`, the fixpoint of those rounds, is the
 clause store's seed filter.
 
-Every SAT query goes through `ask`, which counts it and raises
-`Exhausted` (a `PdrError`) once the deadline passes; the engine reports
-that as an Exhausted outcome, `certify` lets it through.
+A check's one `PdrStats` carries its deadline and every count. Every SAT
+query goes through `ask`, which counts it there and raises `Exhausted`
+(a `PdrError`) once the deadline passes; the engine reports that as an
+Exhausted outcome, `certify` and `houdini` let it through.
 """
 
 from __future__ import annotations
@@ -80,6 +81,11 @@ class PdrStatus(enum.Enum):
 
 @dataclass
 class PdrStats:
+    """The budget of one check: its absolute deadline (`time.monotonic()`)
+    and what the engine, `houdini` and `certify` spent, counted into the
+    record they are given, so a check cut by an error keeps its counts."""
+
+    deadline: float | None = None
     frames_opened: int = 0
     sat_calls: int = 0
     clauses_learned: int = 0
@@ -163,8 +169,8 @@ class PdrEngine:
     (`_lift`), so it needs no solver. A lifted predecessor keeps the
     constraint section, the target and every constraint property clean,
     so no counterexample brushes a state that violates an assumed
-    property before its final frame. The `deadline` is absolute
-    (`time.monotonic()`); past it `run` reports Exhausted.
+    property before its final frame. The engine counts into `stats` (a
+    fresh record without one); past its deadline `run` reports Exhausted.
     """
 
     def __init__(
@@ -174,7 +180,7 @@ class PdrEngine:
         constraint_props=(),
         seed_clauses=(),
         *,
-        deadline: float | None = None,
+        stats: PdrStats | None = None,
         steps: StepHolder | None = None,
     ):
         self.circuit = circuit
@@ -182,7 +188,8 @@ class PdrEngine:
         self.constraint_props = tuple(constraint_props)
         if any(p.index == target.index for p in self.constraint_props):
             raise ValueError("target cannot appear among its own constraints")
-        self.stats = PdrStats(frames_opened=1)
+        self.stats = stats or PdrStats()
+        self.stats.frames_opened = 1
         self.init = circuit.init_state()
         self._nl = circuit.num_latches
         self._steps = steps or StepHolder()
@@ -211,7 +218,6 @@ class PdrEngine:
 
         self._obq: list[tuple[int, int, ProofObligation]] = []
         self._obseq = 0
-        self._deadline = deadline
         self._ran = False
 
     # ------------------------------------------------------------- plumbing
@@ -258,9 +264,6 @@ class PdrEngine:
                 frames.add(clause, level)
         return frames
 
-    def _solve(self, solver: Solver, assumptions):
-        return ask(solver, assumptions, self._deadline, self.stats)
-
     # -------------------------------------------------------------- queries
 
     def _consecution(self, cube, frame_level: int | None, exclude_cube: bool):
@@ -282,7 +285,7 @@ class PdrEngine:
         pairs = [(enc.next_lit(l >> 1) ^ (l & 1), l) for l in cube]
         assumps.extend(sl for sl, _ in pairs)
         try:
-            result = self._solve(solver, assumps)
+            result = ask(solver, assumps, self.stats)
         finally:
             if act is not None:
                 solver.add_clause([act ^ 1])
@@ -382,7 +385,7 @@ class PdrEngine:
         self._ran = True
         try:
             bad = self._bad
-            result = self._solve(bad.solver, self._frame_assumps(bad, 0))
+            result = ask(bad.solver, self._frame_assumps(bad, 0), self.stats)
             if result.status is Status.SAT:
                 frame = TraceFrame(self.init, bad.enc.read_inputs(result))
                 cex = Counterexample((frame,), self.target.index)
@@ -392,8 +395,8 @@ class PdrEngine:
                     PdrStatus.HOLDS, self.stats, invariant=tuple(self._inf)
                 )
             while True:
-                result = self._solve(
-                    bad.solver, self._frame_assumps(bad, self.frontier)
+                result = ask(
+                    bad.solver, self._frame_assumps(bad, self.frontier), self.stats
                 )
                 if result.status is Status.SAT:
                     state = bad.enc.read_latches(result)
@@ -424,7 +427,7 @@ class PdrEngine:
         catches already-inductive properties without growing frames."""
         step = self._step
         nxt = self._steps.next_bad(self.target)
-        result = self._solve(step.solver, [step.inf_act, nxt.lit(self.target.bad)])
+        result = ask(step.solver, [step.inf_act, nxt.lit(self.target.bad)], self.stats)
         if result.status is not Status.UNSAT:
             return False
         return all(
@@ -521,7 +524,7 @@ def check_property(
     constraint_props=(),
     seed_clauses=(),
     *,
-    deadline: float | None = None,
+    stats: PdrStats | None = None,
     steps: StepHolder | None = None,
 ) -> PdrOutcome:
     """Prove or refute one property under the given constraint context.
@@ -531,29 +534,28 @@ def check_property(
     set, Fails outcomes a counterexample whose final frame violates the
     target and whose earlier frames keep the constraint section, the
     target and the context clean. Exhausted only ever reflects the
-    deadline, never an answer. `deadline` and `steps` are those of
+    deadline, never an answer. `stats` and `steps` are those of
     `PdrEngine`.
     """
     return PdrEngine(
-        circuit, target, constraint_props, seed_clauses,
-        deadline=deadline, steps=steps,
+        circuit, target, constraint_props, seed_clauses, stats=stats, steps=steps
     ).run()
 
 
-def ask(solver: Solver, assumptions, deadline: float | None, stats: PdrStats | None):
+def ask(solver: Solver, assumptions, stats: PdrStats):
     """The one gate of every SAT query the engine, `houdini` and
-    `certify` ask: counts the call in `stats` (when given) and raises
-    `Exhausted` when the absolute `deadline` passes before the answer."""
+    `certify` ask: counts the call in `stats` and raises `Exhausted`
+    when its deadline passes before the answer."""
+    deadline = stats.deadline
     if deadline is None or time.monotonic() <= deadline:
         result = solver.solve(assumptions, deadline=deadline)
-        if stats is not None:
-            stats.sat_calls += 1
+        stats.sat_calls += 1
         if result.status is not Status.UNKNOWN:
             return result
     raise Exhausted("SAT query ran out of budget")
 
 
-def _round(enc: StepEncoding, clauses, bad, deadline, stats):
+def _round(enc: StepEncoding, clauses, bad, stats: PdrStats):
     """One Houdini round: the clauses behind one activation literal on
     `enc`, then `bad` (a next-state literal, or None) and each clause's
     next-state negation asked under it, and the literal retired however
@@ -565,12 +567,12 @@ def _round(enc: StepEncoding, clauses, bad, deadline, stats):
     try:
         for clause in clauses:
             frames.add(clause, None)
-        if bad is not None and ask(solver, [act, bad], deadline, stats).status is Status.SAT:
+        if bad is not None and ask(solver, [act, bad], stats).status is Status.SAT:
             return None
         kept = []
         for c in clauses:
             nxt = [enc.next_lit(l >> 1) ^ (1 - (l & 1)) for l in c]
-            if ask(solver, [act, *nxt], deadline, stats).status is Status.UNSAT:
+            if ask(solver, [act, *nxt], stats).status is Status.UNSAT:
                 kept.append(c)
         return kept
     finally:
@@ -579,19 +581,18 @@ def _round(enc: StepEncoding, clauses, bad, deadline, stats):
             solver.simplify()
 
 
-def houdini(
-    enc: StepEncoding, clauses, deadline: float | None = None, stats: PdrStats | None = None
-):
+def houdini(enc: StepEncoding, clauses, stats: PdrStats | None = None):
     """The largest subset of `clauses` that holds at reset and is
     inductive on `enc`'s constrained step (Flanagan & Leino, FME 2001).
 
     Candidates false at reset go first; then `_round`s run until one
     drops nothing, so an inductive set costs one query per clause.
-    Returns the survivors in input order. Queries go through `ask`."""
+    Returns the survivors in input order; each query is an `ask` on `stats`."""
+    stats = stats or PdrStats()
     init = enc.circuit.init_state()
     alive = [c for c in clauses if clause_holds(init, c)]
     while True:
-        kept = _round(enc, alive, None, deadline, stats)
+        kept = _round(enc, alive, None, stats)
         if len(kept) == len(alive):
             return tuple(kept)
         alive = kept
@@ -604,7 +605,6 @@ def certify(
     target: PropertySpec,
     *,
     stats: PdrStats | None = None,
-    deadline: float | None = None,
     steps: StepHolder | None = None,
 ) -> bool:
     """Independent inductiveness check of target plus strengthening.
@@ -618,16 +618,18 @@ def certify(
     state cannot leak in, and no clause stays active for the next
     certificate. The reset check gets a small solver of its own over the
     target's reset cone: a step whose level-0 units contradict each
-    other answers every query UNSAT, and must not answer that one.
+    other answers every query UNSAT, and must not answer that one. Each
+    query is an `ask` on `stats`; `Exhausted` goes through.
     """
     clauses = [tuple(sorted(c)) for c in invariant_clauses]
     init = circuit.init_state()
     if not all(clause_holds(init, c) for c in clauses):
         return False
+    stats = stats or PdrStats()
     steps = steps or StepHolder()
     enc = steps.step(circuit, (target, *constraint_props))
     bad = steps.next_bad(target).lit(target.bad)
-    kept = _round(enc, clauses, bad, deadline, stats)
+    kept = _round(enc, clauses, bad, stats)
     if kept is None or len(kept) < len(clauses):
         return False
     reset = Solver()
@@ -638,7 +640,7 @@ def certify(
         latch_lits=[true_lit if v else true_lit ^ 1 for v in init],
         cone_roots=[target.bad],
     )
-    return ask(reset, [enc_init.lit(target.bad)], deadline, stats).status is Status.UNSAT
+    return ask(reset, [enc_init.lit(target.bad)], stats).status is Status.UNSAT
 
 
 class StepHolder:

@@ -23,7 +23,7 @@ from japdr.clausedb import (
     load,
     seeds_for_context,
 )
-from japdr.pdr import PdrStats, PdrStatus, check_property
+from japdr.pdr import Exhausted, PdrStats, PdrStatus, check_property
 
 from frames import constraints_hold, frame_satisfies
 
@@ -288,7 +288,7 @@ def test_filter_deadline_is_a_hard_error():
     # stopping the fixpoint early could hand back non-invariants, so the
     # filter refuses to answer at all
     c4, props4 = gen_counter(4)
-    with pytest.raises(ClauseDbError, match="budget"):
+    with pytest.raises(Exhausted, match="budget"):
         filter_invariant(
-            [(1,), (3,)], c4, [props4[0]], deadline=time.monotonic() - 1
+            [(1,), (3,)], c4, [props4[0]], stats=PdrStats(deadline=time.monotonic() - 1)
         )

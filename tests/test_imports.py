@@ -17,6 +17,9 @@ variable or argument of the same name does not count as a use.
 A fourth keeps one budget gate: only `pdr.ask`, which counts each SAT
 call and turns an out-of-budget answer into `pdr.Exhausted`, and
 `oracle.bmc`, which reports its own timeout, call a `.solve(` method.
+A fifth keeps one budget record per check: a deadline travels inside a
+`pdr.PdrStats`, so no function or method takes a parameter named
+`deadline` but `sat.Solver.solve`, the solver's own clock.
 """
 
 import ast
@@ -236,3 +239,51 @@ def test_the_scan_sees_every_solve_caller():
 def test_only_the_budget_gate_and_bmc_call_solve():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
     assert solve_callers(sources) == ["oracle.bmc", "pdr.ask"]
+
+
+def deadline_parameters(sources: dict[str, str]) -> list[str]:
+    """`module.[Class.]function` of every function, method or lambda
+    with a parameter named `deadline`; nested ones are named by their
+    enclosing scopes."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, ast.ClassDef):
+            where = f"{where}.{node.name}"
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            where = f"{where}.{getattr(node, 'name', '<lambda>')}"
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            if any(p is not None and p.arg == "deadline" for p in params):
+                found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for name, source in sources.items():
+        visit(ast.parse(source), Path(name).stem)
+    return sorted(found)
+
+
+def test_the_scan_sees_every_deadline_parameter():
+    sources = {
+        "pkg/a.py": (
+            "def plain(x, deadline=None): pass\n"
+            "def keyword(x, *, deadline): pass\n"
+            "def starred(*deadline): pass\n"
+            "def other(deadline_s, stats): deadline = stats.deadline\n"
+            "def outer():\n"
+            "    def inner(deadline): pass\n"
+            "    return lambda deadline: inner(deadline)\n"
+            "class K:\n"
+            "    deadline = None\n"
+            "    def m(self, deadline): self.deadline = deadline\n"
+        ),
+    }
+    assert deadline_parameters(sources) == [
+        "a.K.m", "a.keyword", "a.outer.<lambda>", "a.outer.inner", "a.plain", "a.starred",
+    ]
+
+
+def test_only_the_solver_takes_a_deadline_parameter():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    assert deadline_parameters(sources) == ["sat.Solver.solve"]

@@ -428,6 +428,48 @@ def test_a_rejected_seeded_proof_reruns_once_without_seeds(tmp_path, monkeypatch
     assert rep.totals.sat_calls == sum(v.sat_calls for v in rep.verdicts)
 
 
+def test_an_error_inside_the_engine_keeps_the_engine_counts(monkeypatch):
+    # the engine writes into its check's budget record, so an error it
+    # raises mid-run still reports the frames and SAT calls it spent
+    def broken(self, state, inputs, goals):
+        raise pdr.PdrError("lifting is broken")
+
+    monkeypatch.setattr(pdr.PdrEngine, "_lift", broken)
+    thr = build_counter(5, thresholds=6)
+    rep = run(VerificationTask(thr.circuit, thr.props, Mode.SEPARATE_GLOBAL))
+    errors = [v for v in rep.verdicts if v.status is S.ERROR]
+    assert errors
+    assert all("lifting is broken" in v.evidence for v in errors)
+    assert all(v.frames >= 1 and v.sat_calls > 0 for v in errors)
+    assert rep.totals.sat_calls == sum(v.sat_calls for v in rep.verdicts)
+
+
+def test_no_seed_lookup_once_the_deadline_has_passed(tmp_path, monkeypatch):
+    # a warm store, then a run whose every check starts past its deadline:
+    # each check is Unknown before it asks the store for seeds
+    thr = build_counter(5, thresholds=6)
+    opts = TaskOptions(reuse_clauses=True, clause_db=str(tmp_path / "clauses.db"))
+    task = VerificationTask(thr.circuit, thr.props, Mode.SEPARATE_GLOBAL, opts)
+    run(task)
+    lookups = []
+    real_seeds = orchestrator.seeds_for_context
+
+    def counting(*args, **kwargs):
+        lookups.append(args[3].index)
+        return real_seeds(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "seeds_for_context", counting)
+    assert any(v.seeds_used for v in run(task).verdicts) and lookups
+    lookups.clear()
+    monkeypatch.setattr(
+        orchestrator, "_prop_deadline", lambda opts, total: time.monotonic() - 1.0
+    )
+    rep = run(task)
+    assert lookups == []
+    assert all(v.status is S.UNKNOWN for v in rep.verdicts)
+    assert all(v.frames == v.sat_calls == 0 for v in rep.verdicts)
+
+
 def test_replay_rejects_a_trace_lifted_past_the_assumptions(monkeypatch):
     # a deliberately broken engine hook: predecessors lifted for the
     # successor and the constraint section only, the assumed properties

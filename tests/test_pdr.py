@@ -181,7 +181,7 @@ def test_sound_seeds_do_not_change_the_verdict():
 
 def test_timeout_reports_exhausted():
     c, props = gen_counter(14)
-    out = check_property(c, props[1], deadline=time.monotonic() + 1e-4)
+    out = check_property(c, props[1], stats=PdrStats(deadline=time.monotonic() + 1e-4))
     assert out.status is PdrStatus.EXHAUSTED
     assert out.invariant is None and out.cex is None
 
@@ -423,7 +423,8 @@ def test_shared_step_solver_answers_like_a_fresh_one():
             if n == 1:
                 junk = [(latch_literal(0, init[0]),)]
                 eng = PdrEngine(
-                    c, p, ctx, junk, steps=steps, deadline=time.monotonic() - 1.0
+                    c, p, ctx, junk, steps=steps,
+                    stats=PdrStats(deadline=time.monotonic() - 1.0),
                 )
                 frames = eng._step
                 assert eng.run().status is PdrStatus.EXHAUSTED
@@ -545,7 +546,8 @@ def test_a_certificate_cut_by_its_deadline_leaves_the_holder_clean():
         steps = StepHolder()
         with pytest.raises(PdrError, match="budget"):
             certify_on(
-                steps, c, (), strengthening, p, deadline=time.monotonic() - 1.0
+                steps, c, (), strengthening, p,
+                stats=PdrStats(deadline=time.monotonic() - 1.0),
             )
         assert certify_on(steps, c, (), (), p) == certify(c, (), (), p)
         assert certify_on(steps, c, (), strengthening, p) == certify(
