@@ -31,7 +31,15 @@ from .circuit import (
     replay_trace,
 )
 from .clausedb import ClauseDbError, ClauseRecord, append, filter_invariant, load
-from .oracle import CheckMode, OracleError, bmc, brute_check, brute_debug_set, reachable
+from .oracle import (
+    CheckMode,
+    OracleError,
+    ReachSet,
+    bmc,
+    brute_check,
+    brute_debug_set,
+    reachable,
+)
 from .orchestrator import (
     Mode,
     RunReport,
@@ -66,6 +74,7 @@ __all__ = [
     "PropertyKind",
     "PropertySpec",
     "REPORT_SCHEMA",
+    "ReachSet",
     "RunReport",
     "TaskOptions",
     "TraceFrame",

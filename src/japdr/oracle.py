@@ -240,19 +240,6 @@ class ExplicitModel:
             return BruteResult(True)
         return BruteResult(False, Counterexample(cex.frames, target_index))
 
-    def brute_check_aggregate(self, props) -> BruteResult:
-        """All properties together: non-final frames clean of every bad,
-        final frame violating at least one."""
-        mask = self.prop_mask(props)
-        cex = self._search_cex(mask, mask)
-        if cex is None:
-            return BruteResult(True)
-        final = cex.frames[-1]
-        state = _bits_to_int(final.latch_values)
-        fired = self.bad_table[state][_bits_to_int(final.input_values)]
-        violated = next(p.index for p in props if fired & self.bad_bit(p.index))
-        return BruteResult(False, Counterexample(cex.frames, violated))
-
     def brute_debug_set(self, props) -> set[int]:
         """Indices failing their local check (assuming all the others)."""
         return {
@@ -260,37 +247,6 @@ class ExplicitModel:
             for p in props
             if not self.brute_check(props, p.index, CheckMode.LOCAL).holds
         }
-
-    def property_inductive(self, props, target_index: int) -> bool:
-        """Induction step only: from any frame clean of every property,
-        the successor state has no input violating the target."""
-        mask = self.prop_mask(props)
-        tbit = self.bad_bit(target_index)
-        for s in range(self.n_states):
-            bad_row = self.bad_table[s]
-            c_row = self.constr_table[s]
-            for x in range(self.n_inputs):
-                if bad_row[x] & mask or not c_row[x]:
-                    continue
-                t = self.next_table[s][x]
-                if any(b & tbit for b in self.bad_table[t]):
-                    return False
-        return True
-
-    def aggregate_inductive(self, props) -> bool:
-        """Whole-conjunction induction step over the raw relation."""
-        mask = self.prop_mask(props)
-        for s in range(self.n_states):
-            if any(b & mask for b in self.bad_table[s]):
-                continue  # state has a violating frame, not in the region
-            c_row = self.constr_table[s]
-            for x in range(self.n_inputs):
-                if not c_row[x]:
-                    continue
-                t = self.next_table[s][x]
-                if any(b & mask for b in self.bad_table[t]):
-                    return False
-        return True
 
 
 # ------------------------------------------------------- convenience wrappers

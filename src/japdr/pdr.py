@@ -348,7 +348,8 @@ class PdrEngine:
 
     def generalize(self, cube, level: int) -> tuple[int, ...]:
         """Drop literals while the negation stays inductive relative to
-        F_{level-1}; at most one retry pass over the survivors."""
+        F_{level-1}; at most one retry pass over the survivors. Literals
+        go least recent first in the step solver's decision queue."""
         if not 1 <= level <= self.frontier:
             raise ValueError(f"level {level} outside 1..{self.frontier}")
         cur = set(cube)

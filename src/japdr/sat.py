@@ -1,9 +1,18 @@
 """Incremental CDCL SAT solver.
 
-Two-literal watching with blocker literals, first-UIP learning, VSIDS-style
-variable activity on an indexed heap, phase saving, and Luby restarts.
-Assumptions are handled as forced decisions; failed-assumption analysis
-yields an unsat core.
+Two-literal watching with blocker literals, first-UIP learning, a VMTF
+decision queue (Biere & Fröhlich, "Evaluating CDCL Variable Scoring
+Schemes", SAT 2015), phase saving, and Luby restarts. Assumptions are
+handled as forced decisions; failed-assumption analysis yields an unsat
+core.
+
+The queue is a doubly linked list of every variable, `q_first` the least
+recent and `q_last` the most recent, and `activity[v]` is v's stamp,
+strictly rising along it. Every variable after `q_search` is assigned, so
+a decision walks from there toward older entries. Conflict analysis
+moves the variables it visits to the recent end, in their old order.
+`new_vars` puts a block at the old end, its lowest index the most recent,
+so earlier blocks and circuit leaves are decided first.
 
 Literals are packed ints: 2*var for the positive phase, 2*var+1 for the
 negative one.
@@ -58,72 +67,16 @@ class Solver:
         self.reason: list[int] = []  # var -> clause index or _UNDEF
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
-        self.activity: list[float] = []
+        self.activity: list[int] = []  # var -> queue stamp
         self.phase: list[int] = []
-        self.var_inc = 1.0
-        self.var_decay = 0.95
-        self.heap: list[int] = []  # indexed max-heap of vars by activity
-        self.heap_pos: list[int] = []
+        self.q_prev: list[int] = []  # var -> older neighbour or _UNDEF
+        self.q_next: list[int] = []  # var -> more recent neighbour or _UNDEF
+        self.q_first = self.q_last = self.q_search = _UNDEF
         self.qhead = 0
         self.ok = True
         self.n_vars = 0
         self.n_conflicts = 0
         self._seen: list[bool] = []
-
-    # ------------------------------------------------------------------ heap
-
-    def _heap_insert(self, v: int) -> None:
-        if self.heap_pos[v] >= 0:
-            return
-        heap = self.heap
-        self.heap_pos[v] = len(heap)
-        heap.append(v)
-        self._sift_up(len(heap) - 1)
-
-    def _sift_up(self, i: int) -> None:
-        heap, pos_, act = self.heap, self.heap_pos, self.activity
-        v = heap[i]
-        a = act[v]
-        while i:
-            parent = (i - 1) >> 1
-            pv = heap[parent]
-            if act[pv] >= a:
-                break
-            heap[i] = pv
-            pos_[pv] = i
-            i = parent
-        heap[i] = v
-        pos_[v] = i
-
-    def _heap_pop(self) -> int:
-        heap, pos_, act = self.heap, self.heap_pos, self.activity
-        v = heap[0]
-        pos_[v] = -1
-        last = heap.pop()
-        n = len(heap)
-        if n:
-            # sift the last element down from the root
-            i = 0
-            a = act[last]
-            while True:
-                left = 2 * i + 1
-                if left >= n:
-                    break
-                right = left + 1
-                child = (
-                    right
-                    if right < n and act[heap[right]] > act[heap[left]]
-                    else left
-                )
-                cv = heap[child]
-                if act[cv] <= a:
-                    break
-                heap[i] = cv
-                pos_[cv] = i
-                i = child
-            heap[i] = last
-            pos_[last] = i
-        return v
 
     # ------------------------------------------------------------------ setup
 
@@ -137,14 +90,22 @@ class Solver:
         self.assign.extend([_UNDEF] * n)
         self.level.extend([0] * n)
         self.reason.extend([_UNDEF] * n)
-        self.activity.extend([0.0] * n)
         self.phase.extend([0] * n)
         self._seen.extend([False] * n)
         self.watches.extend([[] for _ in range(2 * n)])
-        # activity 0 never outranks a parent, so appending keeps heap order
-        base = len(self.heap)
-        self.heap_pos.extend(range(base, base + n))
-        self.heap.extend(range(first, first + n))
+        if not n:
+            return first
+        # queue order: first + n - 1, ..., first, then the old q_first
+        old = self.q_first
+        low = self.activity[old] if old >= 0 else 0
+        self.activity.extend(range(low - 1, low - 1 - n, -1))
+        self.q_prev.extend([*range(first + 1, first + n), _UNDEF])
+        self.q_next.extend([old, *range(first, first + n - 1)])
+        if old >= 0:
+            self.q_prev[old] = first
+        else:
+            self.q_last = self.q_search = first
+        self.q_first = first + n - 1
         return first
 
     def value(self, lit: int) -> int:
@@ -297,17 +258,6 @@ class Solver:
             del wl[out:]
         return None
 
-    def _bump(self, v: int) -> None:
-        act = self.activity[v] + self.var_inc
-        self.activity[v] = act
-        if act > 1e100:
-            scale = 1e-100
-            for i in range(self.n_vars):
-                self.activity[i] *= scale
-            self.var_inc *= scale
-        if self.heap_pos[v] >= 0:
-            self._sift_up(self.heap_pos[v])
-
     def _analyze(self, confl: list[int]):
         """First-UIP conflict analysis; returns (learned clause, backjump level)."""
         seen = self._seen
@@ -319,13 +269,14 @@ class Solver:
         idx = len(trail) - 1
         cur_level = len(self.trail_lim)
         reason_clause = confl
+        bumped = []
         while True:
             start = 0 if p is None else 1
             for lit in reason_clause[start:]:
                 v = lit >> 1
                 if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    self._bump(v)
+                    bumped.append(v)
                     if level[v] >= cur_level:
                         counter += 1
                     else:
@@ -357,6 +308,25 @@ class Solver:
                 kept.append(lit)
         for lit in learnt[1:]:
             seen[lit >> 1] = False
+
+        # every analysed variable moves to the recent end, in its old order
+        act, prev, nxt = self.activity, self.q_prev, self.q_next
+        last = self.q_last
+        stamp = act[last]
+        for v in sorted(bumped, key=act.__getitem__):
+            stamp += 1
+            act[v] = stamp
+            if v == last:
+                continue
+            older, newer = prev[v], nxt[v]
+            prev[newer] = older
+            if older >= 0:
+                nxt[older] = newer
+            else:
+                self.q_first = newer
+            prev[v], nxt[v], nxt[last] = last, _UNDEF, v
+            last = v
+        self.q_last = last
         if len(kept) == 1:
             return kept, 0
         # move the highest-level remaining literal to the watch position
@@ -395,24 +365,30 @@ class Solver:
         assign = self.assign
         phase = self.phase
         reason = self.reason
+        act = self.activity
+        search = self.q_search
+        top = act[search]
         for i in range(len(trail) - 1, bound - 1, -1):
             v = trail[i] >> 1
             phase[v] = assign[v]
             assign[v] = _UNDEF
             reason[v] = _UNDEF
-            self._heap_insert(v)
+            if act[v] > top:
+                search, top = v, act[v]
+        self.q_search = search
         del trail[bound:]
         del self.trail_lim[target:]
         self.qhead = min(self.qhead, bound)
 
     def _pick_branch(self) -> int:
-        assign = self.assign
-        heap = self.heap
-        while heap:
-            v = self._heap_pop()
-            if assign[v] == _UNDEF:
-                return 2 * v + (0 if self.phase[v] == 1 else 1)
-        return _UNDEF
+        assign, prev = self.assign, self.q_prev
+        v = self.q_search
+        while v >= 0 and assign[v] != _UNDEF:
+            v = prev[v]
+        if v < 0:
+            return _UNDEF
+        self.q_search = v
+        return 2 * v + (0 if self.phase[v] == 1 else 1)
 
     def solve(self, assumptions=(), deadline: float | None = None) -> SolveResult:
         """Decide satisfiability of the store under the given assumptions.
@@ -447,7 +423,6 @@ class Solver:
                         self.watches[learnt[0] ^ 1].extend((idx, learnt[1]))
                         self.watches[learnt[1] ^ 1].extend((idx, learnt[0]))
                         self._enqueue(learnt[0], idx)
-                    self.var_inc /= self.var_decay
                     if deadline is not None and self.n_conflicts % 32 == 0:
                         if time.monotonic() > deadline:
                             return SolveResult(Status.UNKNOWN)

@@ -42,6 +42,8 @@ from japdr.orchestrator import (
 )
 from japdr.pdr import PdrStatus, certify, check_property
 
+from explicit import aggregate_inductive, brute_check_aggregate, property_inductive
+
 SWEEP_SYSTEMS = 500
 SWEEP_SEED = 408923
 
@@ -99,7 +101,7 @@ def random_sweep():
         m = ExplicitModel(c)
         local = {p.index: m.brute_check(props, p.index, CheckMode.LOCAL) for p in props}
         glob = {p.index: m.brute_check(props, p.index, CheckMode.GLOBAL) for p in props}
-        agg = m.brute_check_aggregate(props)
+        agg = brute_check_aggregate(m, props)
         dbg = m.brute_debug_set(props)
 
         def flag(law):
@@ -110,10 +112,10 @@ def random_sweep():
         # input can leave a state outside the aggregate region while one
         # of its frames is still clean, so those systems are out of scope.
         induction_transfers = False
-        if state_predicate_properties(m, props) and m.aggregate_inductive(props):
+        if state_predicate_properties(m, props) and aggregate_inductive(m, props):
             induction_transfers = True
             for p in props:
-                if not m.property_inductive(props, p.index):
+                if not property_inductive(m, props, p.index):
                     flag(f"aggregate inductive but P{p.index} is not")
 
         for i in local:

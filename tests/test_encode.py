@@ -18,18 +18,25 @@ _UNDEF = -1
 
 
 def _ref_new_var(solver: Solver) -> int:
+    """One variable, joining the decision queue at its old end."""
     v = solver.n_vars
     solver.n_vars += 1
     solver.assign.append(_UNDEF)
     solver.level.append(0)
     solver.reason.append(_UNDEF)
-    solver.activity.append(0.0)
     solver.phase.append(0)
     solver._seen.append(False)
     solver.watches.append([])
     solver.watches.append([])
-    solver.heap_pos.append(-1)
-    solver._heap_insert(v)
+    old = solver.q_first
+    solver.activity.append(solver.activity[old] - 1 if old >= 0 else -1)
+    solver.q_prev.append(_UNDEF)
+    solver.q_next.append(old)
+    if old >= 0:
+        solver.q_prev[old] = v
+    else:
+        solver.q_last = solver.q_search = v
+    solver.q_first = v
     return v
 
 
@@ -166,8 +173,11 @@ def _state(solver: Solver):
         solver.n_vars,
         solver.clauses,
         solver.watches,
-        solver.heap,
-        solver.heap_pos,
+        solver.q_prev,
+        solver.q_next,
+        solver.q_first,
+        solver.q_last,
+        solver.q_search,
         solver.assign,
         solver.level,
         solver.reason,
@@ -272,7 +282,8 @@ def test_new_vars_matches_repeated_new_var():
         solver.solve(_next_cube(enc))
         solvers.append(solver)
     bulk, single = solvers
-    assert bulk.n_conflicts and max(bulk.activity) > 0  # a heap that is not flat
+    # allocation stamps are negative: some stamp was bumped past its allocation
+    assert bulk.n_conflicts and max(bulk.activity) >= 0
     assert _state(bulk) == _state(single)
     first = bulk.new_vars(7)
     assert [_ref_new_var(single) for _ in range(7)] == list(range(first, first + 7))

@@ -10,9 +10,10 @@ A second scan covers dead code: every private (single-underscore)
 module-level function or method under `src/japdr` must be named, as a
 name or an attribute, somewhere in `src/`. A third keeps public API
 alive only where the package uses it: every public module-level
-function of every package module must be named in `src/` outside its
-own definition, or be exported from `japdr/__init__.py`. A local
-variable or argument of the same name does not count as a use.
+function and method of every package module must be named in `src/`
+outside its own definition, or be exported from `japdr/__init__.py`
+(a method through its class). A local variable or argument of the same
+name does not count as a use.
 
 A fourth keeps one budget gate: only `pdr.ask`, which counts each SAT
 call and turns an out-of-budget answer into `pdr.Exhausted`, and
@@ -137,9 +138,10 @@ def _local_names(tree) -> set[int]:
 
 
 def unreferenced_public_functions(sources: dict[str, str], checked, exported) -> list[str]:
-    """Public module-level functions of the `checked` sources that no
-    source names outside their own definition and that are not exported.
-    A name bound inside the function that reads it is a local, not a use."""
+    """Public module-level functions and methods of the `checked` sources
+    that no source names outside their own definition, leaving out the
+    exported functions and the methods of exported classes. A name bound
+    inside the function that reads it is a local, not a use."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     local = set().union(*map(_local_names, trees.values()))
     uses = [
@@ -148,14 +150,16 @@ def unreferenced_public_functions(sources: dict[str, str], checked, exported) ->
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in local
     ]
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
     found = []
     for name in checked:
-        for node in trees[name].body:
-            if (
-                not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                or node.name.startswith("_")
-                or node.name in exported
-            ):
+        body = trees[name].body
+        defs = [n for n in body if isinstance(n, funcs) and n.name not in exported]
+        for cls in body:
+            if isinstance(cls, ast.ClassDef) and cls.name not in exported:
+                defs.extend(n for n in cls.body if isinstance(n, funcs))
+        for node in defs:
+            if node.name.startswith("_"):
                 continue
             own = {id(n) for n in ast.walk(node)}
             if not any(used == node.name and at not in own for at, used in uses):
@@ -172,6 +176,12 @@ def test_the_scan_sees_a_public_function_only_its_tests_use():
             "def _private(): pass\n"
             "def shadowed(): pass\n"
             "def passed(): pass\n"
+            "class K:\n"
+            "    def stale(self): return self.stale()\n"
+            "    def called(self): pass\n"
+            "    def shipped(self): pass\n"
+            "class Api:\n"
+            "    def method(self): pass\n"
         ),
         "b.py": (
             "from a import used\n"
@@ -179,10 +189,12 @@ def test_the_scan_sees_a_public_function_only_its_tests_use():
             "def f(passed):\n"
             "    shadowed = passed\n"
             "    return shadowed\n"
+            "def g(k): k.called()\n"
         ),
     }
-    assert unreferenced_public_functions(sources, ["a.py"], {"shipped"}) == [
-        "a.py:1: dead", "a.py:5: shadowed", "a.py:6: passed"
+    assert unreferenced_public_functions(sources, ["a.py"], {"shipped", "Api"}) == [
+        "a.py:1: dead", "a.py:5: shadowed", "a.py:6: passed",
+        "a.py:8: stale", "a.py:10: shipped",
     ]
 
 

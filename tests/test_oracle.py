@@ -23,6 +23,8 @@ from japdr.oracle import (
 )
 from japdr.orchestrator import aggregate_bad
 
+from explicit import aggregate_inductive, brute_check_aggregate, property_inductive
+
 
 def val_of(state):
     return state[0] + 2 * state[1] + 4 * state[2]
@@ -66,11 +68,11 @@ def test_counter3_relative_induction():
     c, props = gen_counter(3)
     m = ExplicitModel(c)
     # threshold is inductive once req is assumed high
-    assert m.property_inductive(props, 1)
+    assert property_inductive(m, props, 1)
     # req is an unconstrained input, never inductive
-    assert not m.property_inductive(props, 0)
+    assert not property_inductive(m, props, 0)
     # every state has some req-low frame, so the aggregate region is empty
-    assert m.aggregate_inductive(props)
+    assert aggregate_inductive(m, props)
 
 
 def test_identity_update_reaches_only_reset_state():
@@ -118,7 +120,7 @@ def test_verdict_laws_on_random_systems():
         m = ExplicitModel(c)
         local = {p.index: m.brute_check(props, p.index, CheckMode.LOCAL).holds for p in props}
         glob = {p.index: m.brute_check(props, p.index, CheckMode.GLOBAL).holds for p in props}
-        agg = m.brute_check_aggregate(props)
+        agg = brute_check_aggregate(m, props)
 
         # global truth implies local truth
         for i in local:
@@ -173,7 +175,7 @@ def test_aggregate_agrees_between_raw_and_projected_relations():
         raw = first_violation_depth(m.reachable())
         proj = first_violation_depth(m.reachable(props))
         assert raw == proj, trial
-        agg = m.brute_check_aggregate(props)
+        agg = brute_check_aggregate(m, props)
         assert agg.holds == (raw is None), trial
         if not agg.holds:
             assert len(agg.cex.frames) - 1 == raw, trial
@@ -250,7 +252,7 @@ def test_bmc_on_an_aggregate_bad_outside_the_circuit_bads():
         props = [PropertySpec(i, bad) for i, bad in enumerate(c.bads)]
         ext, agg = aggregate_bad(c, props)
         assert agg.bad not in ext.bads
-        g = ExplicitModel(c).brute_check_aggregate(props)
+        g = brute_check_aggregate(ExplicitModel(c), props)
         res = bmc(ext, agg, max_depth=18)
         if g.holds:
             assert res.cex is None, trial

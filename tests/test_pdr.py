@@ -25,6 +25,7 @@ from japdr.pdr import (
 )
 from japdr.sat import Solver, Status, pos
 
+from explicit import property_inductive
 from frames import constraints_hold, frame_satisfies
 from test_encode import _with_dead_gates
 
@@ -394,7 +395,7 @@ def test_seeds_do_not_leak_between_engines_on_one_step_solver():
     steps = StepHolder()
     tested = 0
     for p in props:
-        if model.property_inductive([p], p.index):
+        if property_inductive(model, [p], p.index):
             continue
         seeds = check_property(c, p).invariant
         seeded = check_property(c, p, seed_clauses=seeds, steps=steps)
@@ -523,7 +524,7 @@ def test_strengthenings_do_not_leak_between_certificates_on_one_holder():
     steps = StepHolder()
     tested = 0
     for p in props:
-        if model.property_inductive([p], p.index):
+        if property_inductive(model, [p], p.index):
             continue
         strengthening = check_property(c, p).invariant
         assert certify_on(steps, c, (), strengthening, p)
@@ -540,7 +541,7 @@ def test_a_certificate_cut_by_its_deadline_leaves_the_holder_clean():
     model = ExplicitModel(c)
     tested = 0
     for p in props:
-        if model.property_inductive([p], p.index):
+        if property_inductive(model, [p], p.index):
             continue
         strengthening = check_property(c, p).invariant
         steps = StepHolder()

@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 
+from japdr import sat
 from japdr.sat import Solver, Status, pos
 
 
@@ -204,6 +205,76 @@ def test_simplify_keeps_answers_cores_and_watches():
                 assert not brute_force(n, clauses + units, sorted(result.core)), trial
         assert_watch_layout(solver)
     assert dropped >= 30
+
+
+def assert_queue(solver):
+    """The decision queue holds every variable once, its two links agree,
+    stamps rise strictly from `q_first` to `q_last`, and every variable
+    after `q_search` is assigned."""
+    order, prev, v = [], -1, solver.q_first
+    while v >= 0 and len(order) <= solver.n_vars:
+        assert solver.q_prev[v] == prev, v
+        order.append(v)
+        prev, v = v, solver.q_next[v]
+    assert solver.q_last == prev
+    assert sorted(order) == list(range(solver.n_vars))
+    stamps = [solver.activity[v] for v in order]
+    assert all(a < b for a, b in zip(stamps, stamps[1:]))
+    after = order[order.index(solver.q_search) + 1 :]
+    assert all(solver.value(pos(v)) >= 0 for v in after)
+
+
+def test_decision_queue_survives_incremental_use(monkeypatch):
+    """Blocks of variables join between solves, learned clauses and level-0
+    units pile up, `simplify` runs, and every other solver restarts after
+    each conflict; the queue stays whole and every answer stays right."""
+    rng = random.Random(1717)
+    # a restart budget of 100 * 0.01: one conflict, then a restart
+    luby_calls = []
+    restarts = (sat._luby, lambda i: luby_calls.append(i) or 0.01)
+    conflicts = bumped = 0
+    for trial in range(40):
+        monkeypatch.setattr(sat, "_luby", restarts[trial % 2])
+        solver = Solver()
+        clauses = []
+        for _ in range(3):
+            solver.new_vars(rng.randint(0 if solver.n_vars else 3, 4))
+            n = solver.n_vars
+            more = [
+                [pos(v) ^ rng.randint(0, 1) for v in rng.sample(range(n), 3)]
+                for _ in range(rng.randint(n, 4 * n))
+            ]
+            if rng.random() < 0.3:
+                more.append(random_assumptions(rng, n)[:1])
+            for clause in more:
+                solver.add_clause(clause)
+            clauses += more
+            if rng.random() < 0.4:
+                solver.simplify()
+            assert_queue(solver)
+            models = brute_force(n, clauses)
+            for _ in range(4):
+                assumptions = random_assumptions(rng, n)
+                before = solver.n_conflicts
+                result = solver.solve(assumptions)
+                conflicts += solver.n_conflicts - before
+                assert_queue(solver)
+                allowed = [m for m in models if _meets(m, assumptions)]
+                assert (result.status is Status.SAT) == bool(allowed), trial
+                if result.status is Status.SAT:
+                    assert len(result.model) == n and set(result.model) <= {0, 1}
+                    model = dict(enumerate(map(bool, result.model)))
+                    assert model in models and _meets(model, assumptions), trial
+                else:
+                    assert result.core <= set(assumptions), trial
+                    assert not [m for m in models if _meets(m, result.core)], trial
+        bumped += max(solver.activity) >= 0
+    forced = sum(i > 1 for i in luby_calls)  # index 1 is each solve's start
+    assert conflicts >= 100 and bumped >= 30 and forced >= 20, (conflicts, bumped, forced)
+
+
+def _meets(model, assumptions) -> bool:
+    return all(model[a >> 1] != bool(a & 1) for a in assumptions)
 
 
 def test_luby_restart_sequence_prefix():
