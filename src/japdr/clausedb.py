@@ -13,8 +13,8 @@ under the current context through a SAT fixpoint first. And every Holds
 outcome built on seeds is certified from scratch.
 
 File format, line oriented text: one section per circuit, each opened by
-the exact header `japdr-clausedb v1 <fingerprint> <num_latch_vars>`,
-followed by one record per line:
+the exact header `japdr-clausedb v1 <fingerprint> <width>` (one past the
+highest latch position its records name), then one record per line:
 
     <context indices, comma separated, or -> <origin> <signed literals>
 
@@ -34,8 +34,9 @@ import os
 import warnings
 from dataclasses import dataclass
 
+from .aiger import circuit_fingerprint
 from .circuit import Circuit, PropertySpec
-from .pdr import PdrStats, StepHolder, clause_holds, houdini
+from .pdr import PdrStats, StepHolder, clause_holds, houdini_round
 
 _HEADER = "japdr-clausedb v1"
 
@@ -174,19 +175,28 @@ def filter_invariant(
     *,
     stats: PdrStats | None = None,
 ) -> tuple[tuple[int, ...], ...]:
-    """Greatest fixpoint of mutually inductive candidates: `pdr.houdini`
-    on a fresh step constrained by the constraint section and the
-    constraint properties. Every survivor holds on every state the
-    constrained system can reach. Output order follows input order;
-    duplicates collapse to their first occurrence. Out of budget it
-    raises `pdr.Exhausted`: an early stop could keep non-invariants.
+    """Greatest fixpoint of mutually inductive candidates (Houdini,
+    Flanagan & Leino, FME 2001). Duplicates collapse to their first
+    occurrence and clauses false at reset go; then `pdr.houdini_round`s
+    run on a fresh step constrained by the constraint section and the
+    constraint properties until one drops nothing, so an inductive set
+    costs one query per clause. Every survivor holds on every state the
+    constrained system can reach; output order follows input order.
+    Each query is an `ask` on `stats`: out of budget it raises
+    `pdr.Exhausted`, since an early stop could keep non-invariants.
     """
-    clauses = list(dict.fromkeys(tuple(sorted(c)) for c in candidates if c))
     init = circuit.init_state()
-    clauses = [cl for cl in clauses if _holds_at_reset(cl, init)]
-    if not clauses:
+    unique = dict.fromkeys(tuple(sorted(c)) for c in candidates if c)
+    alive = [cl for cl in unique if _holds_at_reset(cl, init)]
+    if not alive:
         return ()
-    return houdini(StepHolder().step(circuit, constraint_props), clauses, stats)
+    enc = StepHolder().step(circuit, constraint_props)
+    stats = stats or PdrStats()
+    while True:
+        kept = houdini_round(enc, alive, None, stats)
+        if len(kept) == len(alive):
+            return tuple(kept)
+        alive = kept
 
 
 def seeds_for_context(
@@ -198,12 +208,10 @@ def seeds_for_context(
     *,
     stats: PdrStats | None = None,
 ) -> tuple[tuple[int, ...], ...]:
-    """Seed clauses for the check of `target` under `constraint_props`.
-
-    A record whose context lies within the assumed set plus the target
-    is trusted, less any clause the reset state violates; everything
-    else must re-earn invariance under the current context.
-    """
+    """Seed clauses for the check of `target` under `constraint_props`,
+    by the trust rule above: records of other circuits are ignored,
+    trusted ones kept less any clause false at reset, and the rest
+    passed through `filter_invariant`."""
     cover = {target.index, *(p.index for p in constraint_props)}
     init = circuit.init_state()
     trusted: list[tuple[int, ...]] = []
@@ -217,3 +225,46 @@ def seeds_for_context(
             trusted.append(rec.clause)
     filtered = filter_invariant(rest, circuit, constraint_props, stats=stats) if rest else ()
     return tuple(dict.fromkeys((*trusted, *filtered)))
+
+
+class ClauseStore:
+    """A run's record pool, the one reader and writer of the file: the
+    circuit's section of `path` (if given; opening it for append first
+    creates it, so an unwritable path fails before any check), less any
+    record naming a latch the circuit lacks, plus each harvest's new
+    (clause, context) pairs, each written through as one `append`."""
+
+    def __init__(self, circuit: Circuit, path):
+        self.circuit, self.path = circuit, path
+        self.fingerprint = circuit_fingerprint(circuit)
+        self.records: list[ClauseRecord] = []
+        if path:
+            open(path, "ab").close()
+            loaded = load(path, self.fingerprint)
+            nl = circuit.num_latches
+            self.records = [r for r in loaded if r.clause[-1] < 2 * nl]
+            if len(self.records) < len(loaded):
+                n = len(loaded) - len(self.records)
+                warnings.warn(f"{path}: {n} records past the circuit's {nl} latches dropped")
+        self.known = {(r.clause, r.context) for r in self.records}
+
+    def seeds(self, target, ctx, stats) -> tuple[tuple[int, ...], ...]:
+        if not self.records:
+            return ()
+        return seeds_for_context(
+            self.records, self.circuit, self.fingerprint, target, ctx, stats=stats
+        )
+
+    def harvest(self, target: PropertySpec, ctx, invariant) -> None:
+        if not invariant:
+            return
+        context = tuple(sorted(p.index for p in ctx))
+        new = []
+        for clause in invariant:
+            rec = ClauseRecord(clause, target.index, context, self.fingerprint)
+            if (rec.clause, rec.context) not in self.known:
+                self.known.add((rec.clause, rec.context))
+                new.append(rec)
+        self.records.extend(new)
+        if self.path:
+            append(new, self.path)

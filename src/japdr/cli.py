@@ -132,7 +132,7 @@ def parse_args(argv) -> argparse.Namespace:
 
     orc = sub.add_parser("oracle", help="explicit-state ground truth for small systems")
     orc.add_argument("input")
-    orc.add_argument("--cap-bits", type=int, default=24)
+    orc.add_argument("--cap-bits", type=_count, default=24)
 
     return parser.parse_args(argv)
 

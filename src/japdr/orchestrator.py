@@ -15,12 +15,10 @@ every expected-to-hold property. A counterexample for one demonstrates
 the failure without breaking any expected behavior before its final
 frame; a proof instead is flagged, the expectation was wrong.
 
-A one-property group takes its seeds from the clause store, runs,
-becomes a verdict and hands its invariant back to the store. The store
-trusts a record whose context lies within the check's assumed set plus
-its target, and filters the rest for invariance first. In JA mode every
-record of the pass qualifies, since every check assumes the whole
-expected-to-hold set bar its target, so a pass seeds each check from its
+A one-property group takes its seeds from the run's
+`clausedb.ClauseStore`, runs, becomes a verdict and hands its invariant
+back to the store; the `clausedb` docstring gives the rule the store
+trusts records by, under which a JA pass seeds each check from its
 siblings' proofs with no filtering at all. An aggregate neither seeds
 nor harvests: its index, one past its members', may be another
 property's, whose records it does not assume.
@@ -60,12 +58,9 @@ solver checks every proof of the pass.
 from __future__ import annotations
 
 import enum
-import os
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 
-from .aiger import circuit_fingerprint
 from .circuit import (
     AndGate,
     Circuit,
@@ -78,7 +73,7 @@ from .circuit import (
     eval_literal,
     replay_trace,
 )
-from .clausedb import ClauseRecord, append, load, seeds_for_context
+from .clausedb import ClauseStore
 from .pdr import (
     Exhausted,
     PdrError,
@@ -199,7 +194,7 @@ def _check_one(
     fails: VerdictStatus,
     steps: StepHolder,
     certs: StepHolder,
-    store: _ClauseStore | None,
+    store: ClauseStore | None,
 ) -> Verdict:
     """One property, end to end: seeds, solve, replay the trace or
     certify the proof, harvest it. `stats` is the check's budget: its
@@ -219,7 +214,7 @@ def _check_one(
     try:
         if stats.deadline is not None and t0 >= stats.deadline:
             raise Exhausted("the deadline passed before the check began")
-        seeds = store.seeds(circuit, target, ctx, stats) if store is not None else ()
+        seeds = store.seeds(target, ctx, stats) if store is not None else ()
         verdict.seeds_used = len(seeds)
         for attempt in (seeds, ()):  # the seedless run only follows a rejected seeded proof
             out = check_property(circuit, target, ctx, attempt, stats=stats, steps=steps)
@@ -261,55 +256,6 @@ def _prop_deadline(opts: TaskOptions, total_deadline: float | None) -> float | N
         local = now + opts.per_prop_timeout_s
         deadline = local if deadline is None else min(deadline, local)
     return deadline
-
-
-class _ClauseStore:
-    """In-memory record pool plus the optional backing file.
-
-    Records learned earlier in the run seed later properties; the file,
-    when configured, is written through on every harvest so nothing is
-    lost to an abort. A harvest adds only (clause, context) pairs the
-    store does not hold yet, so re-runs over a warm store leave it as it
-    is. Each harvest is one `append` call, which locks the file, so a
-    second process appending at the same time waits its turn.
-    """
-
-    def __init__(self, task: VerificationTask):
-        self.path = task.options.clause_db
-        self.fingerprint = circuit_fingerprint(task.circuit)
-        self.records: list[ClauseRecord] = []
-        if self.path and os.path.exists(self.path):
-            loaded = load(self.path, self.fingerprint)
-            # a record naming a latch the circuit lacks is dropped alone
-            nl = task.circuit.num_latches
-            self.records.extend(r for r in loaded if r.clause[-1] < 2 * nl)
-            if len(self.records) < len(loaded):
-                n = len(loaded) - len(self.records)
-                warnings.warn(
-                    f"{self.path}: {n} records past the circuit's {nl} latches dropped"
-                )
-        self.known = {(r.clause, r.context) for r in self.records}
-
-    def seeds(self, circuit, prop, ctx, stats) -> tuple[tuple[int, ...], ...]:
-        if not self.records:
-            return ()
-        return seeds_for_context(
-            self.records, circuit, self.fingerprint, prop, ctx, stats=stats
-        )
-
-    def harvest(self, prop: PropertySpec, ctx, invariant) -> None:
-        if not invariant:
-            return
-        context = tuple(sorted(p.index for p in ctx))
-        new = []
-        for clause in invariant:
-            rec = ClauseRecord(clause, prop.index, context, self.fingerprint)
-            if (rec.clause, rec.context) not in self.known:
-                self.known.add((rec.clause, rec.context))
-                new.append(rec)
-        self.records.extend(new)
-        if self.path:
-            append(new, self.path)
 
 
 def _conclusion(task, verdicts_by_index) -> str:
@@ -394,7 +340,7 @@ def run(task: VerificationTask) -> RunReport:
     t0 = time.monotonic()
     total_deadline = t0 + opts.total_timeout_s if opts.total_timeout_s else None
     circuit = task.circuit
-    store = _ClauseStore(task) if opts.reuse_clauses else None
+    store = ClauseStore(circuit, opts.clause_db) if opts.reuse_clauses else None
     steps, certs = StepHolder(), StepHolder()
     verdicts: dict[int, Verdict] = {}
     sat_calls = learned = 0

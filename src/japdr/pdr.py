@@ -23,13 +23,13 @@ the induction precheck and every consecution query, comes from a
 `certify` takes its step from a second holder that no engine touches,
 so no engine state reaches it; a run's certificates all share that
 solver, each behind an activation literal it retires. A certificate is
-one Houdini round; `houdini`, the fixpoint of those rounds, is the
-clause store's seed filter.
+one `houdini_round`; the clause store's seed filter,
+`clausedb.filter_invariant`, runs those rounds to their fixpoint.
 
 A check's one `PdrStats` carries its deadline and every count. Every SAT
 query goes through `ask`, which counts it there and raises `Exhausted`
 (a `PdrError`) once the deadline passes; the engine reports that as an
-Exhausted outcome, `certify` and `houdini` let it through.
+Exhausted outcome, `certify` and the seed filter let it through.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ class PdrStatus(enum.Enum):
 @dataclass
 class PdrStats:
     """The budget of one check: its absolute deadline (`time.monotonic()`)
-    and what the engine, `houdini` and `certify` spent, counted into the
-    record they are given, so a check cut by an error keeps its counts."""
+    and what the engine, the seed filter and `certify` spent, counted into
+    the record they are given, so a check cut by an error keeps its counts."""
 
     deadline: float | None = None
     frames_opened: int = 0
@@ -119,8 +119,8 @@ class _CexFound(Exception):
 class _Frames:
     """One solver's image of the frames: a circuit copy, one activation
     literal per level and one for the inductive clauses. The reset frame
-    F_0 is assumed latch by latch, never a clause set. `_round` uses
-    one with no levels for each round of candidates."""
+    F_0 is assumed latch by latch, never a clause set. Each
+    `houdini_round` uses one with no levels for its candidates."""
 
     def __init__(self, enc: StepEncoding, levels: int):
         self.enc = enc
@@ -544,7 +544,7 @@ def check_property(
 
 
 def ask(solver: Solver, assumptions, stats: PdrStats):
-    """The one gate of every SAT query the engine, `houdini` and
+    """The one gate of every SAT query the engine, the seed filter and
     `certify` ask: counts the call in `stats` and raises `Exhausted`
     when its deadline passes before the answer."""
     deadline = stats.deadline
@@ -556,7 +556,7 @@ def ask(solver: Solver, assumptions, stats: PdrStats):
     raise Exhausted("SAT query ran out of budget")
 
 
-def _round(enc: StepEncoding, clauses, bad, stats: PdrStats):
+def houdini_round(enc: StepEncoding, clauses, bad, stats: PdrStats):
     """One Houdini round: the clauses behind one activation literal on
     `enc`, then `bad` (a next-state literal, or None) and each clause's
     next-state negation asked under it, and the literal retired however
@@ -582,23 +582,6 @@ def _round(enc: StepEncoding, clauses, bad, stats: PdrStats):
             solver.simplify()
 
 
-def houdini(enc: StepEncoding, clauses, stats: PdrStats | None = None):
-    """The largest subset of `clauses` that holds at reset and is
-    inductive on `enc`'s constrained step (Flanagan & Leino, FME 2001).
-
-    Candidates false at reset go first; then `_round`s run until one
-    drops nothing, so an inductive set costs one query per clause.
-    Returns the survivors in input order; each query is an `ask` on `stats`."""
-    stats = stats or PdrStats()
-    init = enc.circuit.init_state()
-    alive = [c for c in clauses if clause_holds(init, c)]
-    while True:
-        kept = _round(enc, alive, None, stats)
-        if len(kept) == len(alive):
-            return tuple(kept)
-        alive = kept
-
-
 def certify(
     circuit: Circuit,
     constraint_props,
@@ -612,12 +595,12 @@ def certify(
 
     Checks: the reset state satisfies the strengthening and cannot fire
     bad; and from any constrained frame satisfying target and
-    strengthening, the successor satisfies both again: one `_round`
-    with the target's next-state bad, after no query at all if a clause
-    is false at reset. The step and that bad cone come from `steps`, a
-    holder no engine touches (without one, a fresh holder), so engine
-    state cannot leak in, and no clause stays active for the next
-    certificate. The reset check gets a small solver of its own over the
+    strengthening, the successor satisfies both again: one
+    `houdini_round` with the target's next-state bad, after no query at
+    all if a clause is false at reset. The step and that bad cone come
+    from `steps`, a holder no engine touches (without one, a fresh
+    holder), so engine state cannot leak in, and no clause stays active
+    for the next certificate. The reset check gets a small solver of its own over the
     target's reset cone: a step whose level-0 units contradict each
     other answers every query UNSAT, and must not answer that one. Each
     query is an `ask` on `stats`; `Exhausted` goes through.
@@ -630,7 +613,7 @@ def certify(
     steps = steps or StepHolder()
     enc = steps.step(circuit, (target, *constraint_props))
     bad = steps.next_bad(target).lit(target.bad)
-    kept = _round(enc, clauses, bad, stats)
+    kept = houdini_round(enc, clauses, bad, stats)
     if kept is None or len(kept) < len(clauses):
         return False
     reset = Solver()

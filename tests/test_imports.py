@@ -21,6 +21,9 @@ call and turns an out-of-budget answer into `pdr.Exhausted`, and
 A fifth keeps one budget record per check: a deadline travels inside a
 `pdr.PdrStats`, so no function or method takes a parameter named
 `deadline` but `sat.Solver.solve`, the solver's own clock.
+A sixth keeps one clause-store owner: no package module but `clausedb`
+names the file's reader and writer, its record type or its seed
+selection and filter; `clausedb.ClauseStore` is the way in.
 """
 
 import ast
@@ -299,3 +302,54 @@ def test_the_scan_sees_every_deadline_parameter():
 def test_only_the_solver_takes_a_deadline_parameter():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
     assert deadline_parameters(sources) == ["sat.Solver.solve"]
+
+
+STORE_INTERNALS = {"append", "load", "ClauseRecord", "seeds_for_context", "filter_invariant"}
+
+
+def store_internal_uses(sources: dict[str, str]) -> list[str]:
+    """`module:line: name` of every use of a clause-store internal: a
+    bare name, a name imported from a module, or an attribute of a
+    module named `clausedb`. A method call such as `list.append` is no
+    use. Package `__init__.py` files, which only re-export, are skipped."""
+    found = []
+    for name, source in sources.items():
+        if Path(name).name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used = [node.id]
+            elif isinstance(node, ast.ImportFrom):
+                used = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                used = [node.attr] if node.value.id == "clausedb" else []
+            else:
+                continue
+            stem = Path(name).stem
+            found.extend(f"{stem}:{node.lineno}: {u}" for u in used if u in STORE_INTERNALS)
+    return sorted(found)
+
+
+def test_the_scan_sees_every_clause_store_internal():
+    sources = {
+        "pkg/__init__.py": "from .clausedb import append, load\n",
+        "pkg/a.py": (
+            "from .clausedb import ClauseStore, ClauseRecord\n"
+            "from . import clausedb\n"
+            "xs = []\n"
+            "xs.append(1)\n"
+            "clausedb.seeds_for_context(xs)\n"
+            "def f(load): return load\n"
+            "g = filter_invariant\n"
+        ),
+    }
+    assert store_internal_uses(sources) == [
+        "a:1: ClauseRecord", "a:5: seeds_for_context", "a:6: load", "a:7: filter_invariant",
+    ]
+
+
+def test_only_the_clause_store_module_names_its_internals():
+    sources = {
+        str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE if p.name != "clausedb.py"
+    }
+    assert store_internal_uses(sources) == []

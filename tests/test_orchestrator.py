@@ -346,14 +346,14 @@ def test_reuse_is_verdict_neutral_in_ja_mode(tmp_path, monkeypatch):
     # store, then JA and separate-global runs seed from it; every seed must
     # hold wherever its check can go, and every verdict is the oracle's
     offered = []
-    real_seeds = orchestrator.seeds_for_context
+    real_seeds = clausedb.seeds_for_context
 
     def recording(records, circuit, fingerprint, target, ctx, **kwargs):
         seeds = real_seeds(records, circuit, fingerprint, target, ctx, **kwargs)
         offered.append((target, tuple(ctx), seeds))
         return seeds
 
-    monkeypatch.setattr(orchestrator, "seeds_for_context", recording)
+    monkeypatch.setattr(clausedb, "seeds_for_context", recording)
     r = random.Random(8)
     seeded = 0
     for k in range(16):
@@ -452,13 +452,13 @@ def test_no_seed_lookup_once_the_deadline_has_passed(tmp_path, monkeypatch):
     task = VerificationTask(thr.circuit, thr.props, Mode.SEPARATE_GLOBAL, opts)
     run(task)
     lookups = []
-    real_seeds = orchestrator.seeds_for_context
+    real_seeds = clausedb.seeds_for_context
 
     def counting(*args, **kwargs):
         lookups.append(args[3].index)
         return real_seeds(*args, **kwargs)
 
-    monkeypatch.setattr(orchestrator, "seeds_for_context", counting)
+    monkeypatch.setattr(clausedb, "seeds_for_context", counting)
     assert any(v.seeds_used for v in run(task).verdicts) and lookups
     lookups.clear()
     monkeypatch.setattr(

@@ -280,6 +280,22 @@ def test_cli_reports_a_clause_db_it_cannot_open(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("japdr: clause db: ")
 
 
+def test_cli_refuses_an_unwritable_clause_db_before_any_check(tmp_path, capsys):
+    # the counter's proofs learn no clauses, so no harvest ever writes:
+    # the store must still open its path before the first check
+    path = counter_file(tmp_path)
+    db = tmp_path / "clauses.db"
+    assert main(["check", str(path), "--clause-db", str(db)]) == EXIT_FAILURES
+    assert db.read_bytes() == b""
+    capsys.readouterr()
+    missing = tmp_path / "missing" / "clauses.db"
+    code = main(["check", str(path), "--clause-db", str(missing)])
+    out, err = capsys.readouterr()
+    assert code == EXIT_PARSE and out == ""
+    err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith("japdr: clause db: ")
+
+
 def test_an_engine_error_costs_only_its_own_verdict(tmp_path, monkeypatch, capsys):
     # a deliberately broken engine hook: the check of P1 returns a one-frame
     # trace from reset on which P1's bad does not fire, so replay rejects it
@@ -485,6 +501,13 @@ def test_cli_bmc_rejects_a_negative_depth(tmp_path, capsys):
     assert "--depth" in captured.err and "no counterexample" not in captured.out
     assert main(["bmc", str(path), "--prop", "1", "--depth", "0"]) == EXIT_OK
     assert "up to depth 0" in capsys.readouterr().out
+
+
+def test_cli_oracle_rejects_a_negative_cap(tmp_path, capsys):
+    path = counter_file(tmp_path)
+    assert main(["oracle", str(path), "--cap-bits", "-1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--cap-bits" in err and "enumeration cap" not in err
 
 
 def test_module_entry_point(tmp_path):
