@@ -46,7 +46,7 @@ _MODES = {"ja": Mode.JA, "joint": Mode.JOINT, "sep-global": Mode.SEPARATE_GLOBAL
 
 def _positive(text: str) -> float:
     value = float(text)
-    if value <= 0:
+    if not value > 0:  # NaN too
         raise argparse.ArgumentTypeError("must be positive")
     return value
 

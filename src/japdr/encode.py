@@ -80,7 +80,7 @@ class StepEncoding:
             varmap[var] = pos(first + i)
         if latch_lits is not None:
             varmap.update(zip(circuit.latch_vars, latch_lits))
-        clauses, watches, assign = solver.clauses, solver.watches, solver.assign
+        clauses, watches, vals = solver.clauses, solver.watches, solver.vals
         ok = solver.ok
         out = pos(first + len(leaves))
         for gate in gates:
@@ -104,7 +104,7 @@ class StepEncoding:
             left, right = gate.left, gate.right
             a = varmap[left.var] ^ left.negated
             b = varmap[right.var] ^ right.negated
-            if ok and assign[a >> 1] < 0 and assign[b >> 1] < 0 and (a ^ b) > 1:
+            if ok and vals[a] < 0 and vals[b] < 0 and (a ^ b) > 1:
                 # what add_clause would store for a fresh output over two
                 # distinct free operands: the same clauses, same watches
                 idx = len(clauses)

@@ -123,7 +123,7 @@ class VerificationTask:
         opts = self.options
         for name in ("per_prop_timeout_s", "total_timeout_s"):
             value = getattr(opts, name)
-            if value is not None and value <= 0:
+            if value is not None and not value > 0:  # NaN too
                 raise ValueError(f"{name} must be positive")
         order = opts.order
         if order is not None and order != "easy-first":

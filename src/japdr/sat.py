@@ -15,7 +15,10 @@ moves the variables it visits to the recent end, in their old order.
 so earlier blocks and circuit leaves are decided first.
 
 Literals are packed ints: 2*var for the positive phase, 2*var+1 for the
-negative one.
+negative one. `vals` is indexed by literal: `vals[lit]` is 1 when lit is
+true, 0 when false and `_UNDEF` when its variable is free. Both
+polarities are written together, so a model is `vals[0::2]`. `level[v]`
+and `reason[v]` mean something only while v is assigned.
 
 `new_vars(n)` allocates a block of variables in one step. A clause that
 `add_clause` would store unchanged (no duplicate or complementary
@@ -62,9 +65,9 @@ class Solver:
     def __init__(self):
         self.clauses: list[list[int]] = []
         self.watches: list[list[int]] = []  # lit -> flat [clause, blocker, ...]
-        self.assign: list[int] = []  # var -> 0/1/_UNDEF
+        self.vals: list[int] = []  # lit -> 1/0/_UNDEF
         self.level: list[int] = []
-        self.reason: list[int] = []  # var -> clause index or _UNDEF
+        self.reason: list[int] = []  # var -> clause index or _UNDEF (decision)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.activity: list[int] = []  # var -> queue stamp
@@ -87,7 +90,7 @@ class Solver:
         """Allocate n consecutive variables; returns the first."""
         first = self.n_vars
         self.n_vars += n
-        self.assign.extend([_UNDEF] * n)
+        self.vals.extend([_UNDEF] * (2 * n))
         self.level.extend([0] * n)
         self.reason.extend([_UNDEF] * n)
         self.phase.extend([0] * n)
@@ -108,10 +111,6 @@ class Solver:
         self.q_first = first + n - 1
         return first
 
-    def value(self, lit: int) -> int:
-        a = self.assign[lit >> 1]
-        return a if a == _UNDEF else a ^ (lit & 1)
-
     def add_clause(self, lits) -> bool:
         """Add a permanent clause; returns False once the store is unsat.
         Only legal at decision level 0."""
@@ -125,7 +124,7 @@ class Solver:
                 return True  # tautology
             if not seen.get(lit):
                 seen[lit] = True
-                v = self.value(lit)
+                v = self.vals[lit]
                 if v == 1:
                     return True  # already satisfied at level 0
                 if v != 0:
@@ -181,7 +180,8 @@ class Solver:
 
     def _enqueue(self, lit: int, reason: int) -> None:
         v = lit >> 1
-        self.assign[v] = 1 - (lit & 1)
+        self.vals[lit] = 1
+        self.vals[lit ^ 1] = 0
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
@@ -189,14 +189,15 @@ class Solver:
     def _propagate(self) -> list[int] | None:
         clauses = self.clauses
         watches = self.watches
-        assign = self.assign
+        vals = self.vals
         level = self.level
         reason = self.reason
         trail = self.trail
         lim = len(self.trail_lim)
-        while self.qhead < len(trail):
-            p = trail[self.qhead]
-            self.qhead += 1
+        qhead = self.qhead
+        while qhead < len(trail):
+            p = trail[qhead]
+            qhead += 1
             false_lit = p ^ 1
             wl = watches[p]
             i = out = 0
@@ -205,8 +206,7 @@ class Solver:
                 ci = wl[i]
                 blocker = wl[i + 1]
                 i += 2
-                bv = assign[blocker >> 1]
-                if bv >= 0 and bv ^ (blocker & 1):
+                if vals[blocker] == 1:
                     wl[out] = ci
                     wl[out + 1] = blocker
                     out += 2
@@ -216,46 +216,39 @@ class Solver:
                     clause[0] = clause[1]
                     clause[1] = false_lit
                 first = clause[0]
-                fv = assign[first >> 1]
-                if fv >= 0 and fv ^ (first & 1):
+                fv = vals[first]
+                if fv == 1:
                     wl[out] = ci
                     wl[out + 1] = first
                     out += 2
                     continue
-                moved = False
                 cn = len(clause)
                 k = 2
                 while k < cn:
                     lk = clause[k]
-                    av = assign[lk >> 1]
-                    if av < 0 or av ^ (lk & 1):
+                    if vals[lk]:  # true or free: watch it instead
                         clause[1] = lk
                         clause[k] = false_lit
                         watches[lk ^ 1].extend((ci, first))
-                        moved = True
                         break
                     k += 1
-                if moved:
-                    continue
-                wl[out] = ci
-                wl[out + 1] = first
-                out += 2
-                if fv < 0:
-                    v = first >> 1
-                    assign[v] = 1 - (first & 1)
-                    level[v] = lim
-                    reason[v] = ci
-                    trail.append(first)
                 else:
-                    while i < n:  # conflict: keep the remaining watchers
-                        wl[out] = wl[i]
-                        wl[out + 1] = wl[i + 1]
-                        out += 2
-                        i += 2
-                    del wl[out:]
-                    self.qhead = len(trail)
-                    return clause
+                    wl[out] = ci
+                    wl[out + 1] = first
+                    out += 2
+                    if fv:  # free: unit
+                        vals[first] = 1
+                        vals[first ^ 1] = 0
+                        v = first >> 1
+                        level[v] = lim
+                        reason[v] = ci
+                        trail.append(first)
+                    else:  # conflict: keep the remaining watchers
+                        del wl[out:i]
+                        self.qhead = len(trail)
+                        return clause
             del wl[out:]
+        self.qhead = qhead
         return None
 
     def _analyze(self, confl: list[int]):
@@ -301,11 +294,13 @@ class Solver:
         kept = [learnt[0]]
         for lit in learnt[1:]:
             r = reason[lit >> 1]
-            if r == _UNDEF or not all(
-                seen[other >> 1] or level[other >> 1] == 0
-                for other in clauses[r][1:]
-            ):
-                kept.append(lit)
+            if r != _UNDEF:
+                for other in clauses[r][1:]:
+                    if not seen[other >> 1] and level[other >> 1]:
+                        break
+                else:
+                    continue  # implied by the rest
+            kept.append(lit)
         for lit in learnt[1:]:
             seen[lit >> 1] = False
 
@@ -362,17 +357,15 @@ class Solver:
             return
         bound = self.trail_lim[target]
         trail = self.trail
-        assign = self.assign
+        vals = self.vals
         phase = self.phase
-        reason = self.reason
         act = self.activity
         search = self.q_search
         top = act[search]
-        for i in range(len(trail) - 1, bound - 1, -1):
-            v = trail[i] >> 1
-            phase[v] = assign[v]
-            assign[v] = _UNDEF
-            reason[v] = _UNDEF
+        for lit in trail[bound:]:
+            v = lit >> 1
+            phase[v] = 1 - (lit & 1)
+            vals[lit] = vals[lit ^ 1] = _UNDEF
             if act[v] > top:
                 search, top = v, act[v]
         self.q_search = search
@@ -381,9 +374,9 @@ class Solver:
         self.qhead = min(self.qhead, bound)
 
     def _pick_branch(self) -> int:
-        assign, prev = self.assign, self.q_prev
+        vals, prev = self.vals, self.q_prev
         v = self.q_search
-        while v >= 0 and assign[v] != _UNDEF:
+        while v >= 0 and vals[2 * v] != _UNDEF:
             v = prev[v]
         if v < 0:
             return _UNDEF
@@ -400,6 +393,7 @@ class Solver:
         assumption_set = frozenset(assumptions)
         if not self.ok:
             return SolveResult(Status.UNSAT, core=frozenset())
+        trail_lim, vals = self.trail_lim, self.vals
         restart_unit = 100
         luby_index = 1
         restart_budget = restart_unit * _luby(luby_index)
@@ -410,7 +404,7 @@ class Solver:
                 if confl is not None:
                     self.n_conflicts += 1
                     conflicts_here += 1
-                    if not self.trail_lim:
+                    if not trail_lim:
                         self.ok = False
                         return SolveResult(Status.UNSAT, core=frozenset())
                     learnt, back = self._analyze(confl)
@@ -435,24 +429,23 @@ class Solver:
                     restart_budget = restart_unit * _luby(luby_index)
                     self._cancel_until(0)
                     continue
-                depth = len(self.trail_lim)
+                depth = len(trail_lim)
                 if depth < len(assumptions):
                     p = assumptions[depth]
-                    v = self.value(p)
+                    v = vals[p]
                     if v == 1:
-                        self.trail_lim.append(len(self.trail))  # dummy level
+                        trail_lim.append(len(self.trail))  # dummy level
                     elif v == 0:
                         core = self._analyze_final(p, assumption_set)
                         return SolveResult(Status.UNSAT, core=core)
                     else:
-                        self.trail_lim.append(len(self.trail))
+                        trail_lim.append(len(self.trail))
                         self._enqueue(p, _UNDEF)
                     continue
                 lit = self._pick_branch()
                 if lit == _UNDEF:
-                    model = self.assign.copy()
-                    return SolveResult(Status.SAT, model=model)
-                self.trail_lim.append(len(self.trail))
+                    return SolveResult(Status.SAT, model=vals[0::2])
+                trail_lim.append(len(self.trail))
                 self._enqueue(lit, _UNDEF)
         finally:
             self._cancel_until(0)

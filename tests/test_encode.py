@@ -21,7 +21,7 @@ def _ref_new_var(solver: Solver) -> int:
     """One variable, joining the decision queue at its old end."""
     v = solver.n_vars
     solver.n_vars += 1
-    solver.assign.append(_UNDEF)
+    solver.vals += (_UNDEF, _UNDEF)
     solver.level.append(0)
     solver.reason.append(_UNDEF)
     solver.phase.append(0)
@@ -178,7 +178,7 @@ def _state(solver: Solver):
         solver.q_first,
         solver.q_last,
         solver.q_search,
-        solver.assign,
+        solver.vals,
         solver.level,
         solver.reason,
         solver.trail,

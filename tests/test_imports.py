@@ -24,6 +24,11 @@ A fifth keeps one budget record per check: a deadline travels inside a
 A sixth keeps one clause-store owner: no package module but `clausedb`
 names the file's reader and writer, its record type or its seed
 selection and filter; `clausedb.ClauseStore` is the way in.
+A seventh keeps the solver's layout inside `sat`: no package module but
+`sat` names a solver's value array, trail, levels, reasons, queue head,
+clause store, watch lists or queue stamps. Two readers are allowed:
+`encode`'s bulk path writes clauses and watches next to the values it
+reads, and `pdr`'s generalization orders literals by queue stamp.
 """
 
 import ast
@@ -353,3 +358,79 @@ def test_only_the_clause_store_module_names_its_internals():
         str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE if p.name != "clausedb.py"
     }
     assert store_internal_uses(sources) == []
+
+
+SOLVER_LAYOUT = {
+    "vals", "trail", "trail_lim", "reason", "level", "qhead", "clauses", "watches", "activity",
+}
+
+
+def _names_a_solver(node, aliases) -> bool:
+    """`solver`, `enc.solver`, `bad_solver`, `Solver()`, or a name bound
+    to one of these in the same module."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+    return "solver" in name.lower() or name in aliases
+
+
+def solver_layout_uses(sources: dict[str, str]) -> list[str]:
+    """`module[.Class][.function]: name` of every use of an attribute in
+    SOLVER_LAYOUT on a solver."""
+    found = []
+
+    def visit(node, where, aliases):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}"
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in SOLVER_LAYOUT
+            and _names_a_solver(node.value, aliases)
+        ):
+            found.append(f"{where}: {node.attr}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, aliases)
+
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        aliases = {
+            target.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and _names_a_solver(node.value, set())
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        visit(tree, Path(name).stem, aliases)
+    return sorted(set(found))
+
+
+def test_the_scan_sees_every_use_of_the_solver_layout():
+    sources = {
+        "pkg/a.py": (
+            "from .sat import Solver\n"
+            "s = Solver()\n"
+            "s.trail.append(1)\n"
+            "Solver().qhead = 0\n"
+            "class K:\n"
+            "    def m(self, enc, ob):\n"
+            "        enc.solver.reason[0] = 1\n"
+            "        self.bad_solver.trail_lim.clear()\n"
+            "        return ob.level, self.clauses\n"
+            "def f(solver):\n"
+            "    return solver.vals[0], solver.ok, solver.level\n"
+        ),
+    }
+    assert solver_layout_uses(sources) == [
+        "a.K.m: reason", "a.K.m: trail_lim", "a.f: level", "a.f: vals",
+        "a: qhead", "a: trail",
+    ]
+
+
+def test_only_the_solver_names_its_layout():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE if p.name != "sat.py"}
+    assert solver_layout_uses(sources) == [
+        "encode.StepEncoding.__init__: clauses",
+        "encode.StepEncoding.__init__: vals",
+        "encode.StepEncoding.__init__: watches",
+        "pdr.PdrEngine.generalize: activity",
+    ]

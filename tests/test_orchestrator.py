@@ -269,6 +269,13 @@ def test_ordering_options():
         VerificationTask(c, tuple(props), Mode.JA, TaskOptions(total_timeout_s=-1))
 
 
+@pytest.mark.parametrize("name", ["per_prop_timeout_s", "total_timeout_s"])
+def test_a_nan_timeout_is_rejected(name):
+    c, props = gen_counter(3)
+    with pytest.raises(ValueError, match=f"{name} must be positive"):
+        VerificationTask(c, tuple(props), Mode.JA, TaskOptions(**{name: float("nan")}))
+
+
 def test_clause_reuse_saves_work_and_keeps_verdicts(tmp_path):
     # constrained counter family: same empty context end to end, so each
     # proof can seed the next and a second pass starts warm

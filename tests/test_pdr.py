@@ -512,7 +512,7 @@ def certify_on(steps, circuit, ctx, clauses, target, **kwargs):
     try:
         return certify(circuit, ctx, clauses, target, steps=steps, **kwargs)
     finally:
-        assert all(solver.value(pos(v)) >= 0 for v in range(before, solver.n_vars))
+        assert all(solver.vals[pos(v)] >= 0 for v in range(before, solver.n_vars))
 
 
 def test_strengthenings_do_not_leak_between_certificates_on_one_holder():

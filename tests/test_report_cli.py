@@ -503,6 +503,23 @@ def test_cli_bmc_rejects_a_negative_depth(tmp_path, capsys):
     assert "up to depth 0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--per-prop-timeout", "nan"],
+        ["check", "--total-timeout", "nan"],
+        ["bmc", "--prop", "1", "--timeout", "nan"],
+    ],
+    ids=["per-prop-timeout", "total-timeout", "bmc-timeout"],
+)
+def test_cli_rejects_a_nan_timeout(tmp_path, capsys, argv):
+    path = counter_file(tmp_path)
+    assert main([argv[0], str(path), *argv[1:]]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert argv[-2] in captured.err and "must be positive" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_cli_oracle_rejects_a_negative_cap(tmp_path, capsys):
     path = counter_file(tmp_path)
     assert main(["oracle", str(path), "--cap-bits", "-1"]) == EXIT_USAGE

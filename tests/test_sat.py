@@ -2,8 +2,10 @@ import itertools
 import random
 import time
 
-from japdr import sat
-from japdr.sat import Solver, Status, pos
+from japdr import oracle, sat
+from japdr.aiger import gen_counter, gen_random_circuit
+from japdr.orchestrator import Mode, VerificationTask, run
+from japdr.sat import _UNDEF, Solver, Status, pos
 
 
 def brute_force(num_vars, clauses, assumptions=()):
@@ -187,9 +189,10 @@ def test_simplify_keeps_answers_cores_and_watches():
         solver.simplify()
         dropped += solver.ok and before > sum(map(bool, solver.clauses))
         assert not solver.ok or not any(
-            any(solver.value(l) == 1 for l in clause) for clause in solver.clauses
+            any(solver.vals[l] == 1 for l in clause) for clause in solver.clauses
         ), trial
         assert_watch_layout(solver)
+        assert_values(solver)
         fresh = Solver()
         fresh.new_vars(n)
         for clause in clauses + units:
@@ -197,6 +200,7 @@ def test_simplify_keeps_answers_cores_and_watches():
         for _ in range(4):
             assumptions = random_assumptions(rng, n)
             result = solver.solve(assumptions)
+            assert_values(solver, result)
             assert result.status is fresh.solve(assumptions).status, trial
             models = brute_force(n, clauses + units, assumptions)
             assert (result.status is Status.SAT) == bool(models), trial
@@ -221,7 +225,27 @@ def assert_queue(solver):
     stamps = [solver.activity[v] for v in order]
     assert all(a < b for a, b in zip(stamps, stamps[1:]))
     after = order[order.index(solver.q_search) + 1 :]
-    assert all(solver.value(pos(v)) >= 0 for v in after)
+    assert all(solver.vals[pos(v)] >= 0 for v in after)
+
+
+def assert_values(solver, result=None):
+    """Between solves: the two polarities of every variable are both free
+    or complementary, and the assigned variables are exactly the level-0
+    trail. A SAT model is the value array of its answer: total, agreeing
+    with every level-0 value, and satisfying every stored clause."""
+    vals, n = solver.vals, solver.n_vars
+    assert len(vals) == 2 * n
+    assert all((vals[2 * v], vals[2 * v + 1]) in {(_UNDEF, _UNDEF), (0, 1), (1, 0)} for v in range(n))
+    assert not solver.trail_lim
+    trail = solver.trail
+    level0 = {lit >> 1 for lit in trail}
+    assert len(level0) == len(trail) and all(vals[lit] == 1 for lit in trail)
+    assert {v for v in range(n) if vals[2 * v] != _UNDEF} == level0
+    if result is not None and result.status is Status.SAT:
+        model = result.model
+        assert len(model) == n and set(model) <= {0, 1}
+        assert all(model[v] == vals[2 * v] for v in level0)
+        assert all(any(model[l >> 1] ^ (l & 1) for l in clause) for clause in solver.clauses if clause)
 
 
 def test_decision_queue_survives_incremental_use(monkeypatch):
@@ -252,6 +276,7 @@ def test_decision_queue_survives_incremental_use(monkeypatch):
             if rng.random() < 0.4:
                 solver.simplify()
             assert_queue(solver)
+            assert_values(solver)
             models = brute_force(n, clauses)
             for _ in range(4):
                 assumptions = random_assumptions(rng, n)
@@ -259,6 +284,7 @@ def test_decision_queue_survives_incremental_use(monkeypatch):
                 result = solver.solve(assumptions)
                 conflicts += solver.n_conflicts - before
                 assert_queue(solver)
+                assert_values(solver, result)
                 allowed = [m for m in models if _meets(m, assumptions)]
                 assert (result.status is Status.SAT) == bool(allowed), trial
                 if result.status is Status.SAT:
@@ -275,6 +301,47 @@ def test_decision_queue_survives_incremental_use(monkeypatch):
 
 def _meets(model, assumptions) -> bool:
     return all(model[a >> 1] != bool(a & 1) for a in assumptions)
+
+
+def _count_search(monkeypatch) -> dict:
+    """Count every solve of every solver, its conflicts and the clauses
+    it learns, as the bench tracer does."""
+    counts = {"solves": 0, "conflicts": 0, "learned": 0}
+    solve = Solver.solve
+
+    def counted(self, *args, **kwargs):
+        conflicts, stored = self.n_conflicts, len(self.clauses)
+        try:
+            return solve(self, *args, **kwargs)
+        finally:
+            counts["solves"] += 1
+            counts["conflicts"] += self.n_conflicts - conflicts
+            counts["learned"] += len(self.clauses) - stored
+
+    monkeypatch.setattr(Solver, "solve", counted)
+    return counts
+
+
+def test_the_search_is_pinned(monkeypatch):
+    """Fixed instances and the exact search they take. A kernel change
+    that keeps every decision keeps these numbers; one that alters the
+    search on purpose updates them and says so."""
+    counts = _count_search(monkeypatch)
+    circuit, props = gen_counter(5)
+    found = oracle.bmc(circuit, props[1], max_depth=17)  # the law: a cex at 2^4 + 1
+    assert found.explored_depth == 17 and found.sat_calls == 18
+    inputs = "".join(str(bit) for f in found.cex.frames for bit in f.input_values)
+    assert inputs == "10" * 17 + "00"
+    assert counts == {"solves": 18, "conflicts": 216, "learned": 193}
+
+    counts.update(solves=0, conflicts=0, learned=0)
+    circuit, props = gen_random_circuit(random.Random(4), 3, 10, 80, 5)
+    report = run(VerificationTask(circuit, tuple(props), Mode.JA))
+    assert [v.status.value for v in report.verdicts] == [
+        "HoldsLocal", "FailsLocal", "FailsLocal", "FailsLocal", "HoldsLocal",
+    ]
+    assert (report.totals.sat_calls, report.totals.clauses_learned) == (126, 21)
+    assert counts == {"solves": 126, "conflicts": 15, "learned": 13}
 
 
 def test_luby_restart_sequence_prefix():
