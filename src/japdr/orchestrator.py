@@ -30,29 +30,28 @@ expected-to-hold verdict is upgraded.
 Every check lifts its predecessors with the target and every assumed
 property kept clean, so a counterexample breaks nothing it assumes
 before its final frame. Every trace is replayed to confirm it; one that
-is invalid or spurious is an engine error. Every proof is re-certified
-on the run's certificate solver, which no engine touches; when a proof
-built on seeded clauses is rejected, the seeds are dropped and the check
-runs once more, so clause re-use can never manufacture a verdict. An
-engine error, or an aggregate counterexample that refutes no member,
-makes every property of its group an Error verdict; the other groups
-are still checked, the JA upgrade does not fire, and the run is
-reported incomplete.
+is invalid or spurious is an engine error. Every proof is decided or
+re-certified on the run's certificate solver, which no engine touches;
+when an engine proof built on seeded clauses is rejected, the seeds are
+dropped and the check runs once more, so clause re-use can never
+manufacture a verdict. An engine error, or an aggregate counterexample
+that refutes no member, makes every property of its group an Error
+verdict; the other groups are still checked, the JA upgrade does not
+fire, and the run is reported incomplete.
 
 Every verdict, Error and Unknown included, reports the time, frames and
 SAT calls of its check. An aggregate check decides several properties at
 once, so each verdict it decides reports the cost of that whole check;
 the run totals count every check once.
 
-Each run keeps one `pdr.StepHolder` and hands it to every check, so
-consecutive checks over the same property set share one step solver. In
-JA mode every expected-to-hold check steps through the same relation,
-all expected-to-hold properties clean, so one solver answers every
-induction precheck and consecution query of the pass, each engine's
-frames behind literals it retires when it ends; the other modes change
-the set with every check and get a fresh one each time. A second holder
-serves only `certify`, on the same terms, so in JA mode one certificate
-solver checks every proof of the pass.
+Each run keeps two `pdr.StepHolder`s and hands them to every check, so
+consecutive checks over the same property set share one step solver of
+each. In JA mode every expected-to-hold check steps through the same
+relation, all expected-to-hold properties clean, so one certificate
+solver decides every already-inductive check and certifies every engine
+proof of the pass, and one engine solver answers every consecution query,
+each engine's frames behind literals it retires when it ends; the other
+modes change the set with every check and get fresh ones each time.
 """
 
 from __future__ import annotations
@@ -201,8 +200,9 @@ def _check_one(
     deadline bounds all of it, and the seed filter, engines and
     certificate count into it, so the verdict reports them however the
     check ends. The engine runs on the step solver the run's `steps`
-    holder keeps, certification on the one `certs` keeps; `store` is
-    None for an aggregate and without clause re-use.
+    holder keeps; certification, and the check that settles an
+    already-inductive property before any engine, on the one `certs`
+    keeps. `store` is None for an aggregate and without clause re-use.
 
     The status is `holds` or `fails` once the check is decided, Unknown
     once the deadline passes (seeds are not looked up past it), and
@@ -217,7 +217,9 @@ def _check_one(
         seeds = store.seeds(target, ctx, stats) if store is not None else ()
         verdict.seeds_used = len(seeds)
         for attempt in (seeds, ()):  # the seedless run only follows a rejected seeded proof
-            out = check_property(circuit, target, ctx, attempt, stats=stats, steps=steps)
+            out = check_property(
+                circuit, target, ctx, attempt, stats=stats, steps=steps, certs=certs
+            )
             if out.status is PdrStatus.EXHAUSTED:
                 break
             if out.status is PdrStatus.FAILS:
@@ -229,7 +231,9 @@ def _check_one(
                     )
                 verdict.status, verdict.evidence = fails, out.cex
                 break
-            if certify(circuit, ctx, out.invariant, target, stats=stats, steps=certs):
+            if out.certified or certify(
+                circuit, ctx, out.invariant, target, stats=stats, steps=certs
+            ):
                 verdict.status, verdict.evidence = holds, len(out.invariant)
                 verdict.certified = True
                 if store is not None:

@@ -15,21 +15,23 @@ Bad outputs may read primary inputs, so "the property holds in a state"
 means no input valuation fires bad there; the final frame of a
 counterexample is exempt from every constraint.
 
-Solvers are built for the queries they serve (see `PdrEngine`). Lifting
-needs none: a model fixes every latch and input, so one simulation pass
-finds the latches that justify the goal. The step solver, which answers
-the induction precheck and every consecution query, comes from a
-`StepHolder` that keeps it across checks of one property set.
-`certify` takes its step from a second holder that no engine touches,
-so no engine state reaches it; a run's certificates all share that
-solver, each behind an activation literal it retires. A certificate is
-one `houdini_round`; the clause store's seed filter,
+`check_property` first asks whether target and seeds are inductive as
+they stand, on the certificate holder: a yes is proof and certificate
+at once, and no engine is built. Engine solvers are built for the
+queries they serve (see `PdrEngine`); lifting needs none, since a model
+fixes every latch and input and one simulation pass finds the latches
+that justify the goal. The engine's step solver comes from a
+`StepHolder` that keeps it across checks of one property set. `certify`
+asks the same question of an engine's proof on the certificate holder,
+which no engine touches; a run's certificates share that solver, each
+behind an activation literal it retires. The question is one
+`houdini_round`; the clause store's seed filter,
 `clausedb.filter_invariant`, runs those rounds to their fixpoint.
 
 A check's one `PdrStats` carries its deadline and every count. Every SAT
 query goes through `ask`, which counts it there and raises `Exhausted`
-(a `PdrError`) once the deadline passes; the engine reports that as an
-Exhausted outcome, `certify` and the seed filter let it through.
+(a `PdrError`) once the deadline passes; `check_property` reports that
+as an Exhausted outcome, `certify` and the seed filter let it through.
 """
 
 from __future__ import annotations
@@ -97,6 +99,7 @@ class PdrOutcome:
     stats: PdrStats
     invariant: tuple[tuple[int, ...], ...] | None = None  # on HOLDS
     cex: Counterexample | None = None  # on FAILS
+    certified: bool = False  # HOLDS decided on a certificate holder
 
 
 @dataclass
@@ -159,11 +162,10 @@ class PdrEngine:
     and those bads forced clean on the present-state copy; gates feeding
     none of these are not encoded, and inputs outside the cone read as 0.
     It comes from `steps`, which hands one solver to consecutive checks
-    of one property set (without a holder the engine gets a fresh one);
-    the induction precheck takes it, replays the seeds into it and adds
-    the target's next-state bad cone. The engine's frames sit there
-    behind activation literals of its own, which `run` retires however it
-    ends; a check decided at level 0 never takes it.
+    of one property set (without a holder the engine gets a fresh one).
+    The engine's seeds and frames sit there behind activation literals
+    of its own, which `run` retires however it ends; a check decided at
+    level 0 never takes it.
 
     Lifting a model to a cube is a simulation pass over the gates
     (`_lift`), so it needs no solver. A lifted predecessor keeps the
@@ -186,8 +188,7 @@ class PdrEngine:
         self.circuit = circuit
         self.target = target
         self.constraint_props = tuple(constraint_props)
-        if any(p.index == target.index for p in self.constraint_props):
-            raise ValueError("target cannot appear among its own constraints")
+        self._inf = list(_checked(circuit, target, self.constraint_props, seed_clauses))
         self.stats = stats or PdrStats()
         self.stats.frames_opened = 1
         self.init = circuit.init_state()
@@ -200,21 +201,14 @@ class PdrEngine:
         )
         bad.add_clause([enc_bad.lit(target.bad)])
         self._bad = _Frames(enc_bad, 1)
+        for clause in self._inf:
+            if not clause_holds(self.init, clause):
+                raise ValueError(f"seed clause violates the reset state: {clause}")
+            self._bad.add(clause, None)
 
         # owned[j] for j >= 1; level 0 is the reset cube, never a clause set
         self._owned: list[list[tuple[int, ...]]] = [[], []]
-        self._inf: list[tuple[int, ...]] = []
         self.frontier = 1
-
-        for clause in seed_clauses:
-            cl = tuple(sorted(clause))
-            if not cl or any(l >= 2 * self._nl for l in cl):
-                raise ValueError(f"seed clause out of range: {clause}")
-            if not clause_holds(self.init, cl):
-                raise ValueError(f"seed clause violates the reset state: {clause}")
-            if cl not in self._inf:
-                self._inf.append(cl)
-                self._bad.add(cl, None)
 
         self._obq: list[tuple[int, int, ProofObligation]] = []
         self._obseq = 0
@@ -226,9 +220,7 @@ class PdrEngine:
         """Whether the reset state lies inside the cube."""
         return not clause_holds(self.init, (l ^ 1 for l in cube))
 
-    def _frame_assumps(self, frames: _Frames, level: int | None) -> list[int]:
-        if level is None:
-            return [frames.inf_act]
+    def _frame_assumps(self, frames: _Frames, level: int) -> list[int]:
         if level == 0:
             return [frames.enc.latch_lit(i, v) for i, v in enumerate(self.init)]
         return frames.acts[level : self.frontier + 1] + [frames.inf_act]
@@ -266,7 +258,7 @@ class PdrEngine:
 
     # -------------------------------------------------------------- queries
 
-    def _consecution(self, cube, frame_level: int | None, exclude_cube: bool):
+    def _consecution(self, cube, frame_level: int, exclude_cube: bool):
         """SAT query for a constrained step from F_frame_level into `cube`.
 
         Returns (result, pairs) where pairs maps each next-state
@@ -391,10 +383,6 @@ class PdrEngine:
                 frame = TraceFrame(self.init, bad.enc.read_inputs(result))
                 cex = Counterexample((frame,), self.target.index)
                 return PdrOutcome(PdrStatus.FAILS, self.stats, cex=cex)
-            if self._induction_precheck():
-                return PdrOutcome(
-                    PdrStatus.HOLDS, self.stats, invariant=tuple(self._inf)
-                )
             while True:
                 result = ask(
                     bad.solver, self._frame_assumps(bad, self.frontier), self.stats
@@ -422,20 +410,6 @@ class PdrEngine:
         finally:
             if "_step" in self.__dict__:
                 self._step.retire()
-
-    def _induction_precheck(self) -> bool:
-        """One-shot induction of target plus the inductive-frame clauses;
-        catches already-inductive properties without growing frames."""
-        step = self._step
-        nxt = self._steps.next_bad(self.target)
-        result = ask(step.solver, [step.inf_act, nxt.lit(self.target.bad)], self.stats)
-        if result.status is not Status.UNSAT:
-            return False
-        return all(
-            self._consecution(negate_lits(c), None, exclude_cube=False)[0].status
-            is Status.UNSAT
-            for c in self._inf
-        )
 
     def _enqueue(self, ob: ProofObligation) -> None:
         if self._cube_holds_init(ob.cube):
@@ -527,6 +501,7 @@ def check_property(
     *,
     stats: PdrStats | None = None,
     steps: StepHolder | None = None,
+    certs: StepHolder | None = None,
 ) -> PdrOutcome:
     """Prove or refute one property under the given constraint context.
 
@@ -536,11 +511,35 @@ def check_property(
     target and whose earlier frames keep the constraint section, the
     target and the context clean. Exhausted only ever reflects the
     deadline, never an answer. `stats` and `steps` are those of
-    `PdrEngine`.
+    `PdrEngine`. First, on `certs` (without it, on `steps`), it asks
+    whether the seeds and the target hold at reset and are inductive as
+    they stand; a yes is Holds with the seeds, each once, as the
+    invariant, `certified` if `certs` answered, and no engine is built.
     """
-    return PdrEngine(
-        circuit, target, constraint_props, seed_clauses, stats=stats, steps=steps
-    ).run()
+    seeds = _checked(circuit, target, constraint_props, seed_clauses)
+    stats, steps = stats or PdrStats(), steps or StepHolder()
+    stats.frames_opened = 1
+    try:
+        if _inductive(circuit, constraint_props, seeds, target, stats, certs or steps):
+            return PdrOutcome(PdrStatus.HOLDS, stats, seeds, certified=certs is not None)
+    except Exhausted:
+        return PdrOutcome(PdrStatus.EXHAUSTED, stats)
+    return PdrEngine(circuit, target, constraint_props, seeds, stats=stats, steps=steps).run()
+
+
+def _checked(circuit: Circuit, target: PropertySpec, constraint_props, clauses):
+    """The clauses, each sorted and kept once; ValueError on a target
+    among its own constraints, an empty clause or a non-latch literal."""
+    if any(p.index == target.index for p in constraint_props):
+        raise ValueError("target cannot appear among its own constraints")
+    bound = 2 * circuit.num_latches
+    out = {}
+    for clause in clauses:
+        cl = tuple(clause)
+        if not cl or not all(isinstance(l, int) and 0 <= l < bound for l in cl):
+            raise ValueError(f"clause out of range: {clause}")
+        out[tuple(sorted(cl))] = None
+    return tuple(out)
 
 
 def ask(solver: Solver, assumptions, stats: PdrStats):
@@ -591,26 +590,29 @@ def certify(
     stats: PdrStats | None = None,
     steps: StepHolder | None = None,
 ) -> bool:
-    """Independent inductiveness check of target plus strengthening.
-
-    Checks: the reset state satisfies the strengthening and cannot fire
-    bad; and from any constrained frame satisfying target and
-    strengthening, the successor satisfies both again: one
-    `houdini_round` with the target's next-state bad, after no query at
-    all if a clause is false at reset. The step and that bad cone come
-    from `steps`, a holder no engine touches (without one, a fresh
-    holder), so engine state cannot leak in, and no clause stays active
-    for the next certificate. The reset check gets a small solver of its own over the
-    target's reset cone: a step whose level-0 units contradict each
-    other answers every query UNSAT, and must not answer that one. Each
+    """Independent inductiveness check of an engine's proof: target plus
+    strengthening, asked by `_inductive` on `steps`, a holder no engine
+    touches (without one, a fresh holder), so engine state cannot leak
+    in. The clauses are checked as `check_property` checks seeds. Each
     query is an `ask` on `stats`; `Exhausted` goes through.
     """
-    clauses = [tuple(sorted(c)) for c in invariant_clauses]
+    clauses = _checked(circuit, target, constraint_props, invariant_clauses)
+    stats, steps = stats or PdrStats(), steps or StepHolder()
+    return _inductive(circuit, constraint_props, clauses, target, stats, steps)
+
+
+def _inductive(circuit, constraint_props, clauses, target, stats, steps) -> bool:
+    """Whether the reset state satisfies the clauses and cannot fire bad,
+    and from any constrained frame satisfying target and clauses the
+    successor satisfies both again: one `houdini_round` with the target's
+    next-state bad on the step of `steps`, after no query at all if a
+    clause is false at reset, leaving no clause active there. The reset
+    check gets a small solver of its own over the target's reset cone: a
+    step whose level-0 units contradict each other answers every query
+    UNSAT, and must not answer that one."""
     init = circuit.init_state()
     if not all(clause_holds(init, c) for c in clauses):
         return False
-    stats = stats or PdrStats()
-    steps = steps or StepHolder()
     enc = steps.step(circuit, (target, *constraint_props))
     bad = steps.next_bad(target).lit(target.bad)
     kept = houdini_round(enc, clauses, bad, stats)
@@ -633,10 +635,10 @@ class StepHolder:
     expected-to-hold check assumes all the others, so one solver serves
     the whole pass. A run keeps two: one its engines share, each keeping
     its frames behind activation literals of its own and retiring them
-    when its run ends, and one for `certify`, which no engine touches;
-    the seed filter takes a fresh one per call. A fresh step is
-    simplified once, after its constraint and clean units have fixed
-    what they fix at level 0."""
+    when its run ends, and one for `_inductive`, which no engine touches
+    and alone gets next-state bad cones; the seed filter takes a fresh
+    one per call. A fresh step is simplified once, after its constraint
+    and clean units have fixed what they fix at level 0."""
 
     def __init__(self):
         self._circuit: Circuit | None = None

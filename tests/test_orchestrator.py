@@ -395,8 +395,16 @@ def test_reuse_is_verdict_neutral_in_ja_mode(tmp_path, monkeypatch):
 
 
 def test_a_rejected_seeded_proof_reruns_once_without_seeds(tmp_path, monkeypatch):
-    # certification rejects the first proof built on seeds; the check
-    # drops them and runs again, and the verdict reports no seeds
+    # certification rejects the first engine proof built on seeds; the
+    # check drops them and runs again, and the verdict reports no seeds.
+    # The store holds one clause of a global proof: true on every
+    # reachable state and trusted by every check, but too weak to make a
+    # threshold that needs strengthening inductive, so its check runs
+    # the engine seeded
+    thr = build_counter(5, thresholds=6)
+    db = tmp_path / "clauses.db"
+    clause = pdr.check_property(thr.circuit, thr.props[1]).invariant[0]
+    append([ClauseRecord(clause, 1, (), circuit_fingerprint(thr.circuit))], str(db))
     calls, rejected = [], []
     real_check, real_certify = orchestrator.check_property, orchestrator.certify
 
@@ -412,8 +420,7 @@ def test_a_rejected_seeded_proof_reruns_once_without_seeds(tmp_path, monkeypatch
 
     monkeypatch.setattr(orchestrator, "check_property", recording)
     monkeypatch.setattr(orchestrator, "certify", reject_first_seeded)
-    thr = build_counter(5, thresholds=6)
-    opts = TaskOptions(reuse_clauses=True, clause_db=str(tmp_path / "clauses.db"))
+    opts = TaskOptions(reuse_clauses=True, clause_db=str(db))
     rep = run(VerificationTask(thr.circuit, thr.props, Mode.SEPARATE_GLOBAL, opts))
     assert len(rejected) == 1
     i = rejected[0]
@@ -425,11 +432,14 @@ def test_a_rejected_seeded_proof_reruns_once_without_seeds(tmp_path, monkeypatch
     assert any(u.seeds_used for u in rep.verdicts)  # the other checks kept theirs
 
     # a rejected proof that used no seeds has nothing to drop: an engine
-    # error, reported on its property alone
+    # error, reported on its property alone; P0 is inductive as it
+    # stands, so its check certifies it before any engine is built
     monkeypatch.setattr(orchestrator, "certify", lambda *a, **k: False)
     rep = run(VerificationTask(thr.circuit, thr.props, Mode.SEPARATE_GLOBAL))
-    assert all(v.status is S.ERROR for v in rep.verdicts)
-    assert all("certification rejected" in v.evidence for v in rep.verdicts)
+    assert verdict_for(rep, 0).status is S.HOLDS_GLOBAL and verdict_for(rep, 0).certified
+    errors = rep.verdicts[1:]
+    assert all(v.status is S.ERROR for v in errors)
+    assert all("certification rejected" in v.evidence for v in errors)
     # each Error verdict still reports the SAT calls its check made
     assert all(v.sat_calls > 0 for v in rep.verdicts)
     assert rep.totals.sat_calls == sum(v.sat_calls for v in rep.verdicts)
@@ -603,22 +613,38 @@ def test_ja_run_shares_one_induction_solver(monkeypatch):
 def test_ja_run_encodes_one_constrained_step_per_pass(monkeypatch):
     # every expected-to-hold check of a JA pass steps through one relation:
     # the engines share one encoding of it and the certificates another,
-    # however many proofs the pass certifies
-    steps = certified = 0
+    # however many proofs the pass certifies, before an engine or after it
+    steps = certified = stepped = 0
     build, certify = pdr.constrained_step, orchestrator.certify
+    check, run_engine = orchestrator.check_property, pdr.PdrEngine.run
 
     def counting_step(*args, **kwargs):
         nonlocal steps
         steps += 1
         return build(*args, **kwargs)
 
+    def counting_check(*args, **kwargs):
+        nonlocal certified
+        out = check(*args, **kwargs)
+        certified += out.certified
+        return out
+
     def counting_certify(*args, **kwargs):
         nonlocal certified
         certified += 1
         return certify(*args, **kwargs)
 
+    def counting_run(self):
+        nonlocal stepped
+        try:
+            return run_engine(self)
+        finally:
+            stepped += "_step" in self.__dict__
+
     monkeypatch.setattr(pdr, "constrained_step", counting_step)
+    monkeypatch.setattr(orchestrator, "check_property", counting_check)
     monkeypatch.setattr(orchestrator, "certify", counting_certify)
+    monkeypatch.setattr(pdr.PdrEngine, "run", counting_run)
     thr = build_counter(5, thresholds=6)
     rng = random.Random(3)
     systems = [(thr.circuit, thr.props)] + [
@@ -627,13 +653,59 @@ def test_ja_run_encodes_one_constrained_step_per_pass(monkeypatch):
     ]
     counts = []
     for c, props in systems:
-        steps = certified = 0
+        steps = certified = stepped = 0
         report = run(VerificationTask(c, tuple(props), Mode.JA))
         assert certified == sum(v.certified for v in report.verdicts)
-        assert steps == 1 + min(certified, 1)
-        counts.append((steps, certified))
-    assert counts[0] == (2, 6)
+        assert steps == 1 + min(stepped, 1)
+        counts.append((steps, certified, stepped))
+    assert counts[0] == (1, 6, 0)
+    assert any(n[2] for n in counts)  # some engine took the shared step
     assert report.debugging_set  # the last system has failing checks too
+
+
+def test_an_inductive_check_builds_no_engine(monkeypatch):
+    # in JA every threshold is inductive as it stands, so each check is
+    # decided and certified on the certificate holder, with no engine; in
+    # either mode only that holder ever gets a next-state bad cone, so
+    # an engine's step carries none
+    engines = steps = 0
+    built, cone_holders, cert_holders = [], [], []
+    build, check = pdr.constrained_step, orchestrator.check_property
+    engine_init, next_bad = pdr.PdrEngine.__init__, pdr.StepHolder.next_bad
+
+    def counting_engine(self, *args, **kwargs):
+        nonlocal engines
+        engines += 1
+        engine_init(self, *args, **kwargs)
+
+    def counting_step(*args, **kwargs):
+        nonlocal steps
+        steps += 1
+        return build(*args, **kwargs)
+
+    def recording_check(*args, **kwargs):
+        cert_holders.append(kwargs["certs"])
+        return check(*args, **kwargs)
+
+    def recording_next_bad(self, target):
+        cone_holders.append(self)
+        return next_bad(self, target)
+
+    monkeypatch.setattr(pdr.PdrEngine, "__init__", counting_engine)
+    monkeypatch.setattr(pdr, "constrained_step", counting_step)
+    monkeypatch.setattr(orchestrator, "check_property", recording_check)
+    monkeypatch.setattr(pdr.StepHolder, "next_bad", recording_next_bad)
+    thr = build_counter(5, thresholds=6)
+    rep = run(VerificationTask(thr.circuit, thr.props, Mode.JA))
+    assert all(v.status is S.HOLDS_GLOBAL and v.certified for v in rep.verdicts)
+    assert engines == 0 and steps == 1
+    assert len(cone_holders) == len(rep.verdicts)
+    assert all(h is cert_holders[0] for h in cone_holders + cert_holders)
+
+    rep = run(VerificationTask(thr.circuit, thr.props, Mode.SEPARATE_GLOBAL))
+    assert all(v.status is S.HOLDS_GLOBAL and v.certified for v in rep.verdicts)
+    assert engines > 0
+    assert all(any(h is c for c in cert_holders) for h in cone_holders)
 
 
 def test_a_joint_aggregate_never_takes_seeds_meant_for_its_index(tmp_path, monkeypatch):

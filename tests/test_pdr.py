@@ -155,6 +155,21 @@ def test_seed_clause_validation():
     # reset state is val=0; a clause forcing latch 0 high contradicts it
     with pytest.raises(ValueError, match="reset"):
         PdrEngine(c, props[1], seed_clauses=[(latch_literal(0, 1),)])
+    with pytest.raises(ValueError, match="reset"):
+        check_property(c, props[1], seed_clauses=[(latch_literal(0, 1),)])
+    # the one-step check before the engine and the certificate take the
+    # same clauses: a negative literal used to alias the last latch there
+    # (a Holds with invariant ((-1,),)), and one past the latches to die
+    # with an IndexError
+    thr = build_counter(3, thresholds=2)
+    p = thr.props[-1]
+    for clause in ((-1,), (6,), (), (1, 0.5)):
+        with pytest.raises(ValueError, match="out of range"):
+            PdrEngine(thr.circuit, p, seed_clauses=[clause])
+        with pytest.raises(ValueError, match="out of range"):
+            check_property(thr.circuit, p, seed_clauses=[clause])
+        with pytest.raises(ValueError, match="out of range"):
+            certify(thr.circuit, (), [clause], p)
 
 
 def test_target_cannot_constrain_itself():
@@ -387,7 +402,7 @@ def unsat_of(solver, assumptions):
 
 
 def test_seeds_do_not_leak_between_engines_on_one_step_solver():
-    # a seeded engine proves the threshold at the precheck; the seedless
+    # a seeded check proves the threshold before any engine; the seedless
     # one after it on the same step solver must find its own clauses
     thr = build_counter(5, thresholds=6)
     c, props = thr.circuit, thr.props
