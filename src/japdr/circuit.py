@@ -4,13 +4,25 @@ A circuit is a flat AIG over densely numbered variables: 0 is the constant,
 then inputs, then latches, then AND gate outputs in topological order.
 Property satisfaction is defined over *frames* (a latch valuation plus an
 input valuation), because bad literals may read inputs.
+
+Every simulation runs over the circuit's flat gate table: exact
+evaluation of one frame, the ternary reset values (0, 1 or X with every
+input X) and `first_failures`, a bit-parallel random simulation from
+reset that finds the shallow failures before any solver is built. The
+table and the reset values are found on first use and kept on the
+circuit, so they live and die with it.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import random
+from collections.abc import Iterator
 from dataclasses import dataclass
+
+SIM_LANES = 256  # lanes of one `first_failures` run, one bit each
+SIM_FRAMES = 8  # frames it simulates from reset at most
 
 
 @dataclass(frozen=True, order=True)
@@ -139,6 +151,27 @@ class Circuit:
         return tuple(l.init for l in self.latches)
 
     @functools.cached_property
+    def gate_table(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(left var, left mask, right var, right mask) per gate; a mask is
+        -1 on a negated operand, else 0, so `(v[l] ^ lm) & (v[r] ^ rm)` is
+        the gate in every bit of its operands' values at once."""
+        return tuple(
+            (g.left.var, -g.left.negated, g.right.var, -g.right.negated)
+            for g in self.ands
+        )
+
+    @functools.cached_property
+    def reset_values(self) -> tuple[int | None, ...]:
+        """Each variable's value in the reset state: 0 or 1, or None (X)
+        where ternary simulation with every input X cannot tell. Run as
+        -1, 0 and 1 for 0, X and 1, so negation is a sign flip and AND
+        the minimum."""
+        vals = [1, *[0] * self.num_inputs, *(2 * l.init - 1 for l in self.latches)]
+        for left, lm, right, rm in self.gate_table:
+            vals.append(min(vals[left] * (lm | 1), vals[right] * (rm | 1)))
+        return tuple(None if v == 0 else (v + 1) >> 1 for v in vals)
+
+    @functools.cached_property
     def ite_gates(self) -> dict[int, tuple[Literal, Literal, Literal]]:
         """Each gate in mux form, g = ~(x & y) & ~(~x & z), mapped to the
         (x, y, z) with ~g = ITE(x, y, z); XOR is the case z = ~y. The
@@ -170,22 +203,15 @@ def eval_literal(values, lit: Literal) -> int:
 
 def eval_circuit(circuit: Circuit, frame: TraceFrame) -> list[int]:
     """Evaluate every variable under one frame; index result by variable."""
-    if len(frame.latch_values) != circuit.num_latches:
+    shape = len(frame.latch_values), len(frame.input_values)
+    if shape != (circuit.num_latches, circuit.num_inputs):
         raise ValueError(
-            f"frame has {len(frame.latch_values)} latch values, circuit has {circuit.num_latches}"
+            f"frame has {shape[0]} latch and {shape[1]} input values, circuit has "
+            f"{circuit.num_latches} and {circuit.num_inputs}"
         )
-    if len(frame.input_values) != circuit.num_inputs:
-        raise ValueError(
-            f"frame has {len(frame.input_values)} input values, circuit has {circuit.num_inputs}"
-        )
-    values = [0] * circuit.num_vars
-    values[0] = 1
-    for var, bit in zip(circuit.input_vars, frame.input_values):
-        values[var] = bit & 1
-    for var, bit in zip(circuit.latch_vars, frame.latch_values):
-        values[var] = bit & 1
-    for gate in circuit.ands:
-        values[gate.out] = eval_literal(values, gate.left) & eval_literal(values, gate.right)
+    values = [1, *(b & 1 for b in frame.input_values), *(b & 1 for b in frame.latch_values)]
+    for left, lm, right, rm in circuit.gate_table:
+        values.append((values[left] ^ lm) & (values[right] ^ rm) & 1)
     return values
 
 
@@ -237,48 +263,84 @@ def replay_trace(
     target.
     """
     frames = cex.frames
-    initialized = tuple(frames[0].latch_values) == circuit.init_state()
-    transitions_ok = True
-    for here, there in zip(frames, frames[1:]):
-        if eval_transition(circuit, here) != tuple(there.latch_values):
-            transitions_ok = False
+    earlier = [eval_circuit(circuit, frame) for frame in frames[:-1]]
+    steps = [tuple(eval_literal(v, l.next) for l in circuit.latches) for v in earlier]
+    return ReplayResult(
+        initialized=tuple(frames[0].latch_values) == circuit.init_state(),
+        transitions_consistent=all(
+            step == tuple(f.latch_values) for step, f in zip(steps, frames[1:])
+        ),
+        final_violates_target=property_violated(circuit, frames[-1], target),
+        violated_constraints=tuple(
+            (i, p.index)
+            for i, v in enumerate(earlier)
+            for p in constraint_props
+            if eval_literal(v, p.bad)
+        ),
+        circuit_constraints_ok=all(
+            eval_literal(v, c) for v in earlier for c in circuit.constraints
+        ),
+    )
+
+
+def first_failures(circuit: Circuit, assumed, targets) -> Iterator[dict[int, Counterexample]]:
+    """Random simulation from reset: `SIM_LANES` runs at once, one per bit
+    of every value, over at most `SIM_FRAMES` frames of inputs from a
+    PRNG of fixed seed, so every run finds the same traces. A lane stays
+    alive while the constraint section holds and no `assumed` bad fires.
+    A target is found on the first frame its bad fires in a lane alive
+    until then, with that lane's frames from reset as its trace. Yields
+    the traces found so far, by target index, before each frame and once
+    at the end, so the caller can stop it between frames; the last dict
+    is the result."""
+    rng, full = random.Random(0), (1 << SIM_LANES) - 1
+    state = [-l.init & full for l in circuit.latches]
+    alive, left, trail, found = full, list(targets), [], {}
+    for _ in range(SIM_FRAMES):
+        if not (alive and left):
             break
-    final_bad = property_violated(circuit, frames[-1], target)
-    broken = []
-    c_ok = True
-    for i, frame in enumerate(frames[:-1]):
-        values = eval_circuit(circuit, frame)
-        for prop in constraint_props:
-            if eval_literal(values, prop.bad):
-                broken.append((i, prop.index))
-        if any(not eval_literal(values, c) for c in circuit.constraints):
-            c_ok = False
-    return ReplayResult(initialized, transitions_ok, final_bad, tuple(broken), c_ok)
+        yield found
+        inputs = [rng.getrandbits(SIM_LANES) for _ in range(circuit.num_inputs)]
+        trail.append((state, inputs))
+        vals = [full, *inputs, *state]
+        for lv, lm, rv, rm in circuit.gate_table:
+            vals.append((vals[lv] ^ lm) & (vals[rv] ^ rm))
+
+        def lanes(lit):  # the lanes still alive, as of the call, where lit is 1
+            return (vals[lit.var] ^ -lit.negated) & alive
+
+        for p in left:
+            if hit := lanes(p.bad):
+                lane = (hit & -hit).bit_length() - 1
+                frames = [[tuple(v >> lane & 1 for v in vs) for vs in f] for f in trail]
+                found[p.index] = Counterexample(tuple(TraceFrame(*f) for f in frames), p.index)
+        left = [p for p in left if p.index not in found]
+        for c in circuit.constraints:
+            alive = lanes(c)
+        for p in assumed:
+            alive &= ~lanes(p.bad)
+        state = [lanes(l.next) for l in circuit.latches]  # dead lanes read 0
+    yield found
 
 
 def cone_latches(circuit: Circuit, lit: Literal) -> set[int]:
     """Latch positions whose values can influence `lit` across any number
     of steps (structural cone of influence, closed under next-state)."""
-    gate_by_out = {g.out: g for g in circuit.ands}
-    latch_pos = {l.var: i for i, l in enumerate(circuit.latches)}
+    first_latch = 1 + circuit.num_inputs
+    first_gate = first_latch + circuit.num_latches
     seen_vars: set[int] = set()
-    found: set[int] = set()
     work = [lit.var]
     while work:
         var = work.pop()
         if var in seen_vars:
             continue
         seen_vars.add(var)
-        if var in latch_pos:
-            pos = latch_pos[var]
-            if pos not in found:
-                found.add(pos)
-                work.append(circuit.latches[pos].next.var)
-        elif var in gate_by_out:
-            gate = gate_by_out[var]
-            work.append(gate.left.var)
-            work.append(gate.right.var)
-    return found
+        if var >= first_gate:
+            left, _, right, _ = circuit.gate_table[var - first_gate]
+            work += (left, right)
+        elif var >= first_latch:
+            work.append(circuit.latches[var - first_latch].next.var)
+    return {var - first_latch for var in seen_vars if first_latch <= var < first_gate}
 
 
 class CircuitBuilder:

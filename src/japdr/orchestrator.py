@@ -1,19 +1,27 @@
 """Multi-property verification runs.
 
 One driver, `run`, serves every mode from one worklist of property
-groups. The modes differ only in the set of properties a check assumes
-on non-final frames, and in how the expected-to-hold properties are
-grouped. In JA mode each is a group of its own and assumes every other
-expected-to-hold property; in separate-global mode each is a group of
-its own and assumes none; in joint mode they form one group, checked as
-the aggregate "some bad fires" under no assumptions. A counterexample to
-an aggregate decides the members whose bad fires on its final frame,
-and the rest go back to the front of the worklist as a smaller group,
-down to a lone survivor, which is checked like a separate-global one.
-Expected-to-fail properties come last, each a group of its own assuming
-every expected-to-hold property. A counterexample for one demonstrates
-the failure without breaking any expected behavior before its final
-frame; a proof instead is flagged, the expectation was wrong.
+groups. The modes differ only in the properties a check assumes on
+non-final frames and in how the expected-to-hold properties are grouped.
+In JA mode each is a group of its own and assumes every other one; in
+separate-global mode each is a group of its own and assumes none; in
+joint mode they form one group, checked as the aggregate "some bad
+fires" under no assumptions. A counterexample to an aggregate decides
+the members whose bad fires on its final frame, and the rest go back to
+the front of the worklist as a smaller group, down to a lone survivor,
+checked like a separate-global one. Expected-to-fail properties come
+last, each a group of its own assuming every expected-to-hold property:
+a counterexample demonstrates the failure without breaking any expected
+behavior before its final frame; a proof is flagged, the expectation
+was wrong.
+
+Before the worklist, one `circuit.first_failures` run simulates from
+reset with every expected-to-hold property assumed, the strongest
+context of any check, so a trace it finds is valid in its target's own
+context. Each such trace decides its property once replayed, with 0 SAT
+calls and 0 frames; the worklist holds the rest, and in joint mode the
+aggregate is built from them. Once the run deadline has passed no trace
+is taken, and its property is Unknown like any check begun past it.
 
 A one-property group takes its seeds from the run's
 `clausedb.ClauseStore`, runs, becomes a verdict and hands its invariant
@@ -29,29 +37,28 @@ expected-to-hold verdict is upgraded.
 
 Every check lifts its predecessors with the target and every assumed
 property kept clean, so a counterexample breaks nothing it assumes
-before its final frame. Every trace is replayed to confirm it; one that
-is invalid or spurious is an engine error. Every proof is decided or
-re-certified on the run's certificate solver, which no engine touches;
-when an engine proof built on seeded clauses is rejected, the seeds are
-dropped and the check runs once more, so clause re-use can never
-manufacture a verdict. An engine error, or an aggregate counterexample
-that refutes no member, makes every property of its group an Error
-verdict; the other groups are still checked, the JA upgrade does not
-fire, and the run is reported incomplete.
+before its final frame. Every trace, simulated or not, is replayed under
+its property's context; one that is invalid or spurious is an engine
+error. Every proof is decided or re-certified on the run's certificate
+solver, which no engine touches; when an engine proof built on seeded
+clauses is rejected, the seeds are dropped and the check runs once
+more, so clause re-use can never manufacture a verdict. An engine
+error, or an aggregate counterexample that refutes no member, makes
+every property of its group an Error verdict; the other groups are
+still checked, the JA upgrade does not fire, and the run is reported
+incomplete.
 
 Every verdict, Error and Unknown included, reports the time, frames and
-SAT calls of its check. An aggregate check decides several properties at
-once, so each verdict it decides reports the cost of that whole check;
-the run totals count every check once.
+SAT calls of its check; each verdict an aggregate decides reports that
+whole check, and the run totals count every check once.
 
 Each run keeps two `pdr.StepHolder`s and hands them to every check, so
-consecutive checks over the same property set share one step solver of
-each. In JA mode every expected-to-hold check steps through the same
-relation, all expected-to-hold properties clean, so one certificate
-solver decides every already-inductive check and certifies every engine
-proof of the pass, and one engine solver answers every consecution query,
-each engine's frames behind literals it retires when it ends; the other
-modes change the set with every check and get fresh ones each time.
+consecutive checks over one property set share one step solver of each.
+In JA mode every expected-to-hold check steps through the same relation,
+so one certificate solver decides every already-inductive check and
+certifies every engine proof of the pass, and one engine solver answers
+every consecution query, each engine's frames behind literals it
+retires when it ends; the other modes get fresh ones with every check.
 """
 
 from __future__ import annotations
@@ -70,6 +77,7 @@ from .circuit import (
     cone_latches,
     eval_circuit,
     eval_literal,
+    first_failures,
     replay_trace,
 )
 from .clausedb import ClauseStore
@@ -194,15 +202,16 @@ def _check_one(
     steps: StepHolder,
     certs: StepHolder,
     store: ClauseStore | None,
+    cex: Counterexample | None = None,
 ) -> Verdict:
     """One property, end to end: seeds, solve, replay the trace or
-    certify the proof, harvest it. `stats` is the check's budget: its
-    deadline bounds all of it, and the seed filter, engines and
-    certificate count into it, so the verdict reports them however the
-    check ends. The engine runs on the step solver the run's `steps`
-    holder keeps; certification, and the check that settles an
-    already-inductive property before any engine, on the one `certs`
-    keeps. `store` is None for an aggregate and without clause re-use.
+    certify the proof, harvest it; given a simulated `cex`, only the
+    replay. `stats` is the check's budget: its deadline bounds all of
+    it, and the seed filter, engines and certificate count into it, so
+    the verdict reports them however the check ends. Engines run on the
+    step solver of `steps`; certificates, and the check that settles an
+    already-inductive property before any engine, on that of `certs`.
+    `store` is None for an aggregate and without clause re-use.
 
     The status is `holds` or `fails` once the check is decided, Unknown
     once the deadline passes (seeds are not looked up past it), and
@@ -214,36 +223,35 @@ def _check_one(
     try:
         if stats.deadline is not None and t0 >= stats.deadline:
             raise Exhausted("the deadline passed before the check began")
-        seeds = store.seeds(target, ctx, stats) if store is not None else ()
-        verdict.seeds_used = len(seeds)
-        for attempt in (seeds, ()):  # the seedless run only follows a rejected seeded proof
-            out = check_property(
-                circuit, target, ctx, attempt, stats=stats, steps=steps, certs=certs
-            )
-            if out.status is PdrStatus.EXHAUSTED:
-                break
-            if out.status is PdrStatus.FAILS:
-                rep = replay_trace(circuit, out.cex, target, ctx)
-                if not rep.valid or rep.spurious:
-                    kind = "a spurious" if rep.valid else "an invalid"
-                    raise PdrError(
-                        f"engine returned {kind} trace for property {target.index}"
-                    )
-                verdict.status, verdict.evidence = fails, out.cex
-                break
-            if out.certified or certify(
-                circuit, ctx, out.invariant, target, stats=stats, steps=certs
-            ):
-                verdict.status, verdict.evidence = holds, len(out.invariant)
-                verdict.certified = True
-                if store is not None:
-                    store.harvest(target, ctx, out.invariant)
-                break
-            if not attempt:
-                raise PdrError(
-                    f"certification rejected the proof of property {target.index}"
+        if cex is None:
+            seeds = store.seeds(target, ctx, stats) if store is not None else ()
+            verdict.seeds_used = len(seeds)
+            for attempt in (seeds, ()):  # the seedless run only follows a rejected seeded proof
+                out = check_property(
+                    circuit, target, ctx, attempt, stats=stats, steps=steps, certs=certs
                 )
-            verdict.seeds_used = 0  # the seed set let an unsound proof through
+                if out.status is not PdrStatus.HOLDS:
+                    cex = out.cex  # None once exhausted
+                    break
+                if out.certified or certify(
+                    circuit, ctx, out.invariant, target, stats=stats, steps=certs
+                ):
+                    verdict.status, verdict.evidence = holds, len(out.invariant)
+                    verdict.certified = True
+                    if store is not None:
+                        store.harvest(target, ctx, out.invariant)
+                    break
+                if not attempt:
+                    raise PdrError(
+                        f"certification rejected the proof of property {target.index}"
+                    )
+                verdict.seeds_used = 0  # the seed set let an unsound proof through
+        if cex is not None:
+            rep = replay_trace(circuit, cex, target, ctx)
+            if not rep.valid or rep.spurious:
+                kind = "a spurious" if rep.valid else "an invalid"
+                raise PdrError(f"engine returned {kind} trace for property {target.index}")
+            verdict.status, verdict.evidence = fails, cex
     except Exhausted:
         pass  # the deadline ran out outside the engine
     except PdrError as err:
@@ -254,12 +262,10 @@ def _check_one(
 
 
 def _prop_deadline(opts: TaskOptions, total_deadline: float | None) -> float | None:
-    now = time.monotonic()
-    deadline = total_deadline
-    if opts.per_prop_timeout_s is not None:
-        local = now + opts.per_prop_timeout_s
-        deadline = local if deadline is None else min(deadline, local)
-    return deadline
+    if opts.per_prop_timeout_s is None:
+        return total_deadline
+    local = time.monotonic() + opts.per_prop_timeout_s
+    return local if total_deadline is None else min(total_deadline, local)
 
 
 def _conclusion(task, verdicts_by_index) -> str:
@@ -327,18 +333,20 @@ def run(task: VerificationTask) -> RunReport:
     """Check every property of the task from one worklist of groups, each
     property under `_assumed(task, p)`.
 
-    Each expected-to-hold property is a group of its own, in
-    `ordered_eth` order, except in joint mode, where they form one group;
-    each expected-to-fail property follows as a group of its own. A group
-    of several is checked as its `aggregate_bad`: a counterexample
-    decides the members whose bad fires on its final frame and puts the
-    rest back at the front, and any other outcome decides the whole
-    group; one that refutes no member is an Error verdict for all of
-    them. Only one-property groups get the clause store: an aggregate's
-    index may name another property. `_check_one` hands back every
-    outcome, an engine error included, as a verdict, so the loop has no
-    error path and goes on with the other groups. In JA mode an empty
-    debugging set upgrades every expected-to-hold verdict to HoldsGlobal.
+    The properties `first_failures` finds a trace for come first, each
+    a group of its own that only replays it. Then each expected-to-hold
+    property is a group of its own, in `ordered_eth` order, except in
+    joint mode, where they form one group; each expected-to-fail
+    property follows as a group of its own. A group of several is
+    checked as its `aggregate_bad`: a counterexample decides the members
+    whose bad fires on its final frame and puts the rest back at the
+    front, and any other outcome decides the whole group; one that
+    refutes no member is an Error verdict for all of them. Only
+    one-property groups get the clause store: an aggregate's index may
+    name another property. `_check_one` hands back every outcome, an
+    engine error included, as a verdict, so the loop has no error path.
+    In JA mode an empty debugging set upgrades every expected-to-hold
+    verdict to HoldsGlobal.
     """
     opts = task.options
     t0 = time.monotonic()
@@ -348,9 +356,13 @@ def run(task: VerificationTask) -> RunReport:
     steps, certs = StepHolder(), StepHolder()
     verdicts: dict[int, Verdict] = {}
     sat_calls = learned = 0
-    eth = ordered_eth(task)
-    work = [eth] if task.mode is Mode.JOINT and eth else [[p] for p in eth]
-    work += [[p] for p in task.etf_properties]
+    for simulated in first_failures(circuit, task.eth_properties, task.properties):
+        if total_deadline is not None and time.monotonic() >= total_deadline:
+            break
+    pending = [p for p in ordered_eth(task) if p.index not in simulated]
+    work = [[p] for p in task.properties if p.index in simulated]
+    work += [pending] if task.mode is Mode.JOINT and pending else [[p] for p in pending]
+    work += [[p] for p in task.etf_properties if p.index not in simulated]
     while work:
         group = work.pop(0)
         prop = group[0]
@@ -364,7 +376,10 @@ def run(task: VerificationTask) -> RunReport:
         stats = PdrStats(deadline=_prop_deadline(opts, total_deadline))
         one = len(group) == 1
         checked = (circuit, prop) if one else aggregate_bad(circuit, group)
-        v = _check_one(*checked, ctx, stats, *outcomes, steps, certs, store if one else None)
+        v = _check_one(
+            *checked, ctx, stats, *outcomes, steps, certs, store if one else None,
+            simulated.get(prop.index) if one else None,
+        )
         sat_calls += v.sat_calls
         learned += stats.clauses_learned
         decided = group
@@ -383,6 +398,7 @@ def run(task: VerificationTask) -> RunReport:
         rest = [p for p in group if p not in decided]
         if rest:
             work.insert(0, rest)
+    eth = task.eth_properties
     if task.mode is Mode.JA and eth and all(
         verdicts[p.index].status is VerdictStatus.HOLDS_LOCAL for p in eth
     ):

@@ -17,16 +17,16 @@ counterexample is exempt from every constraint.
 
 `check_property` first asks whether target and seeds are inductive as
 they stand, on the certificate holder: a yes is proof and certificate
-at once, and no engine is built. Engine solvers are built for the
-queries they serve (see `PdrEngine`); lifting needs none, since a model
-fixes every latch and input and one simulation pass finds the latches
-that justify the goal. The engine's step solver comes from a
-`StepHolder` that keeps it across checks of one property set. `certify`
-asks the same question of an engine's proof on the certificate holder,
-which no engine touches; a run's certificates share that solver, each
-behind an activation literal it retires. The question is one
-`houdini_round`; the clause store's seed filter,
-`clausedb.filter_invariant`, runs those rounds to their fixpoint.
+at once, and no engine is built. `certify` asks the same question of an
+engine's proof on that holder, which no engine touches; a run's
+certificates share its solver, each behind an activation literal it
+retires. The question is one `houdini_round` (the seed filter,
+`clausedb.filter_invariant`, runs them to their fixpoint), and its
+reset half is read off the circuit's ternary reset values: only an X
+there asks a solver, and a 0 spares the engine its reset query too.
+Engine solvers are built for the queries they serve (see `PdrEngine`);
+lifting needs none, since a model fixes every latch and input and one
+pass over the gate table finds the latches that justify the goal.
 
 A check's one `PdrStats` carries its deadline and every count. Every SAT
 query goes through `ask`, which counts it there and raises `Exhausted`
@@ -152,10 +152,11 @@ class PdrEngine:
     """One property, one context, one solver per kind of SAT query, each
     built when the first query of its kind comes.
 
-    The bad solver is built with the engine, because the reset query asks
-    it first. It holds one present-state copy of the target's bad cone
-    plus every latch (frame clauses name them all), with bad forced; a
-    primary input outside that cone reads as 0 in its models. The step
+    The bad solver is built with the engine: the reset query, asked when
+    the bad is not 0 at reset, and the frontier queries go to it. It
+    holds one present-state copy of the target's bad cone plus every
+    latch (frame clauses name them all), with bad forced; a primary
+    input outside that cone reads as 0 in its models. The step
     solver carries the transition relation over the cone of the latches,
     their next-state functions, the constraints and the bads of the
     target and every constraint property, with the constraint section
@@ -305,10 +306,8 @@ class PdrEngine:
         fewer bits, the left on a tie)."""
         val = [1, *inputs, *state]
         mask = [0] * (1 + len(inputs)) + [1 << i for i in range(self._nl)]
-        for g in self.circuit.ands:
-            l, r = g.left.var, g.right.var
-            a = val[l] ^ g.left.negated
-            b = val[r] ^ g.right.negated
+        for l, lm, r, rm in self.circuit.gate_table:
+            a, b = (val[l] ^ lm) & 1, (val[r] ^ rm) & 1
             val.append(a & b)
             if a and b:
                 mask.append(mask[l] | mask[r])
@@ -373,16 +372,19 @@ class PdrEngine:
     # ------------------------------------------------------------ main loop
 
     def run(self) -> PdrOutcome:
+        """Decide the target: first the reset query on the bad solver,
+        skipped when the target's bad is 0 at reset, then the frames."""
         if self._ran:
             raise PdrError("engine instances are single-use")
         self._ran = True
         try:
             bad = self._bad
-            result = ask(bad.solver, self._frame_assumps(bad, 0), self.stats)
-            if result.status is Status.SAT:
-                frame = TraceFrame(self.init, bad.enc.read_inputs(result))
-                cex = Counterexample((frame,), self.target.index)
-                return PdrOutcome(PdrStatus.FAILS, self.stats, cex=cex)
+            if _reset_value(self.circuit, self.target.bad) != 0:
+                result = ask(bad.solver, self._frame_assumps(bad, 0), self.stats)
+                if result.status is Status.SAT:
+                    frame = TraceFrame(self.init, bad.enc.read_inputs(result))
+                    cex = Counterexample((frame,), self.target.index)
+                    return PdrOutcome(PdrStatus.FAILS, self.stats, cex=cex)
             while True:
                 result = ask(
                     bad.solver, self._frame_assumps(bad, self.frontier), self.stats
@@ -469,24 +471,17 @@ class PdrEngine:
                 if result.status is Status.UNSAT:
                     self._store_clause(clause, j + 1)
             if not self._owned[j]:
-                out = []
-                for l in range(j + 1, self.frontier + 1):
-                    out.extend(self._owned[l])
-                out.extend(self._inf)
-                return tuple(out)
+                outer = self._owned[j + 1 : self.frontier + 1]
+                return (*(c for level in outer for c in level), *self._inf)
         return None
 
     def _reconstruct(self, ob: ProofObligation) -> Counterexample:
         chain = [ob]
         while chain[-1].succ is not None:
             chain.append(chain[-1].succ)
-        frames = []
-        state = self.init
-        for link in chain[:-1]:
-            frame = TraceFrame(state, link.inputs)
-            frames.append(frame)
-            state = eval_transition(self.circuit, frame)
-        frames.append(TraceFrame(state, chain[-1].inputs))
+        frames = [TraceFrame(self.init, ob.inputs)]
+        for link in chain[1:]:
+            frames.append(TraceFrame(eval_transition(self.circuit, frames[-1]), link.inputs))
         return Counterexample(tuple(frames), self.target.index)
 
 
@@ -601,23 +596,33 @@ def certify(
     return _inductive(circuit, constraint_props, clauses, target, stats, steps)
 
 
+def _reset_value(circuit: Circuit, lit) -> int | None:
+    """The literal's ternary value at reset: 0, 1, or None for X."""
+    value = circuit.reset_values[lit.var]
+    return value if value is None else value ^ lit.negated
+
+
 def _inductive(circuit, constraint_props, clauses, target, stats, steps) -> bool:
     """Whether the reset state satisfies the clauses and cannot fire bad,
     and from any constrained frame satisfying target and clauses the
     successor satisfies both again: one `houdini_round` with the target's
     next-state bad on the step of `steps`, after no query at all if a
-    clause is false at reset, leaving no clause active there. The reset
-    check gets a small solver of its own over the target's reset cone: a
-    step whose level-0 units contradict each other answers every query
-    UNSAT, and must not answer that one."""
+    clause is false at reset or the bad's ternary reset value is 1,
+    leaving no clause active there. A reset value of 0 settles the reset
+    half; only an X gets a small solver of its own over the target's
+    reset cone: a step whose level-0 units contradict each other answers
+    every query UNSAT, and must not answer that one."""
     init = circuit.init_state()
-    if not all(clause_holds(init, c) for c in clauses):
+    at_reset = _reset_value(circuit, target.bad)
+    if at_reset == 1 or not all(clause_holds(init, c) for c in clauses):
         return False
     enc = steps.step(circuit, (target, *constraint_props))
     bad = steps.next_bad(target).lit(target.bad)
     kept = houdini_round(enc, clauses, bad, stats)
     if kept is None or len(kept) < len(clauses):
         return False
+    if at_reset == 0:
+        return True
     reset = Solver()
     true_lit = const_true(reset)
     enc_init = StepEncoding(

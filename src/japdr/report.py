@@ -139,21 +139,10 @@ def format_json(report: RunReport, witnesses=None) -> str:
 def format_csv(report: RunReport, witnesses=None) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["index", "kind", "status", "time_s", "frames", "sat_calls", "witness_file"]
-    )
+    columns = ["index", "kind", "status", "time_s", "frames", "sat_calls", "witness_file"]
+    writer.writerow(columns)
     for row in _rows(report, witnesses):
-        writer.writerow(
-            [
-                row["index"],
-                row["kind"],
-                row["status"],
-                row["time_s"],
-                row["frames"],
-                row["sat_calls"],
-                row["witness_file"],
-            ]
-        )
+        writer.writerow([row[c] for c in columns])
     return out.getvalue()
 
 
@@ -184,12 +173,7 @@ def format_text(report: RunReport, witnesses=None) -> str:
     widths = [max(len(r[i]) for r in table) for i in range(len(header))]
     for r in table:
         lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    if report.debugging_set:
-        lines.append(
-            "debugging set: {" + ", ".join(f"P{i}" for i in report.debugging_set) + "}"
-        )
-    else:
-        lines.append("debugging set: {}")
+    lines.append("debugging set: {" + ", ".join(f"P{i}" for i in report.debugging_set) + "}")
     lines.append(report.conclusion)
     t = report.totals
     lines.append(

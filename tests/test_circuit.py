@@ -20,6 +20,7 @@ from japdr.circuit import (
     eval_circuit,
     eval_literal,
     eval_transition,
+    first_failures,
     property_violated,
     replay_trace,
 )
@@ -169,3 +170,50 @@ def test_builder_round_trip_semantics():
 
 def test_property_kind_defaults_to_eth():
     assert PropertySpec(0, TRUE).kind is PropertyKind.ETH
+
+
+def test_reset_values_are_ternary_with_every_input_x():
+    b = CircuitBuilder(1, 2, init=[0, 1])
+    x, lo, hi = b.input_lit(0), b.latch_lit(0), b.latch_lit(1)
+    gates = [b.and_(lo, x), b.and_(hi, x), b.and_(~lo, hi), b.and_(x, b.and_(~x, hi))]
+    b.set_next(0, hi)
+    b.set_next(1, lo)
+    values = b.build().reset_values
+    assert values[:4] == (1, None, 0, 1)  # constant, input, latches
+    # x & ~x & hi is 0 for every input, yet ternary simulation reads X
+    assert [values[g.var] for g in gates] == [0, None, 1, None]
+
+
+def test_the_gate_table_evaluates_every_lane_at_once():
+    rng = random.Random(3)
+    c, _ = gen_random_circuit(rng, num_inputs=2, num_latches=4, num_gates=30, num_props=1)
+    frames = [frame([rng.randint(0, 1) for _ in range(4)], [rng.randint(0, 1) for _ in range(2)])
+              for _ in range(16)]
+    lanes = [
+        sum(bit << j for j, bit in enumerate(column))
+        for column in zip(*((*f.input_values, *f.latch_values) for f in frames))
+    ]
+    vals = [(1 << 16) - 1, *lanes]
+    for left, lm, right, rm in c.gate_table:
+        vals.append((vals[left] ^ lm) & (vals[right] ^ rm))
+    for j, f in enumerate(frames):
+        assert [v >> j & 1 for v in vals] == eval_circuit(c, f)
+
+
+def test_simulation_keeps_assumed_bads_and_constraints_clean_before_the_end():
+    c, props = gen_counter(3)
+    # P1 overflows at depth 5 only if req is low once the counter reaches 4
+    *_, found = first_failures(c, [], [props[1]])
+    assert found[1].depth == 5
+    assert replay_trace(c, found[1], props[1]).valid
+    *_, found = first_failures(c, props, props)
+    assert set(found) == {0}  # with req assumed high, P1 never fires
+    # a latch that remembers req was low: its bad fires only one frame
+    # after a frame the constraint req = 1 rules out, so never in a live lane
+    for constrained in (False, True):
+        b = CircuitBuilder(1, 1)
+        b.set_next(0, ~b.input_lit(0))
+        b.constraints = [b.input_lit(0)] if constrained else []
+        c = b.build()
+        *_, found = first_failures(c, [], [PropertySpec(0, b.latch_lit(0))])
+        assert (found[0].depth if found else None) == (None if constrained else 1)

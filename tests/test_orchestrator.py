@@ -6,6 +6,7 @@ import pytest
 
 from japdr.aiger import build_counter, circuit_fingerprint, gen_counter, gen_random_circuit
 from japdr.circuit import (
+    SIM_FRAMES,
     TRUE,
     Circuit,
     Counterexample,
@@ -34,6 +35,12 @@ from test_pdr import constraint_section_systems
 
 def verdict_for(report, index):
     return next(v for v in report.verdicts if v.property_index == index)
+
+
+def without_simulation(monkeypatch):
+    """Runs whose simulation from reset finds nothing, so every check,
+    failing or not, goes to an engine."""
+    monkeypatch.setattr(orchestrator, "first_failures", lambda *args: iter([{}]))
 
 
 def test_counter3_ja_verdicts():
@@ -498,6 +505,7 @@ def test_replay_rejects_a_trace_lifted_past_the_assumptions(monkeypatch):
         return self._lift(state, inputs, [*goals, *self.circuit.constraints])
 
     monkeypatch.setattr(pdr.PdrEngine, "_lift_pred", ignoring)
+    without_simulation(monkeypatch)  # it would refute them before any engine
     caught = 0
     for c, props in constraint_section_systems():
         rep = run(VerificationTask(c, tuple(props), Mode.JA))
@@ -721,6 +729,7 @@ def test_a_joint_aggregate_never_takes_seeds_meant_for_its_index(tmp_path, monke
         return real_check(circuit, target, ctx, seeds, **kwargs)
 
     monkeypatch.setattr(orchestrator, "check_property", recording)
+    without_simulation(monkeypatch)  # it would refute members before any aggregate
     tested = 0
     for seed in (5, 6, 11):
         c, props = gen_random_circuit(
@@ -813,3 +822,101 @@ def test_the_seed_filter_builds_its_step_through_the_one_builder(tmp_path, monke
     assert filtered
     for ctx, steps in filtered:
         assert steps == [ctx]
+
+
+# ------------------------------------------------- simulation from reset
+
+
+def simulated_family():
+    """The 30 small random systems the simulation is measured on, odd
+    seeds with a planted next-state bug."""
+    for seed in range(30):
+        yield gen_random_circuit(random.Random(seed), 2, 6, 30, 4, mutate=seed % 2 == 1)
+
+
+def simulated_verdicts(c, props, mode):
+    """The verdicts of a run that the simulation decided: each checked to
+    repeat on a second run, to cost no SAT call and no frame, and to
+    replay in its property's own context. An engine asks at least one
+    query, so these are the failures with 0 SAT calls."""
+    task = VerificationTask(c, props, mode)
+    first, second = run(task), run(task)
+    found = []
+    for v, again in zip(first.verdicts, second.verdicts):
+        if isinstance(v.evidence, Counterexample) and v.sat_calls == 0:
+            assert v.frames == 0 and again.evidence == v.evidence
+            target = props[v.property_index]
+            rr = replay_trace(c, v.evidence, target, orchestrator._assumed(task, target))
+            assert rr.valid and not rr.spurious
+            found.append((v.property_index, v.status, v.evidence.depth))
+    return found
+
+
+def test_a_simulated_failure_repeats_costs_no_sat_call_and_replays():
+    c, props = gen_counter(3)  # P0 fails at reset whenever req is low
+    for mode, fails in (
+        (Mode.JA, S.FAILS_LOCAL),
+        (Mode.SEPARATE_GLOBAL, S.FAILS_GLOBAL),
+        (Mode.JOINT, S.FAILS_GLOBAL),
+    ):
+        assert simulated_verdicts(c, tuple(props), mode) == [(0, fails, 0)]
+    # with P0 expected to fail, nothing keeps req high: P1 overflows at 5
+    etf = (replace(props[0], kind=PropertyKind.ETF), props[1])
+    assert simulated_verdicts(c, etf, Mode.JA) == [
+        (0, S.ETF_CONFIRMED, 0), (1, S.FAILS_LOCAL, 5),
+    ]
+    found = [
+        found for c, props in simulated_family()
+        for found in simulated_verdicts(c, tuple(props), Mode.JA)
+    ]
+    assert all(status is S.FAILS_LOCAL for _, status, _ in found)
+    assert sum(depth > 0 for _, _, depth in found) >= 5, found
+
+
+def test_a_failure_past_the_simulated_frames_is_left_to_pdr():
+    c, props = gen_counter(5)  # P1 fails globally at depth 2^4 + 1
+    rep = run(VerificationTask(c, tuple(props), Mode.SEPARATE_GLOBAL))
+    v0, v1 = rep.verdicts
+    assert v0.status is S.FAILS_GLOBAL and v0.sat_calls == 0
+    assert v1.status is S.FAILS_GLOBAL and v1.evidence.depth == 17 > SIM_FRAMES
+    assert v1.sat_calls > 0
+    rr = replay_trace(c, v1.evidence, props[1], ())
+    assert rr.valid and not rr.spurious
+
+
+def test_a_run_past_its_deadline_takes_no_simulated_trace(monkeypatch):
+    c, props = gen_counter(3)
+    replays = []
+    real_replay = orchestrator.replay_trace
+    monkeypatch.setattr(
+        orchestrator, "replay_trace", lambda *args: replays.append(args) or real_replay(*args)
+    )
+    real_simulation = orchestrator.first_failures
+
+    def slow(*args):
+        # hands over every trace at once, then runs past the deadline
+        *_, found = real_simulation(*args)
+        assert found
+        yield found
+        time.sleep(0.05)
+        yield found
+
+    monkeypatch.setattr(orchestrator, "first_failures", slow)
+    for mode in Mode:
+        rep = run(VerificationTask(c, tuple(props), mode, TaskOptions(total_timeout_s=0.01)))
+        assert all(v.status is S.UNKNOWN for v in rep.verdicts), mode
+        assert all(v.frames == v.sat_calls == 0 for v in rep.verdicts)
+    assert replays == []
+
+
+def test_simulation_leaves_every_verdict_as_it_was(monkeypatch):
+    systems = list(simulated_family())
+    with_sim = [
+        [v.status for v in run(VerificationTask(c, tuple(ps), mode)).verdicts]
+        for c, ps in systems for mode in Mode
+    ]
+    without_simulation(monkeypatch)
+    assert with_sim == [
+        [v.status for v in run(VerificationTask(c, tuple(ps), mode)).verdicts]
+        for c, ps in systems for mode in Mode
+    ]

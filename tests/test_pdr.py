@@ -5,8 +5,12 @@ import time
 import pytest
 
 from japdr.aiger import build_counter, gen_counter, gen_random_circuit
+from japdr import pdr
 from japdr.circuit import (
+    FALSE,
+    CircuitBuilder,
     Literal,
+    PropertySpec,
     TraceFrame,
     eval_transition,
     property_violated,
@@ -36,12 +40,13 @@ def cube_of_state(state):
 
 def test_counter3_threshold_holds_locally_without_clauses():
     # with req assumed, the threshold is inductive as stated: the initial
-    # frames already close, nothing is learned
+    # frames already close, nothing is learned; the counter resets to 0,
+    # so the bad is 0 at reset and the induction query is the only one
     c, props = gen_counter(3)
     out = check_property(c, props[1], constraint_props=[props[0]])
     assert out.status is PdrStatus.HOLDS
     assert out.invariant == ()
-    assert out.stats.sat_calls == 2
+    assert out.stats.sat_calls == 1
     assert out.stats.clauses_learned == 0
 
 
@@ -644,3 +649,64 @@ def test_gates_nothing_reads_change_no_step_and_no_verdict():
                 assert pad.stats.sat_calls == base.stats.sat_calls
                 seen.add((base.status, bool(base.invariant)))
     assert {(PdrStatus.HOLDS, True), (PdrStatus.FAILS, False)} <= seen
+
+
+# --------------------------------------------------- ternary reset values
+
+
+def _reset_encodings(monkeypatch) -> list:
+    """Record, for every circuit copy `pdr` builds, whether its latches
+    were pinned (only the reset check of `_inductive` pins them)."""
+    built = []
+    real = pdr.StepEncoding
+
+    def recording(*args, **kwargs):
+        built.append("latch_lits" in kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pdr, "StepEncoding", recording)
+    return built
+
+
+def _latch_reset_to_1(bad_of):
+    """Two inputs and a latch that is 1 at reset and 0 ever after, with
+    one property whose bad is `bad_of(builder, in0, in1, latch)`: it can
+    fire at reset only, so induction alone never refutes it."""
+    b = CircuitBuilder(2, 1, init=[1])
+    b.set_next(0, FALSE)
+    b.bads = [bad_of(b, b.input_lit(0), b.input_lit(1), b.latch_lit(0))]
+    c = b.build()
+    prop = PropertySpec(0, c.bads[0])
+    assert c.reset_values[prop.bad.var] is None  # X: the reset solver decides
+    return c, prop
+
+
+def test_an_x_bad_that_cannot_fire_at_reset_certifies_on_the_reset_solver(monkeypatch):
+    c, prop = _latch_reset_to_1(lambda b, x, y, l: b.and_(x, b.and_(~x, l)))
+    built = _reset_encodings(monkeypatch)
+    out = check_property(c, prop)
+    assert out.status is PdrStatus.HOLDS and out.invariant == ()
+    assert out.stats.sat_calls == 2  # the induction query and the reset query
+    assert certify(c, (), (), prop)
+    assert built.count(True) == 2
+
+
+def test_an_x_bad_that_fires_for_one_input_valuation_is_refuted(monkeypatch):
+    c, prop = _latch_reset_to_1(lambda b, x, y, l: b.conj([x, y, l]))
+    built = _reset_encodings(monkeypatch)
+    assert not certify(c, (), (), prop)
+    assert built.count(True) == 1
+    out = check_property(c, prop)
+    assert out.status is PdrStatus.FAILS
+    assert out.cex.frames == (TraceFrame((1,), (1, 1)),)
+
+
+def test_a_target_0_at_reset_builds_no_reset_encoding(monkeypatch):
+    c, props = gen_counter(3)  # the counter resets to 0, below P1's bound
+    assert pdr._reset_value(c, props[1].bad) == 0
+    built = _reset_encodings(monkeypatch)
+    assert check_property(c, props[1], constraint_props=[props[0]]).status is PdrStatus.HOLDS
+    assert certify(c, [props[0]], (), props[1])
+    out = check_property(c, props[1])  # globally the engine runs, no reset query
+    assert out.status is PdrStatus.FAILS and out.cex.depth == 5
+    assert not any(built)

@@ -40,7 +40,7 @@ from japdr.report import (
     validate_report_json,
 )
 from test_acceptance import replay_witness_file
-from test_orchestrator import _expected_status, verdict_for
+from test_orchestrator import _expected_status, verdict_for, without_simulation
 
 
 def v(index, status):
@@ -167,8 +167,9 @@ def test_cli_check_json_and_witnesses(tmp_path, capsys):
     doc = json.loads(out)
     assert validate_report_json(doc) == []
     # the failing property gets a concrete stimulus, the holding one a cert;
-    # `enable` lies outside P0's cone, so the bad query leaves it at 0
-    assert (wdir / "b0.wit").read_bytes() == b"1\nb0\n000\n00\n.\n"
+    # the simulation from reset finds P0's trace, so both inputs are the
+    # first lane's draws of its fixed-seed stream
+    assert (wdir / "b0.wit").read_bytes() == b"1\nb0\n000\n10\n.\n"
     c, props = gen_counter(3)
     replay_witness_file(c, props, (wdir / "b0.wit").read_bytes())
     assert (wdir / "b1.wit").read_bytes() == b"0\nb1\n"
@@ -309,6 +310,7 @@ def test_an_engine_error_costs_only_its_own_verdict(tmp_path, monkeypatch, capsy
         return pdr.PdrOutcome(pdr.PdrStatus.FAILS, pdr.PdrStats(), cex=cex)
 
     monkeypatch.setattr(orchestrator, "check_property", non_replaying)
+    without_simulation(monkeypatch)  # it would refute P1 before any engine
     thr = build_counter(5, thresholds=4)
     systems = [(thr.circuit, thr.props)]
     for seed in range(6):

@@ -340,8 +340,8 @@ def test_the_search_is_pinned(monkeypatch):
     assert [v.status.value for v in report.verdicts] == [
         "HoldsLocal", "FailsLocal", "FailsLocal", "FailsLocal", "HoldsLocal",
     ]
-    assert (report.totals.sat_calls, report.totals.clauses_learned) == (124, 21)
-    assert counts == {"solves": 124, "conflicts": 15, "learned": 13}
+    assert (report.totals.sat_calls, report.totals.clauses_learned) == (70, 13)
+    assert counts == {"solves": 70, "conflicts": 15, "learned": 13}
 
 
 def test_luby_restart_sequence_prefix():
