@@ -20,12 +20,9 @@ Speeding Up SAT", SAT 2007). A frame's `lit` is therefore only for its
 roots: bads, next-state functions and constraints.
 
 A copy is one bulk variable allocation (`Solver.new_vars`) plus one pass
-over the gates. A gate whose operands are free and on distinct variables
-has its three clauses and six watches appended straight to the solver,
-in the layout `add_clause` would give them; any other gate (constant or
-level-0 operands, `a & a`, `a & ~a`) goes through `add_clause`, so every
-copy leaves the solver exactly as gate-by-gate encoding would. ITE
-clauses always go through `add_clause`.
+over the gates: `Solver.add_and` for each AND gate, which leaves the
+solver exactly as three `add_clause` calls would, and `add_clause` for
+the six clauses of each ITE.
 """
 
 from __future__ import annotations
@@ -80,8 +77,7 @@ class StepEncoding:
             varmap[var] = pos(first + i)
         if latch_lits is not None:
             varmap.update(zip(circuit.latch_vars, latch_lits))
-        clauses, watches, vals = solver.clauses, solver.watches, solver.vals
-        ok = solver.ok
+        add_and = solver.add_and
         out = pos(first + len(leaves))
         for gate in gates:
             mux = ites.get(gate.out)
@@ -97,32 +93,9 @@ class StepEncoding:
                     (y, z, f ^ 1),
                 ):
                     solver.add_clause(clause)
-                ok = solver.ok
-                varmap[gate.out] = out
-                out += 2
-                continue
-            left, right = gate.left, gate.right
-            a = varmap[left.var] ^ left.negated
-            b = varmap[right.var] ^ right.negated
-            if ok and vals[a] < 0 and vals[b] < 0 and (a ^ b) > 1:
-                # what add_clause would store for a fresh output over two
-                # distinct free operands: the same clauses, same watches
-                idx = len(clauses)
-                nout = out ^ 1
-                clauses.append([nout, a])
-                clauses.append([nout, b])
-                clauses.append([out, a ^ 1, b ^ 1])
-                watches[out].extend((idx, a, idx + 1, b))
-                watches[out ^ 1].extend((idx + 2, a ^ 1))
-                watches[a ^ 1].extend((idx, nout))
-                watches[b ^ 1].extend((idx + 1, nout))
-                watches[a].extend((idx + 2, out))
             else:
-                # constant or level-0 operands, a & a, a & ~a
-                solver.add_clause([out ^ 1, a])
-                solver.add_clause([out ^ 1, b])
-                solver.add_clause([out, a ^ 1, b ^ 1])
-                ok = solver.ok
+                left, right = gate.left, gate.right
+                add_and(out, varmap[left.var] ^ left.negated, varmap[right.var] ^ right.negated)
             varmap[gate.out] = out
             out += 2
         self.varmap = varmap

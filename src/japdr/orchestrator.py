@@ -39,14 +39,12 @@ Every check lifts its predecessors with the target and every assumed
 property kept clean, so a counterexample breaks nothing it assumes
 before its final frame. Every trace, simulated or not, is replayed under
 its property's context; one that is invalid or spurious is an engine
-error. Every proof is decided or re-certified on the run's certificate
-solver, which no engine touches; when an engine proof built on seeded
-clauses is rejected, the seeds are dropped and the check runs once
-more, so clause re-use can never manufacture a verdict. An engine
-error, or an aggregate counterexample that refutes no member, makes
-every property of its group an Error verdict; the other groups are
-still checked, the JA upgrade does not fire, and the run is reported
-incomplete.
+error. Every proof comes certified on the run's certificate solver by
+`pdr.check_property`, which owns the proof rule; a proof it cannot
+certify is an engine error. An engine error, or an aggregate
+counterexample that refutes no member, makes every property of its
+group an Error verdict; the other groups are still checked, the JA
+upgrade does not fire, and the run is reported incomplete.
 
 Every verdict, Error and Unknown included, reports the time, frames and
 SAT calls of its check; each verdict an aggregate decides reports that
@@ -87,7 +85,6 @@ from .pdr import (
     PdrStats,
     PdrStatus,
     StepHolder,
-    certify,
     check_property,
 )
 
@@ -128,6 +125,8 @@ class VerificationTask:
     def __post_init__(self):
         object.__setattr__(self, "properties", tuple(self.properties))
         opts = self.options
+        if opts.clause_db is not None and not opts.reuse_clauses:
+            raise ValueError("a clause db needs clause re-use on")
         for name in ("per_prop_timeout_s", "total_timeout_s"):
             value = getattr(opts, name)
             if value is not None and not value > 0:  # NaN too
@@ -205,19 +204,18 @@ def _check_one(
     cex: Counterexample | None = None,
 ) -> Verdict:
     """One property, end to end: seeds, solve, replay the trace or
-    certify the proof, harvest it; given a simulated `cex`, only the
-    replay. `stats` is the check's budget: its deadline bounds all of
-    it, and the seed filter, engines and certificate count into it, so
-    the verdict reports them however the check ends. Engines run on the
-    step solver of `steps`; certificates, and the check that settles an
-    already-inductive property before any engine, on that of `certs`.
-    `store` is None for an aggregate and without clause re-use.
+    harvest the proof; given a simulated `cex`, only the replay. `stats`
+    is the check's budget: its deadline bounds all of it, and the seed
+    filter, engines and certificate count into it, so the verdict
+    reports them however the check ends. `check_property` runs the
+    engines on the step solver of `steps` and decides or certifies every
+    proof on that of `certs`. `store` is None for an aggregate and
+    without clause re-use.
 
     The status is `holds` or `fails` once the check is decided, Unknown
     once the deadline passes (seeds are not looked up past it), and
-    Error on an engine error: an invalid or spurious trace, or a
-    rejected proof that used no seeds (one that did runs once more
-    without them)."""
+    Error on an engine error: an invalid or spurious trace, or a proof
+    `check_property` could not certify."""
     t0 = time.monotonic()
     verdict = Verdict(target.index, VerdictStatus.UNKNOWN)
     try:
@@ -226,26 +224,16 @@ def _check_one(
         if cex is None:
             seeds = store.seeds(target, ctx, stats) if store is not None else ()
             verdict.seeds_used = len(seeds)
-            for attempt in (seeds, ()):  # the seedless run only follows a rejected seeded proof
-                out = check_property(
-                    circuit, target, ctx, attempt, stats=stats, steps=steps, certs=certs
-                )
-                if out.status is not PdrStatus.HOLDS:
-                    cex = out.cex  # None once exhausted
-                    break
-                if out.certified or certify(
-                    circuit, ctx, out.invariant, target, stats=stats, steps=certs
-                ):
-                    verdict.status, verdict.evidence = holds, len(out.invariant)
-                    verdict.certified = True
-                    if store is not None:
-                        store.harvest(target, ctx, out.invariant)
-                    break
-                if not attempt:
-                    raise PdrError(
-                        f"certification rejected the proof of property {target.index}"
-                    )
-                verdict.seeds_used = 0  # the seed set let an unsound proof through
+            out = check_property(
+                circuit, target, ctx, seeds, stats=stats, steps=steps, certs=certs
+            )
+            verdict.seeds_used = out.seeds_used
+            if out.status is PdrStatus.HOLDS:
+                verdict.status, verdict.evidence = holds, len(out.invariant)
+                verdict.certified = True
+                if store is not None:
+                    store.harvest(target, ctx, out.invariant)
+            cex = out.cex  # None unless refuted
         if cex is not None:
             rep = replay_trace(circuit, cex, target, ctx)
             if not rep.valid or rep.spurious:

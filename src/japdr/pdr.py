@@ -15,10 +15,12 @@ Bad outputs may read primary inputs, so "the property holds in a state"
 means no input valuation fires bad there; the final frame of a
 counterexample is exempt from every constraint.
 
-`check_property` first asks whether target and seeds are inductive as
-they stand, on the certificate holder: a yes is proof and certificate
-at once, and no engine is built. `certify` asks the same question of an
-engine's proof on that holder, which no engine touches; a run's
+`check_property` owns the proof rule. It asks whether target and seeds
+are inductive as they stand on the certificate holder, which no engine
+touches: a yes is proof and certificate at once, and no engine is built.
+Otherwise `certify` asks it of the engine's proof there; a rejected
+proof drops its seeds and runs once more, or is a `PdrError` if it had
+none, so clause re-use never manufactures a verdict. A run's
 certificates share its solver, each behind an activation literal it
 retires. The question is one `houdini_round` (the seed filter,
 `clausedb.filter_invariant`, runs them to their fixpoint), and its
@@ -99,7 +101,7 @@ class PdrOutcome:
     stats: PdrStats
     invariant: tuple[tuple[int, ...], ...] | None = None  # on HOLDS
     cex: Counterexample | None = None  # on FAILS
-    certified: bool = False  # HOLDS decided on a certificate holder
+    seeds_used: int = 0  # seeds behind the outcome; 0 once they are dropped
 
 
 @dataclass
@@ -189,7 +191,7 @@ class PdrEngine:
         self.circuit = circuit
         self.target = target
         self.constraint_props = tuple(constraint_props)
-        self._inf = list(_checked(circuit, target, self.constraint_props, seed_clauses))
+        self._inf = _checked(circuit, target, self.constraint_props, seed_clauses)
         self.stats = stats or PdrStats()
         self.stats.frames_opened = 1
         self.init = circuit.init_state()
@@ -226,19 +228,16 @@ class PdrEngine:
             return [frames.enc.latch_lit(i, v) for i, v in enumerate(self.init)]
         return frames.acts[level : self.frontier + 1] + [frames.inf_act]
 
-    def _store_clause(self, clause: tuple[int, ...], level: int | None) -> None:
-        """Record a clause at `level` (None: inductive outright) and add
-        it to both frame solvers. Older copies of it below `level` leave
-        the frame lists; the solvers keep them, implied."""
+    def _store_clause(self, clause: tuple[int, ...], level: int) -> None:
+        """Record a clause at `level` and add it to both frame solvers.
+        Older copies of it below `level` leave the frame lists; the
+        solvers keep them, implied. Only seeds sit at the inductive level."""
         for frames in (self._bad, self._step):
             frames.add(clause, level)
-        if level is None:
-            self._inf.append(clause)
-        else:
-            for j in range(1, level):
-                if clause in self._owned[j]:
-                    self._owned[j].remove(clause)
-            self._owned[level].append(clause)
+        for j in range(1, level):
+            if clause in self._owned[j]:
+                self._owned[j].remove(clause)
+        self._owned[level].append(clause)
 
     def _open_level(self, level: int) -> None:
         while len(self._owned) <= level:
@@ -426,9 +425,6 @@ class PdrEngine:
             for clause in self._owned[j]:
                 if all((l ^ 1) in cube_set for l in clause):
                     return True
-        for clause in self._inf:
-            if all((l ^ 1) in cube_set for l in clause):
-                return True
         return False
 
     def _discharge(self) -> None:
@@ -506,20 +502,30 @@ def check_property(
     target and whose earlier frames keep the constraint section, the
     target and the context clean. Exhausted only ever reflects the
     deadline, never an answer. `stats` and `steps` are those of
-    `PdrEngine`. First, on `certs` (without it, on `steps`), it asks
-    whether the seeds and the target hold at reset and are inductive as
-    they stand; a yes is Holds with the seeds, each once, as the
-    invariant, `certified` if `certs` answered, and no engine is built.
+    `PdrEngine`. Every Holds is certified on `certs` (without it, a fresh
+    holder). Seeds and target inductive as they stand are a Holds with
+    the seeds, each once, as the invariant, and no engine is built. An
+    engine proof must pass `certify`; a rejected one runs once more
+    without seeds, or is a `PdrError` if it used none. `seeds_used`
+    counts the seeds behind the outcome.
     """
     seeds = _checked(circuit, target, constraint_props, seed_clauses)
-    stats, steps = stats or PdrStats(), steps or StepHolder()
+    stats, steps, certs = stats or PdrStats(), steps or StepHolder(), certs or StepHolder()
     stats.frames_opened = 1
     try:
-        if _inductive(circuit, constraint_props, seeds, target, stats, certs or steps):
-            return PdrOutcome(PdrStatus.HOLDS, stats, seeds, certified=certs is not None)
+        if _inductive(circuit, constraint_props, seeds, target, stats, certs):
+            return PdrOutcome(PdrStatus.HOLDS, stats, seeds, seeds_used=len(seeds))
+        out = PdrEngine(circuit, target, constraint_props, seeds, stats=stats, steps=steps).run()
+        if out.status is not PdrStatus.HOLDS or certify(
+            circuit, constraint_props, out.invariant, target, stats=stats, steps=certs
+        ):
+            out.seeds_used = len(seeds)
+            return out
     except Exhausted:
-        return PdrOutcome(PdrStatus.EXHAUSTED, stats)
-    return PdrEngine(circuit, target, constraint_props, seeds, stats=stats, steps=steps).run()
+        return PdrOutcome(PdrStatus.EXHAUSTED, stats, seeds_used=len(seeds))
+    if not seeds:
+        raise PdrError(f"certification rejected the proof of property {target.index}")
+    return check_property(circuit, target, constraint_props, stats=stats, steps=steps, certs=certs)
 
 
 def _checked(circuit: Circuit, target: PropertySpec, constraint_props, clauses):
@@ -588,8 +594,9 @@ def certify(
     """Independent inductiveness check of an engine's proof: target plus
     strengthening, asked by `_inductive` on `steps`, a holder no engine
     touches (without one, a fresh holder), so engine state cannot leak
-    in. The clauses are checked as `check_property` checks seeds. Each
-    query is an `ask` on `stats`; `Exhausted` goes through.
+    in. `check_property` runs it on every engine proof, and checks the
+    clauses as it checks seeds. Each query is an `ask` on `stats`;
+    `Exhausted` goes through.
     """
     clauses = _checked(circuit, target, constraint_props, invariant_clauses)
     stats, steps = stats or PdrStats(), steps or StepHolder()

@@ -20,11 +20,10 @@ true, 0 when false and `_UNDEF` when its variable is free. Both
 polarities are written together, so a model is `vals[0::2]`. `level[v]`
 and `reason[v]` mean something only while v is assigned.
 
-`new_vars(n)` allocates a block of variables in one step. A clause that
-`add_clause` would store unchanged (no duplicate or complementary
-literals, none assigned at level 0) may be appended straight to
-`clauses` with its first two literals watched in `watches`, exactly as
-`add_clause` lays it out; `encode` does this for fresh Tseitin gates.
+`new_vars(n)` allocates a block of variables in one step, and
+`add_and` adds the Tseitin clauses of one AND gate, appending them
+straight to `clauses` and `watches` in `add_clause`'s layout when its
+checks could change nothing.
 `simplify()` drops the clauses satisfied at level 0, such as those of a
 retired activation literal, leaving an empty slot for each in `clauses`.
 """
@@ -143,6 +142,28 @@ class Solver:
         self.watches[out[0] ^ 1].extend((idx, out[1]))
         self.watches[out[1] ^ 1].extend((idx, out[0]))
         return True
+
+    def add_and(self, out: int, a: int, b: int) -> None:
+        """The clauses of out = a & b for a fresh `out`, laid out as by
+        `add_clause`: appended as they are over two free operands on
+        distinct variables, through it otherwise (a & ~a, level 0)."""
+        vals = self.vals
+        if self.ok and vals[a] < 0 and vals[b] < 0 and (a ^ b) > 1:
+            clauses, watches = self.clauses, self.watches
+            idx = len(clauses)
+            nout = out ^ 1
+            clauses.append([nout, a])
+            clauses.append([nout, b])
+            clauses.append([out, a ^ 1, b ^ 1])
+            watches[out].extend((idx, a, idx + 1, b))
+            watches[nout].extend((idx + 2, a ^ 1))
+            watches[a ^ 1].extend((idx, nout))
+            watches[b ^ 1].extend((idx + 1, nout))
+            watches[a].extend((idx + 2, out))
+        else:
+            self.add_clause([out ^ 1, a])
+            self.add_clause([out ^ 1, b])
+            self.add_clause([out, a ^ 1, b ^ 1])
 
     def simplify(self) -> None:
         """Drop the clauses satisfied at level 0 from `clauses` and

@@ -15,6 +15,8 @@ from japdr.aiger import (
     parse,
 )
 from japdr.circuit import (
+    FALSE,
+    TRUE,
     Counterexample,
     PropertyKind,
     TraceFrame,
@@ -22,6 +24,7 @@ from japdr.circuit import (
     property_violated,
 )
 from japdr.oracle import bmc
+from japdr.orchestrator import Mode, VerdictStatus as S, VerificationTask, run
 
 
 def random_circuit(seed, **kw):
@@ -126,6 +129,31 @@ def test_outputs_become_bads_without_b_section():
     c2, props2 = parse(rewritten.encode())
     assert len(props2) == 2
     assert all(p.kind is PropertyKind.ETH for p in props2)
+
+
+def test_constants_as_operand_next_state_and_bad():
+    # 0 and 1 are the constants: the latch's next state is 1, the gate
+    # reads 1 as an operand, and bad 0 can never fire
+    data = b"aag 3 1 1 0 1 2\n2\n4 1 0\n0\n6\n6 4 1\n"
+    c, props = parse(data)
+    assert props[0].bad == FALSE and c.latches[0].next == TRUE and c.ands[0].right == TRUE
+    trace = simulate(c, [[(0,), (0,)]])[0]
+    assert trace == [(0,), (1,), (1,)]
+    frames = list(zip(trace[:-1], [(0,), (1,)]))
+    assert bad_values(c, props, frames) == [[False, False], [False, True]]
+    rep = run(VerificationTask(c, tuple(props), Mode.SEPARATE_GLOBAL))
+    assert [v.status for v in rep.verdicts] == [S.HOLDS_GLOBAL, S.FAILS_GLOBAL]
+    for emit in (emit_ascii, emit_binary):
+        c2, props2 = parse(emit(c))
+        assert emit_ascii(c2) == emit_ascii(c) and len(props2) == 2
+
+
+def test_binary_latch_row_may_omit_its_reset_value():
+    c, props = parse(b"aig 1 0 1 0 0 1\n3\n2\n")
+    assert c.init_state() == (0,) and len(props) == 1
+    assert simulate(c, [[(), (), ()]])[0] == [(0,), (1,), (0,), (1,)]
+    assert parse(emit_binary(c))[0].init_state() == (0,)
+    assert emit_binary(parse(emit_binary(c))[0]) == emit_binary(c)
 
 
 def test_parse_rejects_garbage_header():

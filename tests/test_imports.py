@@ -26,9 +26,11 @@ names the file's reader and writer, its record type or its seed
 selection and filter; `clausedb.ClauseStore` is the way in.
 A seventh keeps the solver's layout inside `sat`: no package module but
 `sat` names a solver's value array, trail, levels, reasons, queue head,
-clause store, watch lists or queue stamps. Two readers are allowed:
-`encode`'s bulk path writes clauses and watches next to the values it
-reads, and `pdr`'s generalization orders literals by queue stamp.
+clause store, watch lists or queue stamps. One reader is allowed:
+`pdr`'s generalization orders literals by queue stamp.
+An eighth keeps one certification owner: no package module but `pdr`
+names `certify`, so every proof is certified where it is made, inside
+`pdr.check_property`.
 """
 
 import ast
@@ -312,11 +314,11 @@ def test_only_the_solver_takes_a_deadline_parameter():
 STORE_INTERNALS = {"append", "load", "ClauseRecord", "seeds_for_context", "filter_invariant"}
 
 
-def store_internal_uses(sources: dict[str, str]) -> list[str]:
-    """`module:line: name` of every use of a clause-store internal: a
-    bare name, a name imported from a module, or an attribute of a
-    module named `clausedb`. A method call such as `list.append` is no
-    use. Package `__init__.py` files, which only re-export, are skipped."""
+def owned_name_uses(sources: dict[str, str], names, owner: str) -> list[str]:
+    """`module:line: name` of every use of one of `names`: a bare name, a
+    name imported from a module, or an attribute of a module named
+    `owner`. A method call such as `list.append` is no use. Package
+    `__init__.py` files, which only re-export, are skipped."""
     found = []
     for name, source in sources.items():
         if Path(name).name == "__init__.py":
@@ -327,11 +329,11 @@ def store_internal_uses(sources: dict[str, str]) -> list[str]:
             elif isinstance(node, ast.ImportFrom):
                 used = [alias.name for alias in node.names]
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                used = [node.attr] if node.value.id == "clausedb" else []
+                used = [node.attr] if node.value.id == owner else []
             else:
                 continue
             stem = Path(name).stem
-            found.extend(f"{stem}:{node.lineno}: {u}" for u in used if u in STORE_INTERNALS)
+            found.extend(f"{stem}:{node.lineno}: {u}" for u in used if u in names)
     return sorted(found)
 
 
@@ -348,7 +350,7 @@ def test_the_scan_sees_every_clause_store_internal():
             "g = filter_invariant\n"
         ),
     }
-    assert store_internal_uses(sources) == [
+    assert owned_name_uses(sources, STORE_INTERNALS, "clausedb") == [
         "a:1: ClauseRecord", "a:5: seeds_for_context", "a:6: load", "a:7: filter_invariant",
     ]
 
@@ -357,7 +359,14 @@ def test_only_the_clause_store_module_names_its_internals():
     sources = {
         str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE if p.name != "clausedb.py"
     }
-    assert store_internal_uses(sources) == []
+    assert owned_name_uses(sources, STORE_INTERNALS, "clausedb") == []
+
+
+def test_only_pdr_names_certify():
+    sources = {
+        str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE if p.name != "pdr.py"
+    }
+    assert owned_name_uses(sources, {"certify"}, "pdr") == []
 
 
 SOLVER_LAYOUT = {
@@ -428,9 +437,4 @@ def test_the_scan_sees_every_use_of_the_solver_layout():
 
 def test_only_the_solver_names_its_layout():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE if p.name != "sat.py"}
-    assert solver_layout_uses(sources) == [
-        "encode.StepEncoding.__init__: clauses",
-        "encode.StepEncoding.__init__: vals",
-        "encode.StepEncoding.__init__: watches",
-        "pdr.PdrEngine.generalize: activity",
-    ]
+    assert solver_layout_uses(sources) == ["pdr.PdrEngine.generalize: activity"]

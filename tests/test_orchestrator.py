@@ -283,6 +283,25 @@ def test_a_nan_timeout_is_rejected(name):
         VerificationTask(c, tuple(props), Mode.JA, TaskOptions(**{name: float("nan")}))
 
 
+def test_a_clause_db_without_clause_reuse_is_rejected(tmp_path):
+    # the path would be dropped without a word: no store, no file
+    c, props = gen_counter(3)
+    db = tmp_path / "clauses.db"
+    opts = TaskOptions(reuse_clauses=False, clause_db=str(db))
+    with pytest.raises(ValueError, match="clause re-use"):
+        VerificationTask(c, tuple(props), Mode.JA, opts)
+    assert not db.exists()
+
+
+def test_a_run_of_expected_to_fail_properties_only():
+    c, props = gen_counter(3)
+    etf = tuple(replace(p, kind=PropertyKind.ETF) for p in props)
+    rep = run(VerificationTask(c, etf, Mode.JA))
+    assert [v.status for v in rep.verdicts] == [S.ETF_CONFIRMED, S.ETF_CONFIRMED]
+    assert rep.debugging_set == ()
+    assert rep.conclusion == "no expected-to-hold properties (2 EtfConfirmed)"
+
+
 def test_clause_reuse_saves_work_and_keeps_verdicts(tmp_path):
     # constrained counter family: same empty context end to end, so each
     # proof can seed the next and a second pass starts warm
@@ -402,37 +421,44 @@ def test_reuse_is_verdict_neutral_in_ja_mode(tmp_path, monkeypatch):
 
 
 def test_a_rejected_seeded_proof_reruns_once_without_seeds(tmp_path, monkeypatch):
-    # certification rejects the first engine proof built on seeds; the
-    # check drops them and runs again, and the verdict reports no seeds.
-    # The store holds one clause of a global proof: true on every
-    # reachable state and trusted by every check, but too weak to make a
-    # threshold that needs strengthening inductive, so its check runs
-    # the engine seeded
+    # certification rejects the first engine proof built on seeds; inside
+    # the check's one `check_property` call the seeds are dropped and the
+    # engine runs again, and the verdict reports no seeds. The store
+    # holds one clause of a global proof: true on every reachable state
+    # and trusted by every check, but too weak to make a threshold that
+    # needs strengthening inductive, so its check runs the engine seeded
     thr = build_counter(5, thresholds=6)
     db = tmp_path / "clauses.db"
     clause = pdr.check_property(thr.circuit, thr.props[1]).invariant[0]
     append([ClauseRecord(clause, 1, (), circuit_fingerprint(thr.circuit))], str(db))
-    calls, rejected = [], []
-    real_check, real_certify = orchestrator.check_property, orchestrator.certify
+    checks, engines, rejected = [], [], []
+    real_check, real_certify = orchestrator.check_property, pdr.certify
+    engine_init = pdr.PdrEngine.__init__
 
-    def recording(circuit, target, ctx, seeds=(), **kwargs):
-        calls.append((target.index, len(seeds)))
+    def recording_check(circuit, target, ctx, seeds=(), **kwargs):
+        checks.append(target.index)
         return real_check(circuit, target, ctx, seeds, **kwargs)
 
+    def recording_engine(self, circuit, target, ctx=(), seeds=(), **kwargs):
+        engines.append((target.index, len(seeds)))
+        engine_init(self, circuit, target, ctx, seeds, **kwargs)
+
     def reject_first_seeded(*args, **kwargs):
-        if calls[-1][1] and not rejected:
-            rejected.append(calls[-1][0])
+        if engines[-1][1] and not rejected:
+            rejected.append(engines[-1][0])
             return False
         return real_certify(*args, **kwargs)
 
-    monkeypatch.setattr(orchestrator, "check_property", recording)
-    monkeypatch.setattr(orchestrator, "certify", reject_first_seeded)
+    monkeypatch.setattr(orchestrator, "check_property", recording_check)
+    monkeypatch.setattr(pdr.PdrEngine, "__init__", recording_engine)
+    monkeypatch.setattr(pdr, "certify", reject_first_seeded)
     opts = TaskOptions(reuse_clauses=True, clause_db=str(db))
     rep = run(VerificationTask(thr.circuit, thr.props, Mode.SEPARATE_GLOBAL, opts))
     assert len(rejected) == 1
     i = rejected[0]
-    n = calls.index((i, 0))
-    assert calls[n - 1][0] == i and calls[n - 1][1] > 0
+    assert checks.count(i) == 1
+    n = engines.index((i, 0))
+    assert engines[n - 1][0] == i and engines[n - 1][1] > 0
     v = verdict_for(rep, i)
     assert v.status is _expected_status(thr.circuit, thr.props, i, Mode.SEPARATE_GLOBAL)
     assert v.certified and v.seeds_used == 0
@@ -441,7 +467,7 @@ def test_a_rejected_seeded_proof_reruns_once_without_seeds(tmp_path, monkeypatch
     # a rejected proof that used no seeds has nothing to drop: an engine
     # error, reported on its property alone; P0 is inductive as it
     # stands, so its check certifies it before any engine is built
-    monkeypatch.setattr(orchestrator, "certify", lambda *a, **k: False)
+    monkeypatch.setattr(pdr, "certify", lambda *a, **k: False)
     rep = run(VerificationTask(thr.circuit, thr.props, Mode.SEPARATE_GLOBAL))
     assert verdict_for(rep, 0).status is S.HOLDS_GLOBAL and verdict_for(rep, 0).certified
     errors = rep.verdicts[1:]
@@ -622,8 +648,8 @@ def test_ja_run_encodes_one_constrained_step_per_pass(monkeypatch):
     # every expected-to-hold check of a JA pass steps through one relation:
     # the engines share one encoding of it and the certificates another,
     # however many proofs the pass certifies, before an engine or after it
-    steps = certified = stepped = 0
-    build, certify = pdr.constrained_step, orchestrator.certify
+    steps = proofs = certified = stepped = 0
+    build, certify = pdr.constrained_step, pdr.certify
     check, run_engine = orchestrator.check_property, pdr.PdrEngine.run
 
     def counting_step(*args, **kwargs):
@@ -632,9 +658,9 @@ def test_ja_run_encodes_one_constrained_step_per_pass(monkeypatch):
         return build(*args, **kwargs)
 
     def counting_check(*args, **kwargs):
-        nonlocal certified
+        nonlocal proofs
         out = check(*args, **kwargs)
-        certified += out.certified
+        proofs += out.status is pdr.PdrStatus.HOLDS
         return out
 
     def counting_certify(*args, **kwargs):
@@ -651,7 +677,7 @@ def test_ja_run_encodes_one_constrained_step_per_pass(monkeypatch):
 
     monkeypatch.setattr(pdr, "constrained_step", counting_step)
     monkeypatch.setattr(orchestrator, "check_property", counting_check)
-    monkeypatch.setattr(orchestrator, "certify", counting_certify)
+    monkeypatch.setattr(pdr, "certify", counting_certify)
     monkeypatch.setattr(pdr.PdrEngine, "run", counting_run)
     thr = build_counter(5, thresholds=6)
     rng = random.Random(3)
@@ -661,13 +687,14 @@ def test_ja_run_encodes_one_constrained_step_per_pass(monkeypatch):
     ]
     counts = []
     for c, props in systems:
-        steps = certified = stepped = 0
+        steps = proofs = certified = stepped = 0
         report = run(VerificationTask(c, tuple(props), Mode.JA))
-        assert certified == sum(v.certified for v in report.verdicts)
+        assert proofs == sum(v.certified for v in report.verdicts)
         assert steps == 1 + min(stepped, 1)
-        counts.append((steps, certified, stepped))
-    assert counts[0] == (1, 6, 0)
-    assert any(n[2] for n in counts)  # some engine took the shared step
+        counts.append((steps, proofs, certified, stepped))
+    assert counts[0] == (1, 6, 0, 0)  # six proofs decided before any engine
+    assert any(n[2] for n in counts)  # some engine proof was certified after it
+    assert any(n[3] for n in counts)  # some engine took the shared step
     assert report.debugging_set  # the last system has failing checks too
 
 

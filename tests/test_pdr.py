@@ -220,6 +220,48 @@ def test_certify_rejects_clause_broken_at_reset():
     assert not certify(c, [props[0]], [(latch_literal(0, 1),)], props[1])
 
 
+def test_check_property_certifies_every_proof_it_returns(monkeypatch):
+    # an engine proof is certified on a holder no engine touches, a fresh
+    # one when the call passes none; a rejected proof built on seeds runs
+    # once more without them, and one built on none is an engine error.
+    # the first clause of P1's global proof is true on every reachable
+    # state but inductive only beside P1, so the seeded proof of P5 fails
+    # its certificate for real
+    thr = build_counter(5, thresholds=6)
+    p = thr.props[-1]
+    seeds = check_property(thr.circuit, thr.props[1]).invariant[:1]
+    engines, holders, verdicts = [], [], []
+    engine_init, real_certify = PdrEngine.__init__, pdr.certify
+
+    def recording_engine(self, circuit, target, ctx=(), seed_clauses=(), **kwargs):
+        engines.append((len(seed_clauses), kwargs["steps"]))
+        engine_init(self, circuit, target, ctx, seed_clauses, **kwargs)
+
+    def scripted_certify(*args, **kwargs):
+        holders.append(kwargs["steps"])
+        return verdicts.pop(0) if verdicts else real_certify(*args, **kwargs)
+
+    monkeypatch.setattr(PdrEngine, "__init__", recording_engine)
+    monkeypatch.setattr(pdr, "certify", scripted_certify)
+    out = check_property(thr.circuit, p, seed_clauses=seeds)
+    assert out.status is PdrStatus.HOLDS and out.seeds_used == 0 < len(seeds)
+    assert certify(thr.circuit, (), out.invariant, p)
+    assert [n for n, _ in engines] == [len(seeds), 0] and len(holders) == 2
+    assert holders[0] is holders[1] and all(holders[0] is not h for _, h in engines)
+
+    engines.clear()
+    verdicts[:] = [False]
+    with pytest.raises(PdrError, match=f"certification rejected the proof of property {p.index}"):
+        check_property(thr.circuit, p)
+    assert [n for n, _ in engines] == [0]
+
+    engines.clear()
+    verdicts[:] = [True]
+    out = check_property(thr.circuit, p, seed_clauses=seeds)
+    assert out.status is PdrStatus.HOLDS and out.seeds_used == len(seeds)
+    assert [n for n, _ in engines] == [len(seeds)]
+
+
 def test_certify_accepts_engine_invariants():
     rng = random.Random(4242)
     accepted = 0
@@ -467,7 +509,8 @@ def test_shared_step_solver_answers_like_a_fresh_one():
 def test_an_engine_builds_no_solver_but_its_bad_and_step_solvers(monkeypatch):
     # lifting simulates the model, so a run that learns clauses builds
     # the bad solver and the holder's step and nothing else; a check
-    # decided at level 0 never takes the step
+    # decided at level 0 never takes the step. The certificate holder
+    # builds its own step once, and a check given none gets a fresh one
     built = []
     real_init = Solver.__init__
 
@@ -477,9 +520,15 @@ def test_an_engine_builds_no_solver_but_its_bad_and_step_solvers(monkeypatch):
 
     monkeypatch.setattr(Solver, "__init__", counting)
     thr = build_counter(5, thresholds=6)
-    out = check_property(thr.circuit, thr.props[-1], steps=StepHolder())
-    assert out.status is PdrStatus.HOLDS and out.stats.clauses_learned
-    assert len(built) == 2
+    certs = StepHolder()
+    for expected in (3, 2):  # the certificate step comes with the first check only
+        built.clear()
+        out = check_property(thr.circuit, thr.props[-1], steps=StepHolder(), certs=certs)
+        assert out.status is PdrStatus.HOLDS and out.stats.clauses_learned
+        assert len(built) == expected
+    built.clear()
+    check_property(thr.circuit, thr.props[-1], steps=StepHolder())
+    assert len(built) == 3
 
     built.clear()
     c, props = gen_counter(3)

@@ -297,6 +297,37 @@ def test_cli_refuses_an_unwritable_clause_db_before_any_check(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("japdr: clause db: ")
 
 
+def test_cli_refuses_a_clause_db_with_clause_reuse_off(tmp_path, capsys):
+    db = tmp_path / "clauses.db"
+    args = ["check", str(counter_file(tmp_path)), "--reuse-clauses", "off",
+            "--clause-db", str(db)]
+    assert main(args) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("japdr: ") and "clause re-use" in err
+    assert not db.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["check", "--etf", "2", "--reuse-clauses", "off"], EXIT_USAGE,
+         "--etf index 2 out of range"),
+        (["bmc", "--prop", "2", "--depth", "3"], EXIT_USAGE, "--prop 2 out of range"),
+        (["bmc", "--prop", "1", "--depth", "3", "--assume", "1"], EXIT_USAGE,
+         "--assume index 1 invalid"),
+        (["bmc", "--prop", "1", "--depth", "3", "--assume", "5"], EXIT_USAGE,
+         "--assume index 5 invalid"),
+        (["oracle", "--cap-bits", "2"], EXIT_PARSE, "enumeration cap"),
+    ],
+    ids=["etf-index", "bmc-prop", "bmc-assume-target", "bmc-assume-range", "oracle-cap"],
+)
+def test_cli_rejects_indices_and_sizes_it_cannot_serve(tmp_path, capsys, argv, code, message):
+    path = counter_file(tmp_path)
+    assert main([argv[0], str(path), *argv[1:]]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("japdr: ") and message in err
+
+
 def test_an_engine_error_costs_only_its_own_verdict(tmp_path, monkeypatch, capsys):
     # a deliberately broken engine hook: the check of P1 returns a one-frame
     # trace from reset on which P1's bad does not fire, so replay rejects it
