@@ -2,9 +2,11 @@
 
 Two-literal watching with blocker literals, first-UIP learning, a VMTF
 decision queue (Biere & Fröhlich, "Evaluating CDCL Variable Scoring
-Schemes", SAT 2015), phase saving, and Luby restarts. Assumptions are
-handled as forced decisions; failed-assumption analysis yields an unsat
-core.
+Schemes", SAT 2015), phase saving, and Luby restarts. All assumptions
+go on decision level 1 in one pass, then propagate (Eén & Sörensson,
+BMC 2003). One false when placed fails the solve; a level-1 conflict is
+learned, as a level-0 unit, only if it has a UIP on level 1, and
+otherwise returns the assumptions in its graph as the core.
 
 The queue is a doubly linked list of every variable, `q_first` the least
 recent and `q_last` the most recent, and `activity[v]` is v's stamp,
@@ -273,9 +275,10 @@ class Solver:
         return None
 
     def _analyze(self, confl: list[int]):
-        """First-UIP conflict analysis; returns (learned clause, backjump level)."""
-        seen = self._seen
-        level = self.level
+        """First-UIP conflict analysis; returns (learned clause, backjump
+        level), or None (no UIP) when the walk meets a reason-less literal
+        with others of its level open: two assumptions on level 1."""
+        seen, level, reason, clauses = self._seen, self.level, self.reason, self.clauses
         learnt = [0]  # slot for the asserting literal
         counter = 0
         p = None
@@ -304,14 +307,17 @@ class Solver:
             counter -= 1
             if counter == 0:
                 break
-            reason_clause = self.clauses[self.reason[v]]
+            r = reason[v]
+            if r < 0:
+                for v in bumped:
+                    seen[v] = False
+                return None
+            reason_clause = clauses[r]
         learnt[0] = p ^ 1
         for lit in learnt[1:]:
             seen[lit >> 1] = True  # keep marked for minimization below
 
         # cheap self-subsumption: drop literals implied by the rest
-        clauses = self.clauses
-        reason = self.reason
         kept = [learnt[0]]
         for lit in learnt[1:]:
             r = reason[lit >> 1]
@@ -350,28 +356,30 @@ class Solver:
         kept[1], kept[best] = kept[best], kept[1]
         return kept, level[kept[1] >> 1]
 
-    def _analyze_final(self, p: int, assumption_set: frozenset[int]) -> frozenset[int]:
-        """Assumptions responsible for forcing the failed assumption `p` false."""
-        core = {p}
-        if not self.trail_lim:
-            return frozenset(core & assumption_set)
-        seen = self._seen
-        seen[p >> 1] = True
-        for i in range(len(self.trail) - 1, self.trail_lim[0] - 1, -1):
-            lit = self.trail[i]
+    def _analyze_final(self, lits, assumptions: list[int]) -> frozenset[int]:
+        """Assumptions in or forcing false `lits`: a failed assumption or
+        a level-1 conflict clause."""
+        assumption_set = frozenset(assumptions)
+        core = {lit for lit in lits if lit in assumption_set}
+        seen, level, reason = self._seen, self.level, self.reason
+        for lit in lits:
+            if level[lit >> 1] > 0:
+                seen[lit >> 1] = True
+        trail = self.trail
+        for i in range(len(trail) - 1, self.trail_lim[0] - 1, -1):
+            lit = trail[i]
             v = lit >> 1
             if not seen[v]:
                 continue
-            if self.reason[v] == _UNDEF:
+            seen[v] = False
+            if reason[v] == _UNDEF:
                 if lit in assumption_set:
                     core.add(lit)
             else:
-                for other in self.clauses[self.reason[v]][1:]:
-                    if self.level[other >> 1] > 0:
+                for other in self.clauses[reason[v]][1:]:
+                    if level[other >> 1] > 0:
                         seen[other >> 1] = True
-            seen[v] = False
-        seen[p >> 1] = False
-        return frozenset(core & assumption_set)
+        return frozenset(core)
 
     def _cancel_until(self, target: int) -> None:
         if len(self.trail_lim) <= target:
@@ -407,11 +415,11 @@ class Solver:
     def solve(self, assumptions=(), deadline: float | None = None) -> SolveResult:
         """Decide satisfiability of the store under the given assumptions.
 
+        Assumptions share level 1; an UNSAT core is a subset of them.
         UNKNOWN is returned only when the deadline runs out; it is never a
         wrong answer.
         """
         assumptions = list(assumptions)
-        assumption_set = frozenset(assumptions)
         if not self.ok:
             return SolveResult(Status.UNSAT, core=frozenset())
         trail_lim, vals = self.trail_lim, self.vals
@@ -428,7 +436,11 @@ class Solver:
                     if not trail_lim:
                         self.ok = False
                         return SolveResult(Status.UNSAT, core=frozenset())
-                    learnt, back = self._analyze(confl)
+                    analysed = self._analyze(confl)
+                    if analysed is None:
+                        core = self._analyze_final(confl, assumptions)
+                        return SolveResult(Status.UNSAT, core=core)
+                    learnt, back = analysed
                     self._cancel_until(back)
                     if len(learnt) == 1:
                         self._enqueue(learnt[0], _UNDEF)
@@ -450,18 +462,15 @@ class Solver:
                     restart_budget = restart_unit * _luby(luby_index)
                     self._cancel_until(0)
                     continue
-                depth = len(trail_lim)
-                if depth < len(assumptions):
-                    p = assumptions[depth]
-                    v = vals[p]
-                    if v == 1:
-                        trail_lim.append(len(self.trail))  # dummy level
-                    elif v == 0:
-                        core = self._analyze_final(p, assumption_set)
-                        return SolveResult(Status.UNSAT, core=core)
-                    else:
-                        trail_lim.append(len(self.trail))
-                        self._enqueue(p, _UNDEF)
+                if assumptions and not trail_lim:
+                    trail_lim.append(len(self.trail))
+                    for p in assumptions:
+                        v = vals[p]
+                        if v == 0:
+                            core = self._analyze_final((p,), assumptions)
+                            return SolveResult(Status.UNSAT, core=core)
+                        if v < 0:
+                            self._enqueue(p, _UNDEF)
                     continue
                 lit = self._pick_branch()
                 if lit == _UNDEF:

@@ -13,7 +13,10 @@ alive only where the package uses it: every public module-level
 function and method of every package module must be named in `src/`
 outside its own definition, or be exported from `japdr/__init__.py`
 (a method through its class). A local variable or argument of the same
-name does not count as a use.
+name does not count as a use. A name defined more than once counts only
+where the scan can tie the use to its definition (`self.name` inside the
+class, `Class.name`, a receiver bound from `Class(...)`, `module.name`
+or an import); `UNTIED_USES` lists, with reasons, the uses it cannot.
 
 A fourth keeps one budget gate: only `pdr.ask`, which counts each SAT
 call and turns an out-of-budget answer into `pdr.Exhausted`, and
@@ -34,6 +37,7 @@ names `certify`, so every proof is certified where it is made, inside
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -147,11 +151,106 @@ def _local_names(tree) -> set[int]:
     return found
 
 
-def unreferenced_public_functions(sources: dict[str, str], checked, exported) -> list[str]:
+def _public_defs(trees):
+    """`(module, key, node)` of every public module-level function and
+    method, keyed `stem.function` or `stem.Class.method`."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for module, tree in trees.items():
+        stem = Path(module).stem
+        for node in tree.body:
+            defs = [(f"{stem}.", node)] if isinstance(node, funcs) else []
+            if isinstance(node, ast.ClassDef):
+                defs = [(f"{stem}.{node.name}.", n) for n in node.body if isinstance(n, funcs)]
+            yield from ((module, prefix + d.name, d) for prefix, d in defs if not d.name.startswith("_"))
+
+
+def _constructed(node, classes) -> str | None:
+    """The class `node` constructs, for `Class(...)` or `module.Class(...)`."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return name if name in classes else None
+
+
+def _bindings(scope, classes) -> dict[str, str]:
+    """Names bound from `Class(...)` directly in one function or module
+    body, not in the functions nested in it."""
+    bound = {}
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Assign) and (cls := _constructed(node.value, classes)):
+            bound.update((t.id, cls) for t in node.targets if isinstance(t, ast.Name))
+        todo.extend(ast.iter_child_nodes(node))
+    return bound
+
+
+def _tied_uses(trees, names, keys):
+    """`(module, node, key)` of every use of a name in `names`, where
+    `key` is the definition the use is tied to, or None when no rule ties
+    it: `self.name` inside the class, `Class.name`, a receiver bound from
+    `Class(...)` (or that call itself), `module.name`, an import of it,
+    and a bare name in its defining module."""
+    classes = {key.split(".")[1]: key.split(".")[0] for key in keys if key.count(".") == 2}
+    stems = {Path(module).stem for module in trees}
+
+    def tie(module, node, cls, scopes):
+        stem = Path(module).stem
+        if isinstance(node, ast.ImportFrom):
+            source = (node.module or "").rpartition(".")[2]
+            return [(alias.name, f"{source}.{alias.name}") for alias in node.names]
+        if isinstance(node, ast.Name):
+            return [(node.id, f"{stem}.{node.id}")]
+        if not isinstance(node, ast.Attribute):
+            return []
+        value, owner = node.value, _constructed(node.value, classes)
+        if isinstance(value, ast.Attribute) and value.attr in classes:
+            owner = value.attr
+        elif isinstance(value, ast.Name):
+            if value.id == "self" and cls:
+                owner = cls
+            elif value.id in classes:
+                owner = value.id
+            elif value.id in stems:
+                return [(node.attr, f"{value.id}.{node.attr}")]
+            else:
+                owner = next((b[value.id] for b in reversed(scopes) if value.id in b), None)
+        if owner is None:
+            return [(node.attr, None)]
+        return [(node.attr, f"{classes.get(owner)}.{owner}.{node.attr}")]
+
+    def visit(module, node, cls, scopes, found):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            scopes = [*scopes, _bindings(node, classes)]
+        for name, key in tie(module, node, cls, scopes):
+            if name in names and (key is None or key in keys):
+                found.append((module, node, key))
+        for child in ast.iter_child_nodes(node):
+            visit(module, child, cls, scopes, found)
+
+    found = []
+    for module, tree in trees.items():
+        visit(module, tree, None, [_bindings(tree, classes)], found)
+    return found
+
+
+def unreferenced_public_functions(sources: dict[str, str], checked, exported, untied=None) -> list[str]:
     """Public module-level functions and methods of the `checked` sources
     that no source names outside their own definition, leaving out the
     exported functions and the methods of exported classes. A name bound
-    inside the function that reads it is a local, not a use."""
+    inside the function that reads it is a local, not a use.
+
+    A name defined more than once (`Solver.value` and `SolveResult.value`)
+    is used only where `_tied_uses` ties the use to one definition. A use
+    it cannot tie is a finding unless `untied` maps its `(module, name)`
+    to `(definition key, reason)`; an entry that matches no use is a
+    finding too."""
+    untied = untied or {}
     trees = {name: ast.parse(source) for name, source in sources.items()}
     local = set().union(*map(_local_names, trees.values()))
     uses = [
@@ -160,21 +259,36 @@ def unreferenced_public_functions(sources: dict[str, str], checked, exported) ->
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in local
     ]
-    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
-    found = []
-    for name in checked:
-        body = trees[name].body
-        defs = [n for n in body if isinstance(n, funcs) and n.name not in exported]
-        for cls in body:
-            if isinstance(cls, ast.ClassDef) and cls.name not in exported:
-                defs.extend(n for n in cls.body if isinstance(n, funcs))
-        for node in defs:
-            if node.name.startswith("_"):
+    defs = list(_public_defs(trees))
+    counts = Counter(key.rpartition(".")[2] for _, key, _ in defs)
+    twice = {name for name, n in counts.items() if n > 1}
+    tied, found, allowed = [], [], set()
+    for module, node, key in _tied_uses(trees, twice, {key for _, key, _ in defs}):
+        if id(node) in local:
+            continue
+        if key is None:
+            entry = (Path(module).stem, node.attr)
+            if entry not in untied:
+                found.append(f"{module}:{node.lineno}: untied {node.attr}")
                 continue
-            own = {id(n) for n in ast.walk(node)}
-            if not any(used == node.name and at not in own for at, used in uses):
-                found.append(f"{name}:{node.lineno}: {node.name}")
-    return found
+            key = untied[entry][0]
+            allowed.add(entry)
+        tied.append((id(node), key))
+    stale = sorted(untied.keys() - allowed)
+    found.extend(f"{stem}: untied {name} matches no use" for stem, name in stale)
+    unused = []
+    for module, key, node in defs:
+        owner, _, name = key.partition(".")[2].rpartition(".")
+        if module not in checked or (owner or name) in exported:
+            continue
+        own = {id(n) for n in ast.walk(node)}
+        if name in twice:
+            used = any(k == key and at not in own for at, k in tied)
+        else:
+            used = any(u == name and at not in own for at, u in uses)
+        if not used:
+            unused.append(f"{module}:{node.lineno}: {name}")
+    return unused + found
 
 
 def test_the_scan_sees_a_public_function_only_its_tests_use():
@@ -208,6 +322,78 @@ def test_the_scan_sees_a_public_function_only_its_tests_use():
     ]
 
 
+def test_the_scan_ties_a_method_defined_twice_to_its_class():
+    """`Solver.value` once had only test callers, yet passed the scan,
+    which matched `.value` by name: `encode` reads `SolveResult.value` on
+    a solve's result. Now that use ties to neither class by itself, so
+    it needs an allowance, and `Solver.value` is found."""
+    sources = {
+        "sat.py": (
+            "class SolveResult:\n"
+            "    def value(self, lit): return lit\n"
+            "class Solver:\n"
+            "    def solve(self): return SolveResult()\n"
+            "    def value(self, lit): return lit\n"
+        ),
+        "encode.py": (
+            "from sat import Solver\n"
+            "def model(solver):\n"
+            "    return solver.solve().value(2)\n"
+        ),
+    }
+    assert unreferenced_public_functions(sources, ["sat.py"], set()) == [
+        "sat.py:2: value", "sat.py:5: value", "encode.py:3: untied value",
+    ]
+    untied = {("encode", "value"): ("sat.SolveResult.value", "the receiver is a solve's result")}
+    assert unreferenced_public_functions(sources, ["sat.py"], set(), untied) == ["sat.py:5: value"]
+    stale = {**untied, ("sat", "value"): ("sat.Solver.value", "no such use")}
+    assert unreferenced_public_functions(sources, ["sat.py"], set(), stale) == [
+        "sat.py:5: value", "sat: untied value matches no use",
+    ]
+
+
+def test_the_scan_ties_each_use_by_its_receiver():
+    sources = {
+        "a.py": (
+            "def run(): pass\n"
+            "def step(): pass\n"
+            "def reset(): pass\n"
+            "class Engine:\n"
+            "    def run(self): return self.step()\n"
+            "    def step(self): pass\n"
+            "    def reset(self): pass\n"
+            "    def stop(self): pass\n"
+            "class Other:\n"
+            "    def run(self): pass\n"
+            "    def step(self): pass\n"
+            "    def reset(self): return self.reset()\n"
+            "    def stop(self): pass\n"
+        ),
+        "b.py": (
+            "import a\n"
+            "from a import run\n"
+            "def f():\n"
+            "    e = a.Engine()\n"
+            "    return e.run(), run(), a.Engine.reset(e), a.step()\n"
+            "def g():\n"
+            "    return Other().stop(), Engine().stop()\n"
+        ),
+    }
+    assert unreferenced_public_functions(sources, ["a.py"], set()) == [
+        "a.py:3: reset", "a.py:10: run", "a.py:11: step", "a.py:12: reset",
+    ]
+
+
+# the package's uses of a twice-defined name that no rule ties to a
+# definition: (module, name) -> (definition key, why it cannot be tied)
+UNTIED_USES = {
+    ("pdr", "latch_lit"): (
+        "encode.StepEncoding.latch_lit",
+        "pdr reaches each StepEncoding through a StepHolder or `_Frames.enc`, never its constructor",
+    ),
+}
+
+
 def test_no_public_function_lives_only_for_its_tests():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
     init = ast.parse((ROOT / "src" / "japdr" / "__init__.py").read_text())
@@ -217,7 +403,7 @@ def test_no_public_function_lives_only_for_its_tests():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    assert unreferenced_public_functions(sources, sorted(sources), exported) == []
+    assert unreferenced_public_functions(sources, sorted(sources), exported, UNTIED_USES) == []
 
 
 def solve_callers(sources: dict[str, str]) -> list[str]:

@@ -153,6 +153,117 @@ def test_incremental_reuse_after_unsat_assumptions():
     assert solver.solve().status is Status.SAT
 
 
+def test_an_assumption_and_its_negation_fail_together():
+    solver = Solver()
+    solver.new_vars(2)
+    a, b = range(2)
+    clauses = [[pos(a), pos(b)]]
+    solver.add_clause(clauses[0])
+    p = pos(a)
+    result = solver.solve([pos(b), p ^ 1, p])
+    assert result.status is Status.UNSAT and result.core == {p, p ^ 1}
+    # neither half alone is unsatisfiable
+    assert brute_force(2, clauses, [p]) and brute_force(2, clauses, [p ^ 1])
+    assert solver.n_conflicts == 0 and solver.ok
+
+
+def test_an_assumption_false_at_level_0_is_its_own_core():
+    solver = Solver()
+    solver.new_vars(3)
+    a, b, c = range(3)
+    clauses = [[pos(c) ^ 1], [pos(c), pos(a) ^ 1]]  # propagates ~a at level 0
+    for clause in clauses:
+        solver.add_clause(clause)
+    result = solver.solve([pos(b), pos(a), pos(c) ^ 1])
+    assert result.status is Status.UNSAT and result.core == {pos(a)}
+    assert not brute_force(3, clauses, [pos(a)])
+    assert brute_force(3, clauses, [pos(b), pos(c) ^ 1])
+
+
+def test_a_level_1_conflict_with_a_uip_leaves_a_level_0_unit():
+    """x & y imply m, and m alone forces b and ~b: m is the UIP of the
+    first conflict, so ~m is learned as a level-0 unit. With it, x and y
+    clash with no UIP, and the solve returns both as the core."""
+    solver = Solver()
+    solver.new_vars(5)
+    x, y, m, b, z = range(5)
+    clauses = [
+        [pos(m), pos(x) ^ 1, pos(y) ^ 1],
+        [pos(m) ^ 1, pos(b)],
+        [pos(m) ^ 1, pos(b) ^ 1],
+    ]
+    for clause in clauses:
+        solver.add_clause(clause)
+    stored = len(solver.clauses)
+    result = solver.solve([pos(x), pos(z), pos(y)])
+    assert result.status is Status.UNSAT and result.core == {pos(x), pos(y)}
+    assert not brute_force(5, clauses, sorted(result.core))
+    assert solver.n_conflicts == 2 and len(solver.clauses) == stored
+    assert solver.trail == [pos(m) ^ 1] and solver.vals[pos(m)] == 0
+    assert_values(solver)
+    # the next solve finds ~m already at level 0: no conflict, core {m}
+    result = solver.solve([pos(z), pos(m)])
+    assert result.status is Status.UNSAT and result.core == {pos(m)}
+    assert solver.n_conflicts == 2 and not brute_force(5, clauses, [pos(m)])
+    result = solver.solve([pos(x), pos(z)])
+    assert result.status is Status.SAT and brute_force(5, clauses, [pos(x), pos(z)])
+    assert not result.value(pos(y)) and not result.value(pos(m))
+
+
+def test_a_conflict_between_assumptions_learns_nothing():
+    """Assumptions that clash through propagation end the solve at its
+    first conflict: the core is a subset of them, no clause or unit is
+    added, and later solves keep their answers."""
+    solver = Solver()
+    solver.new_vars(4)
+    x, y, m, z = range(4)
+    clauses = [[pos(x) ^ 1, pos(m)], [pos(y) ^ 1, pos(m) ^ 1]]
+    for clause in clauses:
+        solver.add_clause(clause)
+    stored = len(solver.clauses)
+    result = solver.solve([pos(z), pos(x), pos(y)])
+    assert result.status is Status.UNSAT and result.core == {pos(x), pos(y)}
+    assert not brute_force(4, clauses, [pos(x), pos(y)])
+    assert solver.n_conflicts == 1 and len(solver.clauses) == stored
+    assert solver.trail == [] and solver.ok
+    for assumptions in ([pos(x), pos(z)], [pos(y), pos(z)], [pos(m)], [pos(m) ^ 1], []):
+        result = solver.solve(assumptions)
+        assert result.status is Status.SAT, assumptions
+        model = dict(enumerate(map(bool, result.model)))
+        assert model in brute_force(4, clauses, assumptions), assumptions
+
+
+def test_assumption_conflicts_without_a_uip_on_random_cnf():
+    """A solve that ends at its first conflict with the store unchanged
+    returned at a level-1 conflict without a UIP. Each such core is a
+    subset of the assumptions, unsatisfiable on its own, and the
+    solver's later answers agree with the brute-force models."""
+    rng = random.Random(2419)
+    returned = 0
+    for trial in range(150):
+        n = rng.randint(3, 8)
+        clauses = random_instance(rng, n, rng.randint(3, 16))
+        solver = Solver()
+        solver.new_vars(n)
+        for clause in clauses:
+            solver.add_clause(clause)
+        for _ in range(5):
+            assumptions = random_assumptions(rng, n)
+            conflicts, stored, units = solver.n_conflicts, len(solver.clauses), len(solver.trail)
+            result = solver.solve(assumptions)
+            assert_values(solver, result)
+            models = brute_force(n, clauses, assumptions)
+            assert (result.status is Status.SAT) == bool(models), trial
+            if result.status is Status.SAT:
+                assert dict(enumerate(map(bool, result.model))) in models, trial
+                continue
+            assert result.core <= set(assumptions), trial
+            assert not brute_force(n, clauses, sorted(result.core)), trial
+            unchanged = (len(solver.clauses), len(solver.trail)) == (stored, units)
+            returned += solver.ok and unchanged and solver.n_conflicts == conflicts + 1
+    assert returned >= 30, returned
+
+
 def random_assumptions(rng, n):
     vars_ = rng.sample(range(n), rng.randint(1, n))
     return [pos(v) if rng.random() < 0.5 else pos(v) ^ 1 for v in vars_]
@@ -257,7 +368,7 @@ def test_decision_queue_survives_incremental_use(monkeypatch):
     luby_calls = []
     restarts = (sat._luby, lambda i: luby_calls.append(i) or 0.01)
     conflicts = bumped = 0
-    for trial in range(40):
+    for trial in range(80):
         monkeypatch.setattr(sat, "_luby", restarts[trial % 2])
         solver = Solver()
         clauses = []
@@ -340,8 +451,8 @@ def test_the_search_is_pinned(monkeypatch):
     assert [v.status.value for v in report.verdicts] == [
         "HoldsLocal", "FailsLocal", "FailsLocal", "FailsLocal", "HoldsLocal",
     ]
-    assert (report.totals.sat_calls, report.totals.clauses_learned) == (70, 13)
-    assert counts == {"solves": 70, "conflicts": 15, "learned": 13}
+    assert (report.totals.sat_calls, report.totals.clauses_learned) == (77, 13)
+    assert counts == {"solves": 77, "conflicts": 29, "learned": 4}
 
 
 def test_luby_restart_sequence_prefix():
