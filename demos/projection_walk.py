@@ -9,7 +9,7 @@ verdicts are plain reachability questions over that projected relation.
 """
 
 from japdr.aiger import gen_counter
-from japdr.oracle import CheckMode, ExplicitModel, reachable
+from japdr.oracle import CheckMode, ExplicitModel
 
 
 def vals(reach_set):
@@ -25,9 +25,9 @@ print(f"3-bit counter: {m.n_states} latch states x {m.n_inputs} input vectors")
 print()
 
 print("reachable counter values under three relations:")
-print("  raw transition relation       ", vals(reachable(circuit)))
-print("  projected on P0 and P1        ", vals(reachable(circuit, props)))
-print("  projected on P1 alone         ", vals(reachable(circuit, [props[1]])))
+print("  raw transition relation       ", vals(m.reachable()))
+print("  projected on P0 and P1        ", vals(m.reachable(props)))
+print("  projected on P1 alone         ", vals(m.reachable([props[1]])))
 print()
 print("projecting on P0 pins req high, the reset fires at 4 and the walk")
 print("never sees 5..7; projecting on P1 alone still admits req=0 frames,")

@@ -31,15 +31,7 @@ from .circuit import (
     replay_trace,
 )
 from .clausedb import ClauseDbError, ClauseRecord, append, filter_invariant, load
-from .oracle import (
-    CheckMode,
-    OracleError,
-    ReachSet,
-    bmc,
-    brute_check,
-    brute_debug_set,
-    reachable,
-)
+from .oracle import CheckMode, ExplicitModel, OracleError, ReachSet, bmc
 from .orchestrator import (
     Mode,
     RunReport,
@@ -63,6 +55,7 @@ __all__ = [
     "ClauseDbError",
     "ClauseRecord",
     "Counterexample",
+    "ExplicitModel",
     "Latch",
     "Literal",
     "Mode",
@@ -83,8 +76,6 @@ __all__ = [
     "VerificationTask",
     "append",
     "bmc",
-    "brute_check",
-    "brute_debug_set",
     "build_counter",
     "certify",
     "check_property",
@@ -99,7 +90,6 @@ __all__ = [
     "load",
     "parse",
     "parse_file",
-    "reachable",
     "replay_trace",
     "run",
     "validate_report_json",

@@ -249,23 +249,6 @@ class ExplicitModel:
         }
 
 
-# ------------------------------------------------------- convenience wrappers
-
-
-def reachable(circuit: Circuit, props=None, depth_limit=None, cap_bits: int = 24) -> ReachSet:
-    return ExplicitModel(circuit, cap_bits).reachable(props, depth_limit)
-
-
-def brute_check(
-    circuit: Circuit, props, target_index: int, mode: CheckMode, cap_bits: int = 24
-) -> BruteResult:
-    return ExplicitModel(circuit, cap_bits).brute_check(props, target_index, mode)
-
-
-def brute_debug_set(circuit: Circuit, props, cap_bits: int = 24) -> set[int]:
-    return ExplicitModel(circuit, cap_bits).brute_debug_set(props)
-
-
 # ---------------------------------------------------------------------- BMC
 
 

@@ -15,17 +15,19 @@ Bad outputs may read primary inputs, so "the property holds in a state"
 means no input valuation fires bad there; the final frame of a
 counterexample is exempt from every constraint.
 
-`check_property` owns the proof rule. It asks whether target and seeds
-are inductive as they stand on the certificate holder, which no engine
-touches: a yes is proof and certificate at once, and no engine is built.
-Otherwise `certify` asks it of the engine's proof there; a rejected
+`check_property` owns the proof rule. It first asks `_reset_inputs`
+whether the target's bad fires in the reset state, the one reset query
+of a check: the circuit's ternary reset values answer 0 and 1, and only
+an X asks a solver. A hit is a one-frame counterexample, and nothing
+else is built. Then it asks whether target and seeds are inductive as
+they stand on the certificate holder, which no engine touches: a yes is
+proof and certificate at once, and no engine is built. Otherwise
+`certify` asks both questions of the engine's proof there; a rejected
 proof drops its seeds and runs once more, or is a `PdrError` if it had
 none, so clause re-use never manufactures a verdict. A run's
 certificates share its solver, each behind an activation literal it
-retires. The question is one `houdini_round` (the seed filter,
-`clausedb.filter_invariant`, runs them to their fixpoint), and its
-reset half is read off the circuit's ternary reset values: only an X
-there asks a solver, and a 0 spares the engine its reset query too.
+retires. The inductive half is one `houdini_round` (the seed filter,
+`clausedb.filter_invariant`, runs them to their fixpoint).
 Engine solvers are built for the queries they serve (see `PdrEngine`);
 lifting needs none, since a model fixes every latch and input and one
 pass over the gate table finds the latches that justify the goal.
@@ -152,11 +154,12 @@ class _Frames:
 
 class PdrEngine:
     """One property, one context, one solver per kind of SAT query, each
-    built when the first query of its kind comes.
+    built when the first query of its kind comes. The caller has ruled
+    out a failure at reset (`check_property` asks `_reset_inputs` first),
+    so the engine asks no reset query and starts at frame 1.
 
-    The bad solver is built with the engine: the reset query, asked when
-    the bad is not 0 at reset, and the frontier queries go to it. It
-    holds one present-state copy of the target's bad cone plus every
+    The bad solver is built with the engine; the frontier queries go to
+    it. It holds one present-state copy of the target's bad cone plus every
     latch (frame clauses name them all), with bad forced; a primary
     input outside that cone reads as 0 in its models. The step
     solver carries the transition relation over the cone of the latches,
@@ -167,8 +170,7 @@ class PdrEngine:
     It comes from `steps`, which hands one solver to consecutive checks
     of one property set (without a holder the engine gets a fresh one).
     The engine's seeds and frames sit there behind activation literals
-    of its own, which `run` retires however it ends; a check decided at
-    level 0 never takes it.
+    of its own, which `run` retires however it ends.
 
     Lifting a model to a cube is a simulation pass over the gates
     (`_lift`), so it needs no solver. A lifted predecessor keeps the
@@ -191,7 +193,7 @@ class PdrEngine:
         self.circuit = circuit
         self.target = target
         self.constraint_props = tuple(constraint_props)
-        self._inf = _checked(circuit, target, self.constraint_props, seed_clauses)
+        self._inf = _checked(circuit, target, self.constraint_props, seed_clauses, seeds=True)
         self.stats = stats or PdrStats()
         self.stats.frames_opened = 1
         self.init = circuit.init_state()
@@ -205,8 +207,6 @@ class PdrEngine:
         bad.add_clause([enc_bad.lit(target.bad)])
         self._bad = _Frames(enc_bad, 1)
         for clause in self._inf:
-            if not clause_holds(self.init, clause):
-                raise ValueError(f"seed clause violates the reset state: {clause}")
             self._bad.add(clause, None)
 
         # owned[j] for j >= 1; level 0 is the reset cube, never a clause set
@@ -251,9 +251,6 @@ class PdrEngine:
         frames = _Frames(step, len(self._owned) - 1)
         for clause in self._inf:
             frames.add(clause, None)
-        for level, clauses in enumerate(self._owned):
-            for clause in clauses:
-                frames.add(clause, level)
         return frames
 
     # -------------------------------------------------------------- queries
@@ -371,19 +368,13 @@ class PdrEngine:
     # ------------------------------------------------------------ main loop
 
     def run(self) -> PdrOutcome:
-        """Decide the target: first the reset query on the bad solver,
-        skipped when the target's bad is 0 at reset, then the frames."""
+        """Decide the target from frame 1 on; the caller has ruled out a
+        failure at reset."""
         if self._ran:
             raise PdrError("engine instances are single-use")
         self._ran = True
         try:
             bad = self._bad
-            if _reset_value(self.circuit, self.target.bad) != 0:
-                result = ask(bad.solver, self._frame_assumps(bad, 0), self.stats)
-                if result.status is Status.SAT:
-                    frame = TraceFrame(self.init, bad.enc.read_inputs(result))
-                    cex = Counterexample((frame,), self.target.index)
-                    return PdrOutcome(PdrStatus.FAILS, self.stats, cex=cex)
             while True:
                 result = ask(
                     bad.solver, self._frame_assumps(bad, self.frontier), self.stats
@@ -503,16 +494,21 @@ def check_property(
     target and the context clean. Exhausted only ever reflects the
     deadline, never an answer. `stats` and `steps` are those of
     `PdrEngine`. Every Holds is certified on `certs` (without it, a fresh
-    holder). Seeds and target inductive as they stand are a Holds with
-    the seeds, each once, as the invariant, and no engine is built. An
-    engine proof must pass `certify`; a rejected one runs once more
+    holder). A bad that fires at reset is a one-frame Fails, and nothing
+    else is built. Seeds and target inductive as they stand are a Holds
+    with the seeds, each once, as the invariant, and no engine is built.
+    An engine proof must pass `certify`; a rejected one runs once more
     without seeds, or is a `PdrError` if it used none. `seeds_used`
     counts the seeds behind the outcome.
     """
-    seeds = _checked(circuit, target, constraint_props, seed_clauses)
+    seeds = _checked(circuit, target, constraint_props, seed_clauses, seeds=True)
     stats, steps, certs = stats or PdrStats(), steps or StepHolder(), certs or StepHolder()
     stats.frames_opened = 1
     try:
+        inputs = _reset_inputs(circuit, target, stats)
+        if inputs is not None:
+            cex = Counterexample((TraceFrame(circuit.init_state(), inputs),), target.index)
+            return PdrOutcome(PdrStatus.FAILS, stats, cex=cex, seeds_used=len(seeds))
         if _inductive(circuit, constraint_props, seeds, target, stats, certs):
             return PdrOutcome(PdrStatus.HOLDS, stats, seeds, seeds_used=len(seeds))
         out = PdrEngine(circuit, target, constraint_props, seeds, stats=stats, steps=steps).run()
@@ -528,9 +524,10 @@ def check_property(
     return check_property(circuit, target, constraint_props, stats=stats, steps=steps, certs=certs)
 
 
-def _checked(circuit: Circuit, target: PropertySpec, constraint_props, clauses):
+def _checked(circuit: Circuit, target: PropertySpec, constraint_props, clauses, seeds=False):
     """The clauses, each sorted and kept once; ValueError on a target
-    among its own constraints, an empty clause or a non-latch literal."""
+    among its own constraints, an empty clause, a non-latch literal or,
+    for `seeds`, a clause false at reset."""
     if any(p.index == target.index for p in constraint_props):
         raise ValueError("target cannot appear among its own constraints")
     bound = 2 * circuit.num_latches
@@ -539,6 +536,8 @@ def _checked(circuit: Circuit, target: PropertySpec, constraint_props, clauses):
         cl = tuple(clause)
         if not cl or not all(isinstance(l, int) and 0 <= l < bound for l in cl):
             raise ValueError(f"clause out of range: {clause}")
+        if seeds and not clause_holds(circuit.init_state(), cl):
+            raise ValueError(f"seed clause violates the reset state: {clause}")
         out[tuple(sorted(cl))] = None
     return tuple(out)
 
@@ -591,54 +590,52 @@ def certify(
     stats: PdrStats | None = None,
     steps: StepHolder | None = None,
 ) -> bool:
-    """Independent inductiveness check of an engine's proof: target plus
-    strengthening, asked by `_inductive` on `steps`, a holder no engine
-    touches (without one, a fresh holder), so engine state cannot leak
-    in. `check_property` runs it on every engine proof, and checks the
+    """Independent check of an engine's proof: `_inductive` asks whether
+    target plus strengthening hold at reset and are inductive on `steps`,
+    a holder no engine touches (without one, a fresh holder), so engine
+    state cannot leak in, then `_reset_inputs` whether the bad fires at
+    reset. `check_property` runs it on every engine proof, and checks the
     clauses as it checks seeds. Each query is an `ask` on `stats`;
     `Exhausted` goes through.
     """
     clauses = _checked(circuit, target, constraint_props, invariant_clauses)
     stats, steps = stats or PdrStats(), steps or StepHolder()
-    return _inductive(circuit, constraint_props, clauses, target, stats, steps)
-
-
-def _reset_value(circuit: Circuit, lit) -> int | None:
-    """The literal's ternary value at reset: 0, 1, or None for X."""
-    value = circuit.reset_values[lit.var]
-    return value if value is None else value ^ lit.negated
+    return (
+        _inductive(circuit, constraint_props, clauses, target, stats, steps)
+        and _reset_inputs(circuit, target, stats) is None
+    )
 
 
 def _inductive(circuit, constraint_props, clauses, target, stats, steps) -> bool:
-    """Whether the reset state satisfies the clauses and cannot fire bad,
-    and from any constrained frame satisfying target and clauses the
-    successor satisfies both again: one `houdini_round` with the target's
+    """Whether the reset state satisfies the clauses, and from any
+    constrained frame satisfying target and clauses the successor
+    satisfies both again: one `houdini_round` with the target's
     next-state bad on the step of `steps`, after no query at all if a
-    clause is false at reset or the bad's ternary reset value is 1,
-    leaving no clause active there. A reset value of 0 settles the reset
-    half; only an X gets a small solver of its own over the target's
-    reset cone: a step whose level-0 units contradict each other answers
-    every query UNSAT, and must not answer that one."""
+    clause is false at reset. Whether the bad fires at reset is
+    `_reset_inputs`'s question, not this one's."""
     init = circuit.init_state()
-    at_reset = _reset_value(circuit, target.bad)
-    if at_reset == 1 or not all(clause_holds(init, c) for c in clauses):
+    if not all(clause_holds(init, c) for c in clauses):
         return False
     enc = steps.step(circuit, (target, *constraint_props))
     bad = steps.next_bad(target).lit(target.bad)
     kept = houdini_round(enc, clauses, bad, stats)
-    if kept is None or len(kept) < len(clauses):
-        return False
-    if at_reset == 0:
-        return True
+    return kept is not None and len(kept) == len(clauses)
+
+
+def _reset_inputs(circuit: Circuit, target: PropertySpec, stats: PdrStats):
+    """The inputs under which the target's bad fires in the reset state,
+    or None. The bad's ternary reset value answers 0 and 1 (any inputs,
+    all 0); only an X asks a small solver of its own over the target's
+    reset cone: a step whose level-0 units contradict each other answers
+    every query UNSAT, and must not answer this one."""
+    value = circuit.reset_values[target.bad.var]
+    if value is not None:
+        return (0,) * circuit.num_inputs if value ^ target.bad.negated else None
     reset = Solver()
-    true_lit = const_true(reset)
-    enc_init = StepEncoding(
-        reset,
-        circuit,
-        latch_lits=[true_lit if v else true_lit ^ 1 for v in init],
-        cone_roots=[target.bad],
-    )
-    return ask(reset, [enc_init.lit(target.bad)], stats).status is Status.UNSAT
+    init = [const_true(reset) ^ v ^ 1 for v in circuit.init_state()]
+    enc = StepEncoding(reset, circuit, latch_lits=init, cone_roots=[target.bad])
+    result = ask(reset, [enc.lit(target.bad)], stats)
+    return enc.read_inputs(result) if result.status is Status.SAT else None
 
 
 class StepHolder:

@@ -34,6 +34,9 @@ clause store, watch lists or queue stamps. One reader is allowed:
 An eighth keeps one certification owner: no package module but `pdr`
 names `certify`, so every proof is certified where it is made, inside
 `pdr.check_property`.
+A ninth keeps one reset owner: no package code but `pdr._reset_inputs`
+names `Circuit.reset_values` (its definition in `circuit` is no use), so
+whether a bad fires at reset is asked in one place.
 """
 
 import ast
@@ -569,23 +572,27 @@ def _names_a_solver(node, aliases) -> bool:
     return "solver" in name.lower() or name in aliases
 
 
+def _scoped_matches(tree, stem: str, match) -> list[str]:
+    """`stem[.Class][.function]: name` of every node for which `match`
+    returns a name; a definition is never a match."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}"
+        elif name := match(node):
+            found.append(f"{where}: {name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, stem)
+    return found
+
+
 def solver_layout_uses(sources: dict[str, str]) -> list[str]:
     """`module[.Class][.function]: name` of every use of an attribute in
     SOLVER_LAYOUT on a solver."""
     found = []
-
-    def visit(node, where, aliases):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = f"{where}.{node.name}"
-        elif (
-            isinstance(node, ast.Attribute)
-            and node.attr in SOLVER_LAYOUT
-            and _names_a_solver(node.value, aliases)
-        ):
-            found.append(f"{where}: {node.attr}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, where, aliases)
-
     for name, source in sources.items():
         tree = ast.parse(source)
         aliases = {
@@ -595,7 +602,13 @@ def solver_layout_uses(sources: dict[str, str]) -> list[str]:
             for target in node.targets
             if isinstance(target, ast.Name)
         }
-        visit(tree, Path(name).stem, aliases)
+
+        def layout(node):
+            if isinstance(node, ast.Attribute) and node.attr in SOLVER_LAYOUT:
+                return node.attr if _names_a_solver(node.value, aliases) else None
+            return None
+
+        found += _scoped_matches(tree, Path(name).stem, layout)
     return sorted(set(found))
 
 
@@ -624,3 +637,44 @@ def test_the_scan_sees_every_use_of_the_solver_layout():
 def test_only_the_solver_names_its_layout():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE if p.name != "sat.py"}
     assert solver_layout_uses(sources) == ["pdr.PdrEngine.generalize: activity"]
+
+
+def reset_value_readers(sources: dict[str, str]) -> list[str]:
+    """`module[.Class][.function]: reset_values` of every name or
+    attribute `reset_values`."""
+
+    def reads(node):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        return name if name == "reset_values" else None
+
+    return sorted({
+        use
+        for name, source in sources.items()
+        for use in _scoped_matches(ast.parse(source), Path(name).stem, reads)
+    })
+
+
+def test_the_scan_sees_every_reset_value_reader():
+    sources = {
+        "pkg/circuit.py": (
+            "class Circuit:\n"
+            "    def reset_values(self): return ()\n"
+            "    def init(self): return self.reset_values\n"
+        ),
+        "pkg/pdr.py": (
+            "def _reset_inputs(c): return c.reset_values[0]\n"
+            "def other(c):\n"
+            "    reset_values = c.init()\n"
+            "    return reset_values, c.reset_value\n"
+            "x = Circuit().reset_values\n"
+        ),
+    }
+    assert reset_value_readers(sources) == [
+        "circuit.Circuit.init: reset_values", "pdr._reset_inputs: reset_values",
+        "pdr.other: reset_values", "pdr: reset_values",
+    ]
+
+
+def test_only_the_reset_query_reads_reset_values():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    assert reset_value_readers(sources) == ["pdr._reset_inputs: reset_values"]

@@ -17,9 +17,6 @@ from japdr.oracle import (
     ExplicitModel,
     OracleError,
     bmc,
-    brute_check,
-    brute_debug_set,
-    reachable,
 )
 from japdr.orchestrator import aggregate_bad
 
@@ -32,23 +29,23 @@ def val_of(state):
 
 def test_counter3_global_reach_covers_everything():
     c, _ = gen_counter(3)
-    rs = reachable(c)
+    rs = ExplicitModel(c).reachable()
     assert {val_of(s) for s in rs.states()} == set(range(8))
     # shortest distances follow the increment chain: depth k adds value k
     for k in range(8):
-        probe = reachable(c, depth_limit=k)
+        probe = ExplicitModel(c).reachable(depth_limit=k)
         assert {val_of(s) for s in probe.states()} == set(range(k + 1))
 
 
 def test_counter3_projected_reach_stops_at_threshold():
     c, props = gen_counter(3)
     # projecting on both properties forces req high, so the reset fires at 4
-    both = reachable(c, props)
+    both = ExplicitModel(c).reachable(props)
     assert {val_of(s) for s in both.states()} == {0, 1, 2, 3, 4}
     assert both.projected_on == (0, 1)
     # projecting on the threshold alone still lets req stay low: one
     # violating state is entered and then self-loops
-    only_p1 = reachable(c, [props[1]])
+    only_p1 = ExplicitModel(c).reachable([props[1]])
     assert {val_of(s) for s in only_p1.states()} == {0, 1, 2, 3, 4, 5}
 
 
@@ -81,7 +78,7 @@ def test_identity_update_reaches_only_reset_state():
         Latch(2, Literal(2), 0),
     ]
     c = Circuit(num_inputs=0, latches=latches, ands=[], bads=[], constraints=[])
-    rs = reachable(c)
+    rs = ExplicitModel(c).reachable()
     assert rs.states() == {(1, 0)}
     assert list(rs.depths.values()) == [0]
 
@@ -288,5 +285,5 @@ def test_bmc_timeout_flag():
 
 def test_module_level_wrappers_match_model():
     c, props = gen_counter(3)
-    assert brute_check(c, props, 1, CheckMode.LOCAL).holds
-    assert brute_debug_set(c, props) == {0}
+    assert ExplicitModel(c).brute_check(props, 1, CheckMode.LOCAL).holds
+    assert ExplicitModel(c).brute_debug_set(props) == {0}

@@ -20,7 +20,7 @@ from japdr.circuit import (
 )
 from japdr import clausedb, encode, orchestrator, pdr
 from japdr.clausedb import ClauseRecord, append, load
-from japdr.oracle import CheckMode, brute_check, brute_debug_set, reachable
+from japdr.oracle import CheckMode, ExplicitModel
 from japdr.orchestrator import (
     Mode,
     TaskOptions,
@@ -117,7 +117,7 @@ def planted_pair():
 
 def test_planted_pair_holds_locally_without_upgrade():
     c, props = planted_pair()
-    assert brute_debug_set(c, props) == {0}
+    assert ExplicitModel(c).brute_debug_set(props) == {0}
     rep = run(VerificationTask(c, props, Mode.JA))
     v0, v1 = rep.verdicts
     assert v0.status is S.FAILS_LOCAL and v0.evidence.depth == 1
@@ -137,7 +137,7 @@ def test_all_true_system_upgrades_to_global():
         circ, props = gen_random_circuit(
             rr, num_inputs=2, num_latches=4, num_gates=10, num_props=3
         )
-        if brute_debug_set(circ, props):
+        if ExplicitModel(circ).brute_debug_set(props):
             continue
         rep = run(VerificationTask(circ, tuple(props), Mode.JA))
         assert all(v.status is S.HOLDS_GLOBAL for v in rep.verdicts), seed
@@ -159,11 +159,12 @@ def test_modes_agree_with_the_oracle():
             num_props=rr.randint(2, 3),
             mutate=rr.random() < 0.5,
         )
+        model = ExplicitModel(circ)
         rep_ja = run(VerificationTask(circ, tuple(props), Mode.JA))
-        assert set(rep_ja.debugging_set) == brute_debug_set(circ, props), seed
+        assert set(rep_ja.debugging_set) == model.brute_debug_set(props), seed
         for v in rep_ja.verdicts:
-            o_local = brute_check(circ, props, v.property_index, CheckMode.LOCAL)
-            o_global = brute_check(circ, props, v.property_index, CheckMode.GLOBAL)
+            o_local = model.brute_check(props, v.property_index, CheckMode.LOCAL)
+            o_global = model.brute_check(props, v.property_index, CheckMode.GLOBAL)
             if v.status is S.FAILS_LOCAL:
                 assert not o_local.holds and not o_global.holds, seed
                 others = [p for p in props if p.index != v.property_index]
@@ -180,12 +181,12 @@ def test_modes_agree_with_the_oracle():
             VerificationTask(circ, tuple(props), Mode.SEPARATE_GLOBAL)
         )
         for v in rep_g.verdicts:
-            o_global = brute_check(circ, props, v.property_index, CheckMode.GLOBAL)
+            o_global = model.brute_check(props, v.property_index, CheckMode.GLOBAL)
             assert (v.status is S.HOLDS_GLOBAL) == o_global.holds, seed
 
         rep_j = run(VerificationTask(circ, tuple(props), Mode.JOINT))
         for v in rep_j.verdicts:
-            o_global = brute_check(circ, props, v.property_index, CheckMode.GLOBAL)
+            o_global = model.brute_check(props, v.property_index, CheckMode.GLOBAL)
             assert (v.status is S.HOLDS_GLOBAL) == o_global.holds, (seed, v)
             if v.status is S.FAILS_GLOBAL:
                 assert replay_trace(circ, v.evidence, props[v.property_index], ()).valid
@@ -348,15 +349,16 @@ def test_clause_store_holds_each_record_once(tmp_path):
 def _expected_status(circ, props, index, mode):
     """The oracle's verdict status for one property of a run."""
     eth = [p for p in props if p.kind is PropertyKind.ETH]
+    model = ExplicitModel(circ)
     if props[index].kind is PropertyKind.ETF:
-        confirmed = not brute_check(circ, props, index, CheckMode.LOCAL).holds
+        confirmed = not model.brute_check(props, index, CheckMode.LOCAL).holds
         return S.ETF_CONFIRMED if confirmed else S.ETF_HOLDS_LOCAL
     if mode is Mode.SEPARATE_GLOBAL:
-        holds = brute_check(circ, eth, index, CheckMode.GLOBAL).holds
+        holds = model.brute_check(eth, index, CheckMode.GLOBAL).holds
         return S.HOLDS_GLOBAL if holds else S.FAILS_GLOBAL
-    if not brute_check(circ, eth, index, CheckMode.LOCAL).holds:
+    if not model.brute_check(eth, index, CheckMode.LOCAL).holds:
         return S.FAILS_LOCAL
-    return S.HOLDS_LOCAL if brute_debug_set(circ, eth) else S.HOLDS_GLOBAL
+    return S.HOLDS_LOCAL if model.brute_debug_set(eth) else S.HOLDS_GLOBAL
 
 
 def test_reuse_is_verdict_neutral_in_ja_mode(tmp_path, monkeypatch):
@@ -412,7 +414,7 @@ def test_reuse_is_verdict_neutral_in_ja_mode(tmp_path, monkeypatch):
                 expected = _expected_status(circ, props, v.property_index, mode)
                 assert v.status is expected, (k, mode, v)
             for target, ctx, seeds in offered:
-                states = reachable(circ, [target, *ctx]).states()
+                states = ExplicitModel(circ).reachable([target, *ctx]).states()
                 for cl in seeds:
                     assert all(any(st[l >> 1] == 1 - (l & 1) for l in cl) for st in states), (
                         k, mode, target.index, cl)
@@ -588,7 +590,7 @@ def test_separate_global_filters_records_from_local_proofs(tmp_path):
         run(VerificationTask(c, tuple(props), Mode.JA, opts))
         rep = run(VerificationTask(c, tuple(props), Mode.SEPARATE_GLOBAL, opts))
         for v in rep.verdicts:
-            o_global = brute_check(c, props, v.property_index, CheckMode.GLOBAL)
+            o_global = ExplicitModel(c).brute_check(props, v.property_index, CheckMode.GLOBAL)
             assert (v.status is S.HOLDS_GLOBAL) == o_global.holds, (seed, v)
             seeded += v.seeds_used
     assert seeded > 0
@@ -765,8 +767,8 @@ def test_a_joint_aggregate_never_takes_seeds_meant_for_its_index(tmp_path, monke
         )
         props = (*props[:2], replace(props[2], kind=PropertyKind.ETF))
         init = c.init_state()
-        kept_clean = reachable(c, [props[2]]).states()
-        everywhere = reachable(c, []).states()
+        kept_clean = ExplicitModel(c).reachable([props[2]]).states()
+        everywhere = ExplicitModel(c).reachable([]).states()
         latch = next(
             i for i in range(c.num_latches)
             if all(s[i] == init[i] for s in kept_clean)
@@ -783,7 +785,7 @@ def test_a_joint_aggregate_never_takes_seeds_meant_for_its_index(tmp_path, monke
         for p in props[:2]:
             v = verdict_for(rep, p.index)
             assert v.seeds_used == 0, (seed, v)
-            o_global = brute_check(c, props, p.index, CheckMode.GLOBAL)
+            o_global = ExplicitModel(c).brute_check(props, p.index, CheckMode.GLOBAL)
             assert (v.status is S.HOLDS_GLOBAL) == o_global.holds, (seed, v)
         tested += 1
     assert tested == 3
@@ -805,12 +807,12 @@ def test_joint_verdicts_keep_their_index_when_etf_and_eth_interleave():
         assert [v.property_index for v in rep.verdicts] == [0, 1, 2, 3]
         for v, p in zip(rep.verdicts, props):
             if p.kind is PropertyKind.ETH:
-                holds = brute_check(c, props, p.index, CheckMode.GLOBAL).holds
+                holds = ExplicitModel(c).brute_check(props, p.index, CheckMode.GLOBAL).holds
                 assert v.status is (S.HOLDS_GLOBAL if holds else S.FAILS_GLOBAL), v
                 decided[v.status] += 1
                 ctx = ()
             else:
-                holds = brute_check(c, [*eth, p], p.index, CheckMode.LOCAL).holds
+                holds = ExplicitModel(c).brute_check([*eth, p], p.index, CheckMode.LOCAL).holds
                 assert v.status is (S.ETF_HOLDS_LOCAL if holds else S.ETF_CONFIRMED), v
                 ctx = eth
             if isinstance(v.evidence, Counterexample):

@@ -16,7 +16,7 @@ from japdr.circuit import (
     property_violated,
     replay_trace,
 )
-from japdr.oracle import CheckMode, ExplicitModel, brute_check
+from japdr.oracle import CheckMode, ExplicitModel
 from japdr.pdr import (
     PdrEngine,
     PdrError,
@@ -92,7 +92,7 @@ def test_verdicts_agree_with_oracle_on_random_systems():
             for ctx in ([], others):
                 out = check_property(c, target, ctx)
                 mode = CheckMode.GLOBAL if not ctx else CheckMode.LOCAL
-                want = brute_check(c, props, target.index, mode).holds
+                want = ExplicitModel(c).brute_check(props, target.index, mode).holds
                 assert (out.status is PdrStatus.HOLDS) == want, (trial, target.index)
                 if out.status is PdrStatus.HOLDS:
                     assert certify(c, ctx, out.invariant, target), (trial, target.index)
@@ -142,7 +142,7 @@ def test_constraint_sections_leave_no_trace_spurious():
             for ctx in ([], others):
                 out = check_property(c, target, ctx)
                 mode = CheckMode.GLOBAL if not ctx else CheckMode.LOCAL
-                want = brute_check(c, props, target.index, mode).holds
+                want = ExplicitModel(c).brute_check(props, target.index, mode).holds
                 assert (out.status is PdrStatus.HOLDS) == want, (trial, target.index)
                 if out.status is PdrStatus.FAILS:
                     rep = replay_trace(c, out.cex, target, ctx)
@@ -162,6 +162,10 @@ def test_seed_clause_validation():
         PdrEngine(c, props[1], seed_clauses=[(latch_literal(0, 1),)])
     with pytest.raises(ValueError, match="reset"):
         check_property(c, props[1], seed_clauses=[(latch_literal(0, 1),)])
+    # P0 is X at reset and fires there; the seed is still checked first
+    assert c.reset_values[props[0].bad.var] is None
+    with pytest.raises(ValueError, match="reset"):
+        check_property(c, props[0], seed_clauses=[(latch_literal(0, 1),)])
     # the one-step check before the engine and the certificate take the
     # same clauses: a negative literal used to alias the last latch there
     # (a Holds with invariant ((-1,),)), and one past the latches to die
@@ -496,7 +500,7 @@ def test_shared_step_solver_answers_like_a_fresh_one():
                 cut += 1
             shared = check_property(c, p, ctx, steps=steps)
             fresh = check_property(c, p, ctx)
-            want = brute_check(c, props, p.index, CheckMode.LOCAL).holds
+            want = ExplicitModel(c).brute_check(props, p.index, CheckMode.LOCAL).holds
             assert (shared.status is PdrStatus.HOLDS) == want
             assert shared.status is fresh.status
             for out in (shared, fresh):
@@ -508,9 +512,10 @@ def test_shared_step_solver_answers_like_a_fresh_one():
 
 def test_an_engine_builds_no_solver_but_its_bad_and_step_solvers(monkeypatch):
     # lifting simulates the model, so a run that learns clauses builds
-    # the bad solver and the holder's step and nothing else; a check
-    # decided at level 0 never takes the step. The certificate holder
-    # builds its own step once, and a check given none gets a fresh one
+    # the bad solver and the holder's step and nothing else. The
+    # certificate holder builds its own step once, and a check given none
+    # gets a fresh one; a check refuted at reset builds no step and no
+    # engine
     built = []
     real_init = Solver.__init__
 
@@ -532,10 +537,11 @@ def test_an_engine_builds_no_solver_but_its_bad_and_step_solvers(monkeypatch):
 
     built.clear()
     c, props = gen_counter(3)
-    # the reset state fires req's bad
-    eng = PdrEngine(c, props[0], [props[1]])
-    assert eng.run().status is PdrStatus.FAILS
-    assert "_step" not in eng.__dict__ and len(built) == 1
+    # the reset state fires req's bad, which is X there: the reset solver
+    # alone decides it
+    out = check_property(c, props[0], [props[1]])
+    assert out.status is PdrStatus.FAILS and len(out.cex.frames) == 1
+    assert len(built) == 1
 
 
 def test_seeded_check_replays_its_seeds_into_the_step_solver():
@@ -565,7 +571,7 @@ def test_seeded_check_replays_its_seeds_into_the_step_solver():
                     assert unsat_of(step.solver, [step.inf_act, *broken])
                 reached += 1
             out = eng.run()
-            want = brute_check(c, props, p.index, CheckMode.LOCAL).holds
+            want = ExplicitModel(c).brute_check(props, p.index, CheckMode.LOCAL).holds
             assert (out.status is PdrStatus.HOLDS) == want
             if want:
                 assert certify(c, ctx, out.invariant, p)
@@ -705,7 +711,7 @@ def test_gates_nothing_reads_change_no_step_and_no_verdict():
 
 def _reset_encodings(monkeypatch) -> list:
     """Record, for every circuit copy `pdr` builds, whether its latches
-    were pinned (only the reset check of `_inductive` pins them)."""
+    were pinned (only the reset query, `_reset_inputs`, pins them)."""
     built = []
     real = pdr.StepEncoding
 
@@ -735,7 +741,7 @@ def test_an_x_bad_that_cannot_fire_at_reset_certifies_on_the_reset_solver(monkey
     built = _reset_encodings(monkeypatch)
     out = check_property(c, prop)
     assert out.status is PdrStatus.HOLDS and out.invariant == ()
-    assert out.stats.sat_calls == 2  # the induction query and the reset query
+    assert out.stats.sat_calls == 2  # the reset query and the induction query
     assert certify(c, (), (), prop)
     assert built.count(True) == 2
 
@@ -752,10 +758,58 @@ def test_an_x_bad_that_fires_for_one_input_valuation_is_refuted(monkeypatch):
 
 def test_a_target_0_at_reset_builds_no_reset_encoding(monkeypatch):
     c, props = gen_counter(3)  # the counter resets to 0, below P1's bound
-    assert pdr._reset_value(c, props[1].bad) == 0
+    assert c.reset_values[props[1].bad.var] ^ props[1].bad.negated == 0
     built = _reset_encodings(monkeypatch)
     assert check_property(c, props[1], constraint_props=[props[0]]).status is PdrStatus.HOLDS
     assert certify(c, [props[0]], (), props[1])
     out = check_property(c, props[1])  # globally the engine runs, no reset query
     assert out.status is PdrStatus.FAILS and out.cex.depth == 5
     assert not any(built)
+
+
+def reset_reading_systems(rng, count):
+    """Random systems whose bads are gates over inputs, latches and
+    other gates, so a bad may be 0, 1 or X at reset (the bads of
+    `gen_random_circuit` are 0 there)."""
+    for _ in range(count):
+        ni, nl = rng.randint(1, 2), rng.randint(1, 4)
+        b = CircuitBuilder(ni, nl, init=[rng.randint(0, 1) for _ in range(nl)])
+        pool = [*map(b.input_lit, range(ni)), *map(b.latch_lit, range(nl))]
+
+        def rand_lit():
+            lit = rng.choice(pool)
+            return ~lit if rng.random() < 0.5 else lit
+
+        for _ in range(rng.randint(2, 8)):
+            pool.append(b.and_(rand_lit(), rand_lit()))
+        for i in range(nl):
+            b.set_next(i, rand_lit())
+        b.bads = [b.and_(rand_lit(), rand_lit()) for _ in range(rng.randint(1, 3))]
+        c = b.build()
+        yield c, [PropertySpec(i, bad) for i, bad in enumerate(c.bads)]
+
+
+def test_bads_that_read_inputs_at_reset_agree_with_the_oracle():
+    # every verdict matches the oracle in the global and the local
+    # context, no trace is longer than the oracle's shortest, and every
+    # proof passes `certify`; the sweep must reach bads X at reset that
+    # fire there and bads X at reset that hold
+    x_at_reset = {PdrStatus.HOLDS: 0, PdrStatus.FAILS: 0}
+    for trial, (c, props) in enumerate(reset_reading_systems(random.Random(5), 600)):
+        model = ExplicitModel(c)
+        for target in props:
+            others = [p for p in props if p.index != target.index]
+            for ctx in ([], others):
+                out = check_property(c, target, ctx)
+                mode = CheckMode.GLOBAL if not ctx else CheckMode.LOCAL
+                want = model.brute_check(props, target.index, mode)
+                assert (out.status is PdrStatus.HOLDS) == want.holds, (trial, target.index)
+                if out.status is PdrStatus.HOLDS:
+                    assert certify(c, ctx, out.invariant, target), (trial, target.index)
+                else:
+                    rep = replay_trace(c, out.cex, target, ctx)
+                    assert rep.valid and not rep.spurious, (trial, target.index)
+                    assert len(out.cex.frames) <= len(want.cex.frames), (trial, target.index)
+                if c.reset_values[target.bad.var] is None:
+                    x_at_reset[out.status] += 1
+    assert min(x_at_reset.values()) >= 40, x_at_reset

@@ -15,7 +15,7 @@ from japdr.aiger import (
 from japdr.circuit import Counterexample, TraceFrame, property_violated
 from japdr.cli import main
 from japdr.clausedb import ClauseRecord, append
-from japdr.oracle import CheckMode, ExplicitModel, brute_check
+from japdr.oracle import CheckMode, ExplicitModel
 from japdr.orchestrator import (
     Mode,
     RunReport,
@@ -468,8 +468,8 @@ def test_cli_gen_random_and_oracle(tmp_path, capsys, monkeypatch):
     circuit, props = parse_file(out)
     debug = []
     for i in range(len(props)):
-        local = brute_check(circuit, props, i, CheckMode.LOCAL)
-        global_ = brute_check(circuit, props, i, CheckMode.GLOBAL)
+        local = ExplicitModel(circuit).brute_check(props, i, CheckMode.LOCAL)
+        global_ = ExplicitModel(circuit).brute_check(props, i, CheckMode.GLOBAL)
         assert lines[i] == f"P{i}: local {verdict(local)}; global {verdict(global_)}"
         if not local.holds:
             debug.append(f"P{i}")
