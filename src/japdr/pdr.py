@@ -530,13 +530,13 @@ def _checked(circuit: Circuit, target: PropertySpec, constraint_props, clauses, 
     for `seeds`, a clause false at reset."""
     if any(p.index == target.index for p in constraint_props):
         raise ValueError("target cannot appear among its own constraints")
-    bound = 2 * circuit.num_latches
+    bound, init = 2 * circuit.num_latches, circuit.init_state()
     out = {}
     for clause in clauses:
         cl = tuple(clause)
         if not cl or not all(isinstance(l, int) and 0 <= l < bound for l in cl):
             raise ValueError(f"clause out of range: {clause}")
-        if seeds and not clause_holds(circuit.init_state(), cl):
+        if seeds and not clause_holds(init, cl):
             raise ValueError(f"seed clause violates the reset state: {clause}")
         out[tuple(sorted(cl))] = None
     return tuple(out)
@@ -559,8 +559,9 @@ def houdini_round(enc: StepEncoding, clauses, bad, stats: PdrStats):
     """One Houdini round: the clauses behind one activation literal on
     `enc`, then `bad` (a next-state literal, or None) and each clause's
     next-state negation asked under it, and the literal retired however
-    the round ends. Returns the clauses that cannot break, in input
-    order, or None once `bad` can fire."""
+    the round ends; the retired clauses stay in the solver, satisfied at
+    level 0. Returns the clauses that cannot break, in input order, or
+    None once `bad` can fire."""
     solver = enc.solver
     frames = _Frames(enc, 0)
     act = frames.inf_act
@@ -577,8 +578,6 @@ def houdini_round(enc: StepEncoding, clauses, bad, stats: PdrStats):
         return kept
     finally:
         frames.retire()
-        if clauses:
-            solver.simplify()
 
 
 def certify(
@@ -646,8 +645,7 @@ class StepHolder:
     its frames behind activation literals of its own and retiring them
     when its run ends, and one for `_inductive`, which no engine touches
     and alone gets next-state bad cones; the seed filter takes a fresh
-    one per call. A fresh step is simplified once, after its constraint
-    and clean units have fixed what they fix at level 0."""
+    one per call."""
 
     def __init__(self):
         self._circuit: Circuit | None = None
@@ -660,7 +658,6 @@ class StepHolder:
         if self._enc is None or self._circuit is not circuit or self._key != key:
             self._circuit, self._key, self._next_bad = circuit, key, {}
             self._enc = constrained_step(Solver(), circuit, props)
-            self._enc.solver.simplify()
         return self._enc
 
     def next_bad(self, target: PropertySpec) -> StepEncoding:

@@ -26,8 +26,9 @@ and `reason[v]` mean something only while v is assigned.
 `add_and` adds the Tseitin clauses of one AND gate, appending them
 straight to `clauses` and `watches` in `add_clause`'s layout when its
 checks could change nothing.
-`simplify()` drops the clauses satisfied at level 0, such as those of a
-retired activation literal, leaving an empty slot for each in `clauses`.
+A clause stays in `clauses` and `watches` once stored, learned or not,
+even when a level-0 unit such as a retired activation literal satisfies
+it: a satisfied clause never propagates or conflicts.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
-from itertools import compress
-from operator import not_
 
 
 def pos(var: int) -> int:
@@ -166,38 +165,6 @@ class Solver:
             self.add_clause([out ^ 1, a])
             self.add_clause([out ^ 1, b])
             self.add_clause([out, a ^ 1, b ^ 1])
-
-    def simplify(self) -> None:
-        """Drop the clauses satisfied at level 0 from `clauses` and
-        `watches` (Eén & Sörensson, SAT 2003). A dropped clause leaves an
-        empty slot in `clauses`, so no clause index moves. A satisfied
-        clause never propagates, and every other watch keeps its place
-        in its list, so later solves search exactly as before. Only legal
-        between solves. It scans every clause, so callers run it after a
-        batch of level-0 facts, never per solve."""
-        assert not self.trail_lim, "simplify runs between solves"
-        if not self.ok:
-            return
-        if self._propagate() is not None:
-            self.ok = False
-            return
-        clauses = self.clauses
-        true = set(self.trail)
-        satisfied = map(not_, map(true.isdisjoint, clauses))
-        dropped = set(compress(range(len(clauses)), satisfied))
-        if not dropped:
-            return
-        touched = set()
-        for ci in dropped:
-            clause = clauses[ci]
-            # a clause is watched exactly in the lists of its first two literals
-            touched.add(clause[0] ^ 1)
-            touched.add(clause[1] ^ 1)
-            clauses[ci] = ()
-        for lit in touched:
-            wl = self.watches[lit]
-            pairs = zip(wl[0::2], wl[1::2])
-            wl[:] = [x for ci, b in pairs if ci not in dropped for x in (ci, b)]
 
     # ------------------------------------------------------------- main loop
 

@@ -28,10 +28,10 @@ def brute_force(num_vars, clauses, assumptions=()):
     return models
 
 
-def random_instance(rng, num_vars, num_clauses, width=3):
+def random_instance(rng, num_vars, num_clauses):
     clauses = []
     for _ in range(num_clauses):
-        k = rng.randint(1, width)
+        k = rng.randint(1, 3)
         chosen = rng.sample(range(num_vars), min(k, num_vars))
         clauses.append([pos(v) if rng.random() < 0.5 else pos(v) ^ 1 for v in chosen])
     return clauses
@@ -271,7 +271,7 @@ def random_assumptions(rng, n):
 
 def assert_watch_layout(solver):
     """Each stored clause is watched exactly on its first two literals,
-    and no watch entry names a dropped clause (an empty slot)."""
+    and every watch entry names a stored clause."""
     where = {}
     for lit, wl in enumerate(solver.watches):
         for ci in wl[0::2]:
@@ -279,47 +279,6 @@ def assert_watch_layout(solver):
             where.setdefault(ci, []).append(lit)
     for ci, clause in enumerate(solver.clauses):
         assert sorted(where.get(ci, [])) == sorted(l ^ 1 for l in clause[:2]), ci
-
-
-def test_simplify_keeps_answers_cores_and_watches():
-    rng = random.Random(515)
-    dropped = 0
-    for trial in range(150):
-        n = rng.randint(3, 8)
-        clauses = random_instance(rng, n, rng.randint(4, 20), width=4)
-        solver = Solver()
-        solver.new_vars(n)
-        for clause in clauses:
-            solver.add_clause(clause)
-        for _ in range(3):  # learned clauses join the store
-            solver.solve(random_assumptions(rng, n))
-        units = [[lit] for lit in random_assumptions(rng, n)[:2]]
-        for unit in units:
-            solver.add_clause(unit)
-        before = sum(map(bool, solver.clauses))
-        solver.simplify()
-        dropped += solver.ok and before > sum(map(bool, solver.clauses))
-        assert not solver.ok or not any(
-            any(solver.vals[l] == 1 for l in clause) for clause in solver.clauses
-        ), trial
-        assert_watch_layout(solver)
-        assert_values(solver)
-        fresh = Solver()
-        fresh.new_vars(n)
-        for clause in clauses + units:
-            fresh.add_clause(clause)
-        for _ in range(4):
-            assumptions = random_assumptions(rng, n)
-            result = solver.solve(assumptions)
-            assert_values(solver, result)
-            assert result.status is fresh.solve(assumptions).status, trial
-            models = brute_force(n, clauses + units, assumptions)
-            assert (result.status is Status.SAT) == bool(models), trial
-            if result.status is Status.UNSAT:
-                assert result.core <= set(assumptions), trial
-                assert not brute_force(n, clauses + units, sorted(result.core)), trial
-        assert_watch_layout(solver)
-    assert dropped >= 30
 
 
 def assert_queue(solver):
@@ -342,10 +301,12 @@ def assert_queue(solver):
 def assert_values(solver, result=None):
     """Between solves: the two polarities of every variable are both free
     or complementary, and the assigned variables are exactly the level-0
-    trail. A SAT model is the value array of its answer: total, agreeing
-    with every level-0 value, and satisfying every stored clause."""
+    trail, and every stored clause has two literals to watch or more. A
+    SAT model is the value array of its answer: total, agreeing with
+    every level-0 value, and satisfying every stored clause."""
     vals, n = solver.vals, solver.n_vars
     assert len(vals) == 2 * n
+    assert all(len(clause) >= 2 for clause in solver.clauses)
     assert all((vals[2 * v], vals[2 * v + 1]) in {(_UNDEF, _UNDEF), (0, 1), (1, 0)} for v in range(n))
     assert not solver.trail_lim
     trail = solver.trail
@@ -356,13 +317,14 @@ def assert_values(solver, result=None):
         model = result.model
         assert len(model) == n and set(model) <= {0, 1}
         assert all(model[v] == vals[2 * v] for v in level0)
-        assert all(any(model[l >> 1] ^ (l & 1) for l in clause) for clause in solver.clauses if clause)
+        assert all(any(model[l >> 1] ^ (l & 1) for l in clause) for clause in solver.clauses)
 
 
 def test_decision_queue_survives_incremental_use(monkeypatch):
     """Blocks of variables join between solves, learned clauses and level-0
-    units pile up, `simplify` runs, and every other solver restarts after
-    each conflict; the queue stays whole and every answer stays right."""
+    units pile up, and every other solver restarts after each conflict;
+    the queue and the watch layout stay whole and every answer stays
+    right."""
     rng = random.Random(1717)
     # a restart budget of 100 * 0.01: one conflict, then a restart
     luby_calls = []
@@ -384,8 +346,6 @@ def test_decision_queue_survives_incremental_use(monkeypatch):
             for clause in more:
                 solver.add_clause(clause)
             clauses += more
-            if rng.random() < 0.4:
-                solver.simplify()
             assert_queue(solver)
             assert_values(solver)
             models = brute_force(n, clauses)
@@ -396,6 +356,7 @@ def test_decision_queue_survives_incremental_use(monkeypatch):
                 conflicts += solver.n_conflicts - before
                 assert_queue(solver)
                 assert_values(solver, result)
+                assert_watch_layout(solver)
                 allowed = [m for m in models if _meets(m, assumptions)]
                 assert (result.status is Status.SAT) == bool(allowed), trial
                 if result.status is Status.SAT:
