@@ -5,11 +5,13 @@ then inputs, then latches, then AND gate outputs in topological order.
 Property satisfaction is defined over *frames* (a latch valuation plus an
 input valuation), because bad literals may read inputs.
 
-Every simulation runs over the circuit's flat gate table: exact
-evaluation of one frame, the ternary reset values (0, 1 or X with every
-input X) and `first_failures`, a bit-parallel random simulation from
-reset that finds the shallow failures before any solver is built. The
-table and the reset values are found on first use and kept on the
+Every simulation runs over the circuit's flat gate table. `simulate` is
+the one bit-parallel walk: each value is a Python int, one frame per bit,
+so it serves the exact evaluation of one frame, `first_failures` (a
+random simulation from reset that finds the shallow failures before any
+solver is built) and the oracle's tabulation of every frame. The ternary
+reset values (0, 1 or X with every input X) walk the table on their own.
+The table and the reset values are found on first use and kept on the
 circuit, so they live and die with it.
 """
 
@@ -201,6 +203,16 @@ def eval_literal(values, lit: Literal) -> int:
     return values[lit.var] ^ int(lit.negated)
 
 
+def simulate(circuit: Circuit, inputs, latches, full: int) -> list[int]:
+    """Every variable's value in the lanes of `full`, indexed by variable:
+    bit i of each input and latch value is lane i, so one walk over the
+    gate table evaluates as many frames as `full` has bits."""
+    vals = [full, *(v & full for v in inputs), *(v & full for v in latches)]
+    for left, lm, right, rm in circuit.gate_table:
+        vals.append((vals[left] ^ lm) & (vals[right] ^ rm) & full)
+    return vals
+
+
 def eval_circuit(circuit: Circuit, frame: TraceFrame) -> list[int]:
     """Evaluate every variable under one frame; index result by variable."""
     shape = len(frame.latch_values), len(frame.input_values)
@@ -209,10 +221,7 @@ def eval_circuit(circuit: Circuit, frame: TraceFrame) -> list[int]:
             f"frame has {shape[0]} latch and {shape[1]} input values, circuit has "
             f"{circuit.num_latches} and {circuit.num_inputs}"
         )
-    values = [1, *(b & 1 for b in frame.input_values), *(b & 1 for b in frame.latch_values)]
-    for left, lm, right, rm in circuit.gate_table:
-        values.append((values[left] ^ lm) & (values[right] ^ rm) & 1)
-    return values
+    return simulate(circuit, frame.input_values, frame.latch_values, 1)
 
 
 def eval_transition(circuit: Circuit, frame: TraceFrame) -> tuple[int, ...]:
@@ -302,9 +311,7 @@ def first_failures(circuit: Circuit, assumed, targets) -> Iterator[dict[int, Cou
         yield found
         inputs = [rng.getrandbits(SIM_LANES) for _ in range(circuit.num_inputs)]
         trail.append((state, inputs))
-        vals = [full, *inputs, *state]
-        for lv, lm, rv, rm in circuit.gate_table:
-            vals.append((vals[lv] ^ lm) & (vals[rv] ^ rm))
+        vals = simulate(circuit, inputs, state, full)
 
         def lanes(lit):  # the lanes still alive, as of the call, where lit is 1
             return (vals[lit.var] ^ -lit.negated) & alive

@@ -154,10 +154,10 @@ def _write_witnesses(directory, report) -> dict[int, str]:
     for v in report.verdicts:
         if isinstance(v.evidence, Counterexample):
             data = emit_witness(v.property_index, v.evidence, "sat")
-        elif v.status in (VerdictStatus.UNKNOWN, VerdictStatus.ERROR):
-            data = emit_witness(v.property_index, None, "unknown")
-        else:
+        elif v.status is VerdictStatus.HOLDS_GLOBAL:
             data = emit_witness(v.property_index, None, "unsat")
+        else:  # a local proof, an unknown or an engine error proves no global claim
+            data = emit_witness(v.property_index, None, "unknown")
         path = os.path.join(directory, f"b{v.property_index}.wit")
         with open(path, "wb") as fh:
             fh.write(data)

@@ -1,10 +1,11 @@
 """Ground-truth engines: explicit-state reachability and SAT-based BMC.
 
-The explicit side enumerates every (state, input) frame once using
-bit-parallel evaluation (one big integer per circuit variable, one bit per
-frame), then answers reachability, shortest-counterexample, and
-debugging-set queries from the cached tables. It refuses circuits above a
-state-bit cap; BMC has no such cap.
+The explicit side tabulates every (state, input) frame with one
+`circuit.simulate` call, one lane per frame, and reads the next-state,
+bad and constraint tables off the simulated values. Reachability and
+shortest counterexamples are two readers of one breadth-first walk over
+those tables, and the debugging set is read off the counterexamples. It
+refuses circuits above a state-bit cap; BMC has no such cap.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import enum
 import time
 from dataclasses import dataclass
 
-from .circuit import Circuit, Counterexample, PropertySpec, TraceFrame
+from .circuit import Circuit, Counterexample, PropertySpec, TraceFrame, simulate
 from .encode import Unroller
 from .sat import Solver, Status
 
@@ -93,60 +94,38 @@ class ExplicitModel:
         self._tabulate()
 
     def _tabulate(self):
-        c = self.circuit
-        total = self.nl + self.ni
+        """Simulate every (state, input) frame at once, lane (state << ni) |
+        input, then read each lane's row entries off the masks' columns."""
+        c, ni, nl = self.circuit, self.ni, self.nl
+        total = nl + ni
         w = 1 << total
         full = (1 << w) - 1
-        values = [0] * c.num_vars
-        values[0] = full
-        # combo index: state bits above input bits; input 0 / latch 0 highest
-        for i, var in enumerate(c.input_vars):
-            values[var] = _index_pattern(self.ni - 1 - i, total)
-        for i, var in enumerate(c.latch_vars):
-            values[var] = _index_pattern(total - 1 - i, total)
+        # input 0 and latch 0 sit on the highest bits of a lane index
+        vals = simulate(
+            c,
+            [_index_pattern(ni - 1 - i, total) for i in range(ni)],
+            [_index_pattern(total - 1 - i, total) for i in range(nl)],
+            full,
+        )
 
-        def lit_mask(lit):
-            return values[lit.var] ^ (full if lit.negated else 0)
+        def mask(lit):
+            return (vals[lit.var] ^ -lit.negated) & full
 
-        for gate in c.ands:
-            values[gate.out] = lit_mask(gate.left) & lit_mask(gate.right)
-        next_masks = [lit_mask(l.next) for l in c.latches]
-        bad_masks = [lit_mask(b) for b in c.bads]
-        constr_mask = full
+        def table(masks):  # lane (s << ni) | x read as row s, column x
+            cols = [format(m, f"0{w}b")[::-1] for m in masks]
+            flat = [int("".join(bits), 2) for bits in zip(*cols)] if cols else [0] * w
+            return [flat[s << ni : (s + 1) << ni] for s in range(self.n_states)]
+
+        nexts = [mask(l.next) for l in c.latches]
+        bads = [mask(b) for b in c.bads]
+        ok = full
         for constr in c.constraints:
-            constr_mask &= lit_mask(constr)
-
-        ni, nl = self.ni, self.nl
-        n_states, n_inputs = self.n_states, self.n_inputs
-        nbytes = (w + 7) // 8
-        next_bytes = [m.to_bytes(nbytes, "little") for m in next_masks]
-        bad_bytes = [m.to_bytes(nbytes, "little") for m in bad_masks]
-        constr_bytes = constr_mask.to_bytes(nbytes, "little")
-
-        def bit(raw, idx):
-            return (raw[idx >> 3] >> (idx & 7)) & 1
-
-        nxt = [[0] * n_inputs for _ in range(n_states)]
-        badm = [[0] * n_inputs for _ in range(n_states)]
-        c_ok = [[True] * n_inputs for _ in range(n_states)]
-        for s in range(n_states):
-            base = s << ni
-            row_n, row_b, row_c = nxt[s], badm[s], c_ok[s]
-            for x in range(n_inputs):
-                idx = base | x
-                t = 0
-                for raw in next_bytes:
-                    t = (t << 1) | bit(raw, idx)
-                row_n[x] = t
-                bm = 0
-                for raw in bad_bytes:
-                    bm = (bm << 1) | bit(raw, idx)
-                row_b[x] = bm
-                row_c[x] = bool(bit(constr_bytes, idx))
+            ok &= mask(constr)
+        del vals  # free the per-gate values before the tables are built
+        self.next_table = table(nexts)
         # bad mask bit for property i sits at (len(bads)-1-i)
-        self.next_table = nxt
-        self.bad_table = badm
-        self.constr_table = c_ok
+        self.bad_table = table(bads)
+        self.constr_table = [list(map(bool, row)) for row in table([ok])]
         self.init_int = _bits_to_int(self.circuit.init_state())
 
     def bad_bit(self, prop_index: int) -> int:
@@ -165,70 +144,45 @@ class ExplicitModel:
 
     # -------------------------------------------------------------- queries
 
+    def _walk(self, clean_mask: int):
+        """Breadth-first over latch states from reset, along frames that
+        satisfy the constraint section and fire no `clean_mask` bad, each
+        state's inputs in increasing order. Yields each state with its
+        depth and the parent map (state -> (parent, input), None at reset)
+        before expanding it, so the map already holds its path."""
+        parent: dict[int, tuple[int, int] | None] = {self.init_int: None}
+        queue = [(self.init_int, 0)]
+        for s, depth in queue:  # grows as it is read
+            yield s, depth, parent
+            bad_row, c_row = self.bad_table[s], self.constr_table[s]
+            for x, t in enumerate(self.next_table[s]):
+                if c_row[x] and not bad_row[x] & clean_mask and t not in parent:
+                    parent[t] = (s, x)
+                    queue.append((t, depth + 1))
+
     def reachable(self, props=None, depth_limit=None) -> ReachSet:
         """BFS over latch states; with `props` the traversal is projected:
         only frames clean of every listed property may leave their state."""
-        mask = self.prop_mask(props) if props else 0
-        depths = {self.init_int: 0}
-        frontier = [self.init_int]
-        depth = 0
-        while frontier and (depth_limit is None or depth < depth_limit):
-            depth += 1
-            nxt_frontier = []
-            for s in frontier:
-                bad_row = self.bad_table[s]
-                c_row = self.constr_table[s]
-                for x, t in enumerate(self.next_table[s]):
-                    if not c_row[x]:
-                        continue  # constraint section blocks the step
-                    if mask and bad_row[x] & mask:
-                        continue  # projection: violating frame self-loops
-                    if t not in depths:
-                        depths[t] = depth
-                        nxt_frontier.append(t)
-            frontier = nxt_frontier
-        return ReachSet(
-            depths,
-            tuple(p.index for p in props) if props else (),
-            self.nl,
-        )
+        depths = {}
+        for s, depth, _ in self._walk(self.prop_mask(props) if props else 0):
+            if depth_limit is not None and depth > depth_limit:
+                break
+            depths[s] = depth
+        return ReachSet(depths, tuple(p.index for p in props) if props else (), self.nl)
 
     def _search_cex(self, target_mask: int, clean_mask: int) -> Counterexample | None:
         """Shortest, lexicographically least trace whose non-final frames
         avoid `clean_mask` bads (and satisfy the constraint section) and
         whose final frame fires a `target_mask` bad."""
-        parent: dict[int, tuple[int, int] | None] = {self.init_int: None}
-        queue = [self.init_int]
-        head = 0
-        while head < len(queue):
-            s = queue[head]
-            head += 1
-            bad_row = self.bad_table[s]
-            for x in range(self.n_inputs):
-                if bad_row[x] & target_mask:
-                    return self._build_trace(parent, s, x)
-            c_row = self.constr_table[s]
-            nxt_row = self.next_table[s]
-            for x in range(self.n_inputs):
-                if not c_row[x] or bad_row[x] & clean_mask:
-                    continue
-                t = nxt_row[x]
-                if t not in parent:
-                    parent[t] = (s, x)
-                    queue.append(t)
+        for s, _, parent in self._walk(clean_mask):
+            x = next((x for x, b in enumerate(self.bad_table[s]) if b & target_mask), None)
+            if x is not None:
+                frames = [self.frame_of(s, x)]
+                while parent[s] is not None:
+                    s, x = parent[s]
+                    frames.append(self.frame_of(s, x))
+                return Counterexample(tuple(reversed(frames)), -1)
         return None
-
-    def _build_trace(self, parent, final_state, final_input) -> Counterexample:
-        path = []
-        s = final_state
-        while parent[s] is not None:
-            prev, x = parent[s]
-            path.append((prev, x))
-            s = prev
-        path.reverse()
-        frames = [self.frame_of(s, x) for s, x in path]
-        frames.append(self.frame_of(final_state, final_input))
-        return Counterexample(tuple(frames), -1)
 
     def brute_check(self, props, target_index: int, mode: CheckMode) -> BruteResult:
         """Exhaustive verdict for one property; counterexamples are the

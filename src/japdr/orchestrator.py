@@ -157,7 +157,6 @@ class Verdict:
     wall_s: float = 0.0
     frames: int = 0
     sat_calls: int = 0
-    certified: bool = False
     retried_respect: bool = False  # always False: every check lifts in respect mode
     seeds_used: int = 0  # seeds behind the reported outcome; 0 once they are dropped
 
@@ -230,7 +229,6 @@ def _check_one(
             verdict.seeds_used = out.seeds_used
             if out.status is PdrStatus.HOLDS:
                 verdict.status, verdict.evidence = holds, len(out.invariant)
-                verdict.certified = True
                 if store is not None:
                     store.harvest(target, ctx, out.invariant)
             cex = out.cex  # None unless refuted

@@ -62,7 +62,6 @@ REPORT_SCHEMA = {
             "time_s": "float",
             "frames": "int",
             "sat_calls": "int",
-            "certified": "bool",
             "seeds_used": "int",
             "retried_respect": "bool",
             "evidence": {"clauses": "int?", "cex_depth": "int?"},
@@ -111,7 +110,6 @@ def _rows(report: RunReport, witnesses) -> list[dict]:
                 "time_s": round(v.wall_s, 4),
                 "frames": v.frames,
                 "sat_calls": v.sat_calls,
-                "certified": v.certified,
                 "seeds_used": v.seeds_used,
                 "retried_respect": v.retried_respect,
                 "evidence": _evidence_obj(v),
@@ -156,7 +154,7 @@ def format_text(report: RunReport, witnesses=None) -> str:
         if "cex_depth" in ev:
             shown = f"cex depth {ev['cex_depth']}"
         elif "clauses" in ev:
-            shown = f"{ev['clauses']} clauses" + (" (certified)" if row["certified"] else "")
+            shown = f"{ev['clauses']} clauses"
         else:
             shown = "-"
         table.append(

@@ -23,6 +23,7 @@ from japdr.circuit import (
     first_failures,
     property_violated,
     replay_trace,
+    simulate,
 )
 
 from frames import constraints_hold, frame_satisfies
@@ -189,13 +190,13 @@ def test_the_gate_table_evaluates_every_lane_at_once():
     c, _ = gen_random_circuit(rng, num_inputs=2, num_latches=4, num_gates=30, num_props=1)
     frames = [frame([rng.randint(0, 1) for _ in range(4)], [rng.randint(0, 1) for _ in range(2)])
               for _ in range(16)]
-    lanes = [
-        sum(bit << j for j, bit in enumerate(column))
-        for column in zip(*((*f.input_values, *f.latch_values) for f in frames))
-    ]
-    vals = [(1 << 16) - 1, *lanes]
-    for left, lm, right, rm in c.gate_table:
-        vals.append((vals[left] ^ lm) & (vals[right] ^ rm))
+    def lanes(column):
+        return sum(bit << j for j, bit in enumerate(column))
+
+    inputs = [lanes(column) for column in zip(*(f.input_values for f in frames))]
+    latches = [lanes(column) for column in zip(*(f.latch_values for f in frames))]
+    vals = simulate(c, inputs, latches, (1 << 16) - 1)
+    assert all(0 <= v < 1 << 16 for v in vals)  # no lane outside `full`
     for j, f in enumerate(frames):
         assert [v >> j & 1 for v in vals] == eval_circuit(c, f)
 

@@ -37,6 +37,11 @@ names `certify`, so every proof is certified where it is made, inside
 A ninth keeps one reset owner: no package code but `pdr._reset_inputs`
 names `Circuit.reset_values` (its definition in `circuit` is no use), so
 whether a bad fires at reset is asked in one place.
+A tenth keeps one bit-parallel evaluator: `circuit.simulate` is the one
+reader of `Circuit.gate_table` that evaluates the circuit's values, and
+only the walks of another algebra read it besides (the ternary
+`Circuit.reset_values`, the structural `circuit.cone_latches` and the
+justification masks of `pdr.PdrEngine._lift`).
 """
 
 import ast
@@ -639,13 +644,13 @@ def test_only_the_solver_names_its_layout():
     assert solver_layout_uses(sources) == ["pdr.PdrEngine.generalize: activity"]
 
 
-def reset_value_readers(sources: dict[str, str]) -> list[str]:
-    """`module[.Class][.function]: reset_values` of every name or
-    attribute `reset_values`."""
+def attribute_readers(sources: dict[str, str], attr: str) -> list[str]:
+    """`module[.Class][.function]: attr` of every name or attribute
+    `attr`."""
 
     def reads(node):
         name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-        return name if name == "reset_values" else None
+        return name if name == attr else None
 
     return sorted({
         use
@@ -669,7 +674,7 @@ def test_the_scan_sees_every_reset_value_reader():
             "x = Circuit().reset_values\n"
         ),
     }
-    assert reset_value_readers(sources) == [
+    assert attribute_readers(sources, "reset_values") == [
         "circuit.Circuit.init: reset_values", "pdr._reset_inputs: reset_values",
         "pdr.other: reset_values", "pdr: reset_values",
     ]
@@ -677,4 +682,12 @@ def test_the_scan_sees_every_reset_value_reader():
 
 def test_only_the_reset_query_reads_reset_values():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
-    assert reset_value_readers(sources) == ["pdr._reset_inputs: reset_values"]
+    assert attribute_readers(sources, "reset_values") == ["pdr._reset_inputs: reset_values"]
+
+
+def test_only_the_evaluator_and_three_other_walks_read_the_gate_table():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    assert attribute_readers(sources, "gate_table") == [
+        "circuit.Circuit.reset_values: gate_table", "circuit.cone_latches: gate_table",
+        "circuit.simulate: gate_table", "pdr.PdrEngine._lift: gate_table",
+    ]

@@ -1,14 +1,21 @@
+import importlib.util
+import os
 import random
+import sys
+import types
 
 import pytest
 
-from japdr.aiger import gen_counter, gen_random_circuit
+import japdr
+from japdr.aiger import build_counter, gen_counter, gen_random_circuit
 from japdr.circuit import (
     Circuit,
     CircuitBuilder,
     Latch,
     Literal,
     PropertySpec,
+    eval_circuit,
+    eval_literal,
     property_violated,
     replay_trace,
 )
@@ -81,6 +88,32 @@ def test_identity_update_reaches_only_reset_state():
     rs = ExplicitModel(c).reachable()
     assert rs.states() == {(1, 0)}
     assert list(rs.depths.values()) == [0]
+
+
+def test_tables_agree_with_one_frame_evaluation():
+    # cell by cell, the tables read off the all-frames simulation equal
+    # eval_circuit on that one frame, with latch 0 and bad 0 highest
+    no_inputs = CircuitBuilder(0, 2)
+    no_inputs.set_next(0, ~no_inputs.latch_lit(1))
+    no_inputs.set_next(1, no_inputs.and_(no_inputs.latch_lit(0), ~no_inputs.latch_lit(1)))
+    no_inputs.bads = [no_inputs.latch_lit(0), ~no_inputs.latch_lit(1)]
+    no_bads, _ = gen_random_circuit(random.Random(5), num_inputs=2, num_latches=3,
+                                    num_gates=12, num_props=1)
+    no_bads = Circuit(no_bads.num_inputs, no_bads.latches, no_bads.ands)
+    thr = build_counter(4, thresholds=3).circuit
+    assert thr.constraints and not no_bads.bads
+
+    def read(vals, lits):  # the lits' values as one int, the first highest
+        return int("".join(str(eval_literal(vals, l)) for l in lits) or "0", 2)
+
+    for c in (no_inputs.build(), no_bads, thr):
+        m = ExplicitModel(c)
+        for s in range(m.n_states):
+            for x in range(m.n_inputs):
+                vals = eval_circuit(c, m.frame_of(s, x))
+                assert m.next_table[s][x] == read(vals, (l.next for l in c.latches))
+                assert m.bad_table[s][x] == read(vals, c.bads)
+                assert m.constr_table[s][x] is all(eval_literal(vals, l) for l in c.constraints)
 
 
 def test_enumeration_cap_is_enforced():
@@ -287,3 +320,25 @@ def test_module_level_wrappers_match_model():
     c, props = gen_counter(3)
     assert ExplicitModel(c).brute_check(props, 1, CheckMode.LOCAL).holds
     assert ExplicitModel(c).brute_debug_set(props) == {0}
+
+
+WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+
+
+def test_oracle_re_derives_the_stored_bench_references(monkeypatch):
+    # the bench's random-ja references were written by an earlier oracle;
+    # a fixed sample of them must come out the same today
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    jp = types.SimpleNamespace(aiger=japdr.aiger, circuit=japdr.circuit, oracle=japdr.oracle)
+    stored = workloads.load_random_refs()
+    systems = workloads.random_systems(jp)
+    assert len(stored) == len(systems)
+    for n in (0, 7, 13, 22, 29):
+        circuit, props = systems[n]
+        ref = stored[workloads.structure_key(circuit)]
+        assert ref["index"] == n
+        fresh = workloads.oracle_reference(jp, circuit, props)
+        assert fresh == {k: ref[k] for k in ("local_holds", "debug_set")}, n

@@ -49,7 +49,6 @@ def test_counter3_ja_verdicts():
     v0, v1 = rep.verdicts
     assert v0.status is S.FAILS_LOCAL and v0.evidence.depth == 0
     assert v1.status is S.HOLDS_LOCAL and v1.evidence == 0  # zero clauses
-    assert v1.certified
     assert rep.debugging_set == (0,)
 
 
@@ -463,7 +462,7 @@ def test_a_rejected_seeded_proof_reruns_once_without_seeds(tmp_path, monkeypatch
     assert engines[n - 1][0] == i and engines[n - 1][1] > 0
     v = verdict_for(rep, i)
     assert v.status is _expected_status(thr.circuit, thr.props, i, Mode.SEPARATE_GLOBAL)
-    assert v.certified and v.seeds_used == 0
+    assert v.seeds_used == 0
     assert any(u.seeds_used for u in rep.verdicts)  # the other checks kept theirs
 
     # a rejected proof that used no seeds has nothing to drop: an engine
@@ -471,7 +470,7 @@ def test_a_rejected_seeded_proof_reruns_once_without_seeds(tmp_path, monkeypatch
     # stands, so its check certifies it before any engine is built
     monkeypatch.setattr(pdr, "certify", lambda *a, **k: False)
     rep = run(VerificationTask(thr.circuit, thr.props, Mode.SEPARATE_GLOBAL))
-    assert verdict_for(rep, 0).status is S.HOLDS_GLOBAL and verdict_for(rep, 0).certified
+    assert verdict_for(rep, 0).status is S.HOLDS_GLOBAL
     errors = rep.verdicts[1:]
     assert all(v.status is S.ERROR for v in errors)
     assert all("certification rejected" in v.evidence for v in errors)
@@ -557,7 +556,7 @@ def test_a_stored_record_the_reset_state_violates_is_not_seeded(tmp_path):
     append([ClauseRecord((0,), 0, (0, 2, 3), fingerprint)], str(db))
     opts = TaskOptions(reuse_clauses=True, clause_db=str(db))
     rep = run(VerificationTask(thr.circuit, thr.props, Mode.JA, opts))
-    assert all(v.status is S.HOLDS_GLOBAL and v.certified for v in rep.verdicts)
+    assert all(v.status is S.HOLDS_GLOBAL for v in rep.verdicts)
 
 
 def test_a_record_past_the_circuit_latches_is_dropped_alone(tmp_path):
@@ -576,7 +575,6 @@ def test_a_record_past_the_circuit_latches_is_dropped_alone(tmp_path):
     assert sum(v.seeds_used for v in warm.verdicts) == 50
     assert [v.seeds_used for v in rep.verdicts] == [v.seeds_used for v in warm.verdicts]
     assert [v.status for v in rep.verdicts] == [v.status for v in warm.verdicts]
-    assert all(v.certified for v in rep.verdicts if v.status is S.HOLDS_GLOBAL)
 
 
 def test_separate_global_filters_records_from_local_proofs(tmp_path):
@@ -691,7 +689,7 @@ def test_ja_run_encodes_one_constrained_step_per_pass(monkeypatch):
     for c, props in systems:
         steps = proofs = certified = stepped = 0
         report = run(VerificationTask(c, tuple(props), Mode.JA))
-        assert proofs == sum(v.certified for v in report.verdicts)
+        assert proofs == sum(v.status in (S.HOLDS_LOCAL, S.HOLDS_GLOBAL) for v in report.verdicts)
         assert steps == 1 + min(stepped, 1)
         counts.append((steps, proofs, certified, stepped))
     assert counts[0] == (1, 6, 0, 0)  # six proofs decided before any engine
@@ -734,13 +732,13 @@ def test_an_inductive_check_builds_no_engine(monkeypatch):
     monkeypatch.setattr(pdr.StepHolder, "next_bad", recording_next_bad)
     thr = build_counter(5, thresholds=6)
     rep = run(VerificationTask(thr.circuit, thr.props, Mode.JA))
-    assert all(v.status is S.HOLDS_GLOBAL and v.certified for v in rep.verdicts)
+    assert all(v.status is S.HOLDS_GLOBAL for v in rep.verdicts)
     assert engines == 0 and steps == 1
     assert len(cone_holders) == len(rep.verdicts)
     assert all(h is cert_holders[0] for h in cone_holders + cert_holders)
 
     rep = run(VerificationTask(thr.circuit, thr.props, Mode.SEPARATE_GLOBAL))
-    assert all(v.status is S.HOLDS_GLOBAL and v.certified for v in rep.verdicts)
+    assert all(v.status is S.HOLDS_GLOBAL for v in rep.verdicts)
     assert engines > 0
     assert all(any(h is c for c in cert_holders) for h in cone_holders)
 

@@ -94,7 +94,6 @@ def test_json_report_content():
     assert by_index[0]["evidence"] == {"cex_depth": 0}
     assert by_index[1]["status"] == "HoldsLocal"
     assert by_index[1]["evidence"] == {"clauses": 0}
-    assert by_index[1]["certified"] is True
     assert doc["totals"]["sat_calls"] > 0
 
 
@@ -166,13 +165,15 @@ def test_cli_check_json_and_witnesses(tmp_path, capsys):
     assert code == EXIT_FAILURES
     doc = json.loads(out)
     assert validate_report_json(doc) == []
-    # the failing property gets a concrete stimulus, the holding one a cert;
-    # the simulation from reset finds P0's trace, so both inputs are the
-    # first lane's draws of its fixed-seed stream
+    # the failing property gets a concrete stimulus; the simulation from
+    # reset finds P0's trace, so both inputs are the first lane's draws of
+    # its fixed-seed stream
     assert (wdir / "b0.wit").read_bytes() == b"1\nb0\n000\n10\n.\n"
     c, props = gen_counter(3)
     replay_witness_file(c, props, (wdir / "b0.wit").read_bytes())
-    assert (wdir / "b1.wit").read_bytes() == b"0\nb1\n"
+    # P1 holds only while P0 is assumed, and fails globally at depth 5, so
+    # its witness claims nothing
+    assert (wdir / "b1.wit").read_bytes() == b"2\nb1\n"
     by_index = {r["index"]: r for r in doc["verdicts"]}
     assert by_index[0]["witness_file"].endswith("b0.wit")
 
@@ -380,7 +381,22 @@ def test_an_engine_error_costs_only_its_own_verdict(tmp_path, monkeypatch, capsy
     assert validate_report_json(json.loads(out)) == []
     assert err.startswith("japdr: engine error on P1: engine returned an invalid trace")
     assert (wdir / "b1.wit").read_bytes() == b"2\nb1\n"
-    assert (wdir / "b0.wit").read_bytes() == b"0\nb0\n"
+    # the error leaves P0's proof local, so its witness claims nothing either
+    assert (wdir / "b0.wit").read_bytes() == b"2\nb0\n"
+
+
+def test_cli_writes_proof_witnesses_only_for_global_proofs(tmp_path, capsys):
+    # a JA run with an empty debugging set upgrades every proof to global
+    path = tmp_path / "thresholds.aag"
+    path.write_bytes(emit_ascii(build_counter(4, thresholds=3).circuit))
+    wdir = tmp_path / "wit"
+    code = main(["check", str(path), "--reuse-clauses", "off", "--report", "json",
+                 "--witness-dir", str(wdir)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK and doc["debugging_set"] == []
+    assert {r["status"] for r in doc["verdicts"]} == {"HoldsGlobal"}
+    for i in range(3):
+        assert (wdir / f"b{i}.wit").read_bytes() == f"0\nb{i}\n".encode()
 
 
 def test_cli_parse_error_exit(tmp_path, capsys):
