@@ -151,10 +151,15 @@ def _load(path):
 def _write_witnesses(directory, report) -> dict[int, str]:
     os.makedirs(directory, exist_ok=True)
     paths = {}
+    # an ETF check assumes every ETH property, so it is global once they all are
+    eth = {p.index for p in report.task.eth_properties}
+    proved = {VerdictStatus.HOLDS_GLOBAL}
+    if {v.status for v in report.verdicts if v.property_index in eth} <= proved:
+        proved.add(VerdictStatus.ETF_HOLDS_LOCAL)
     for v in report.verdicts:
         if isinstance(v.evidence, Counterexample):
             data = emit_witness(v.property_index, v.evidence, "sat")
-        elif v.status is VerdictStatus.HOLDS_GLOBAL:
+        elif v.status in proved:
             data = emit_witness(v.property_index, None, "unsat")
         else:  # a local proof, an unknown or an engine error proves no global claim
             data = emit_witness(v.property_index, None, "unknown")

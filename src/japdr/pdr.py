@@ -335,34 +335,22 @@ class PdrEngine:
 
     def generalize(self, cube, level: int) -> tuple[int, ...]:
         """Drop literals while the negation stays inductive relative to
-        F_{level-1}; at most one retry pass over the survivors. Literals
-        go least recent first in the step solver's decision queue."""
+        F_{level-1}: one pass over the cube's literals in index order, each
+        UNSAT answer shrinking the cube to its core."""
         if not 1 <= level <= self.frontier:
             raise ValueError(f"level {level} outside 1..{self.frontier}")
         cur = set(cube)
         if self._cube_holds_init(cur):
             raise ValueError("cube covers the reset state")
-        enc = self._step.enc
-        act = enc.solver.activity
-
-        def rank(lit):
-            var = enc.latch_lit(lit >> 1, 1) >> 1
-            return (act[var], lit)
-
-        for _ in range(2):
-            changed = False
-            for lit in sorted(cur, key=rank):
-                if lit not in cur or len(cur) == 1:
-                    continue
-                cand = tuple(sorted(cur - {lit}))
-                if self._cube_holds_init(cand):
-                    continue
-                result, pairs = self._consecution(cand, level - 1, exclude_cube=True)
-                if result.status is Status.UNSAT:
-                    cur = set(self._core_cube(result, pairs, cand))
-                    changed = True
-            if not changed:
-                break
+        for lit in sorted(cube):
+            if lit not in cur or len(cur) == 1:
+                continue
+            cand = tuple(sorted(cur - {lit}))
+            if self._cube_holds_init(cand):
+                continue
+            result, pairs = self._consecution(cand, level - 1, exclude_cube=True)
+            if result.status is Status.UNSAT:
+                cur = set(self._core_cube(result, pairs, cand))
         return tuple(sorted(cur))
 
     # ------------------------------------------------------------ main loop

@@ -2,11 +2,12 @@
 
 Two-literal watching with blocker literals, first-UIP learning, a VMTF
 decision queue (Biere & Fröhlich, "Evaluating CDCL Variable Scoring
-Schemes", SAT 2015), phase saving, and Luby restarts. All assumptions
-go on decision level 1 in one pass, then propagate (Eén & Sörensson,
-BMC 2003). One false when placed fails the solve; a level-1 conflict is
-learned, as a level-0 unit, only if it has a UIP on level 1, and
-otherwise returns the assumptions in its graph as the core.
+Schemes", SAT 2015) and phase saving. No restarts: only a unit backjump
+returns a solve to level 0, which then places its assumptions again. All
+assumptions go on decision level 1 in one pass, then propagate (Eén &
+Sörensson, BMC 2003). One false when placed fails the solve; a level-1
+conflict is learned, as a level-0 unit, only if it has a UIP on level 1,
+and otherwise returns the assumptions in its graph as the core.
 
 The queue is a doubly linked list of every variable, `q_first` the least
 recent and `q_last` the most recent, and `activity[v]` is v's stamp,
@@ -390,16 +391,11 @@ class Solver:
         if not self.ok:
             return SolveResult(Status.UNSAT, core=frozenset())
         trail_lim, vals = self.trail_lim, self.vals
-        restart_unit = 100
-        luby_index = 1
-        restart_budget = restart_unit * _luby(luby_index)
-        conflicts_here = 0
         try:
             while True:
                 confl = self._propagate()
                 if confl is not None:
                     self.n_conflicts += 1
-                    conflicts_here += 1
                     if not trail_lim:
                         self.ok = False
                         return SolveResult(Status.UNSAT, core=frozenset())
@@ -423,12 +419,6 @@ class Solver:
                     continue
                 if deadline is not None and time.monotonic() > deadline:
                     return SolveResult(Status.UNKNOWN)
-                if conflicts_here >= restart_budget:
-                    conflicts_here = 0
-                    luby_index += 1
-                    restart_budget = restart_unit * _luby(luby_index)
-                    self._cancel_until(0)
-                    continue
                 if assumptions and not trail_lim:
                     trail_lim.append(len(self.trail))
                     for p in assumptions:
@@ -446,16 +436,3 @@ class Solver:
                 self._enqueue(lit, _UNDEF)
         finally:
             self._cancel_until(0)
-
-
-def _luby(x: int) -> int:
-    """Luby restart sequence 1,1,2,1,1,2,4,... (1-indexed)."""
-    size, seq = 1, 0
-    while size < x:
-        seq += 1
-        size = 2 * size + 1
-    while size - 1 != x - 1:
-        size = (size - 1) // 2
-        seq -= 1
-        x = ((x - 1) % size) + 1
-    return 1 << seq

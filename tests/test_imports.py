@@ -29,8 +29,7 @@ names the file's reader and writer, its record type or its seed
 selection and filter; `clausedb.ClauseStore` is the way in.
 A seventh keeps the solver's layout inside `sat`: no package module but
 `sat` names a solver's value array, trail, levels, reasons, queue head,
-clause store, watch lists or queue stamps. One reader is allowed:
-`pdr`'s generalization orders literals by queue stamp.
+clause store, watch lists or queue stamps.
 An eighth keeps one certification owner: no package module but `pdr`
 names `certify`, so every proof is certified where it is made, inside
 `pdr.check_property`.
@@ -641,7 +640,7 @@ def test_the_scan_sees_every_use_of_the_solver_layout():
 
 def test_only_the_solver_names_its_layout():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE if p.name != "sat.py"}
-    assert solver_layout_uses(sources) == ["pdr.PdrEngine.generalize: activity"]
+    assert solver_layout_uses(sources) == []
 
 
 def attribute_readers(sources: dict[str, str], attr: str) -> list[str]:

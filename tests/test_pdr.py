@@ -25,6 +25,7 @@ from japdr.pdr import (
     StepHolder,
     certify,
     check_property,
+    clause_holds,
     latch_literal,
 )
 from japdr.sat import Solver, Status, pos
@@ -413,6 +414,53 @@ def test_generalize_keeps_relative_induction():
             assert not in_cube(eval_transition(c, frame))
             steps += 1
     assert steps
+
+
+def test_generalized_cubes_stay_inductive_relative_to_their_frame(monkeypatch):
+    """Every cube `generalize` returns during a check, at any level,
+    excludes reset, and no constrained step from F_{level-1} outside the
+    cube enters it, by the explicit tables: F_0 is the reset state, a
+    later F_j the clauses owned at j or above plus the inductive ones."""
+    levels = []
+    generalize = PdrEngine.generalize
+
+    def checked(eng, cube, level):
+        gen = generalize(eng, cube, level)
+        levels.append(level)
+        states = [model.frame_of(s, 0).latch_values for s in range(model.n_states)]
+        inside = [all(st[l >> 1] == 1 - (l & 1) for l in gen) for st in states]
+        assert not inside[model.init_int]
+        if level == 1:
+            frame = [model.init_int]
+        else:
+            clauses = [*(cl for owned in eng._owned[level - 1 :] for cl in owned), *eng._inf]
+            frame = [
+                s for s, st in enumerate(states) if all(clause_holds(st, cl) for cl in clauses)
+            ]
+        clean = model.prop_mask((eng.target, *eng.constraint_props))
+        for s in frame:
+            for x, t in enumerate(model.next_table[s]):
+                if model.constr_table[s][x] and not model.bad_table[s][x] & clean:
+                    assert inside[s] or not inside[t], (cube, level, gen, s, x)
+        return gen
+
+    monkeypatch.setattr(PdrEngine, "generalize", checked)
+    rng = random.Random(2718)
+    for _ in range(30):
+        c, props = gen_random_circuit(
+            rng,
+            num_inputs=rng.randint(1, 2),
+            num_latches=rng.randint(3, 6),
+            num_gates=rng.randint(8, 24),
+            num_props=rng.randint(1, 3),
+            mutate=rng.random() < 0.5,
+        )
+        model = ExplicitModel(c)
+        for target in props:
+            others = [p for p in props if p.index != target.index]
+            for ctx in ([], others):
+                check_property(c, target, ctx)
+    assert sum(level >= 2 for level in levels) >= 10, levels
 
 
 def test_generalize_rejects_the_reset_cube():

@@ -399,6 +399,32 @@ def test_cli_writes_proof_witnesses_only_for_global_proofs(tmp_path, capsys):
         assert (wdir / f"b{i}.wit").read_bytes() == f"0\nb{i}\n".encode()
 
 
+@pytest.mark.parametrize("mode", ["ja", "sep-global", "joint"])
+def test_an_etf_proof_is_global_once_every_eth_proof_is(tmp_path, capsys, mode):
+    # an ETF check assumes every ETH property: once they all hold
+    # globally, its proof covers every reachable state
+    path = tmp_path / "thresholds.aag"
+    path.write_bytes(emit_ascii(build_counter(4, thresholds=3).circuit))
+    wdir = tmp_path / "wit"
+    code = main(["check", str(path), "--etf", "2", "--mode", mode, "--reuse-clauses", "off",
+                 "--report", "json", "--witness-dir", str(wdir)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == EXIT_FAILURES
+    assert [r["status"] for r in doc["verdicts"]] == ["HoldsGlobal"] * 2 + ["EtfHoldsLocal"]
+    assert (wdir / "b2.wit").read_bytes() == b"0\nb2\n"
+
+
+def test_an_etf_proof_under_a_failing_eth_property_stays_local(tmp_path, capsys):
+    # P1 holds while P0 is assumed, but P0 fails at reset
+    wdir = tmp_path / "wit"
+    code = main(["check", str(counter_file(tmp_path)), "--etf", "1", "--reuse-clauses", "off",
+                 "--report", "json", "--witness-dir", str(wdir)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == EXIT_FAILURES and doc["debugging_set"] == [0]
+    assert doc["verdicts"][1]["status"] == "EtfHoldsLocal"
+    assert (wdir / "b1.wit").read_bytes() == b"2\nb1\n"
+
+
 def test_cli_parse_error_exit(tmp_path, capsys):
     bad = tmp_path / "bad.aag"
     bad.write_text("not an aiger file\n")
