@@ -330,26 +330,6 @@ def first_failures(circuit: Circuit, assumed, targets) -> Iterator[dict[int, Cou
     yield found
 
 
-def cone_latches(circuit: Circuit, lit: Literal) -> set[int]:
-    """Latch positions whose values can influence `lit` across any number
-    of steps (structural cone of influence, closed under next-state)."""
-    first_latch = 1 + circuit.num_inputs
-    first_gate = first_latch + circuit.num_latches
-    seen_vars: set[int] = set()
-    work = [lit.var]
-    while work:
-        var = work.pop()
-        if var in seen_vars:
-            continue
-        seen_vars.add(var)
-        if var >= first_gate:
-            left, _, right, _ = circuit.gate_table[var - first_gate]
-            work += (left, right)
-        elif var >= first_latch:
-            work.append(circuit.latches[var - first_latch].next.var)
-    return {var - first_latch for var in seen_vars if first_latch <= var < first_gate}
-
-
 class CircuitBuilder:
     """Mutable helper for constructing dense circuits gate by gate."""
 

@@ -61,20 +61,13 @@ def _count(text: str) -> int:
     return value
 
 
-def _indices(tokens) -> list[int]:
+def _index_list(text: str) -> list[int]:
+    tokens = [tok for tok in text.split(",") if tok]
     # ASCII digits only, like the AIGER and clause-store readers: `int`
     # would also take `+`, underscores and other scripts' digits
-    for tok in tokens:
-        if not (tok.isascii() and tok.isdigit()):
-            raise ValueError(f"bad property index {tok!r}")
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+        raise argparse.ArgumentTypeError(f"bad index list {text!r}")
     return [int(tok) for tok in tokens]
-
-
-def _index_list(text: str) -> list[int]:
-    try:
-        return _indices([tok for tok in text.split(",") if tok])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad index list {text!r}") from None
 
 
 def parse_args(argv) -> argparse.Namespace:
@@ -94,10 +87,6 @@ def parse_args(argv) -> argparse.Namespace:
     check.add_argument(
         "--etf", type=_index_list, metavar="I,J,...",
         help="property indices expected to fail",
-    )
-    check.add_argument(
-        "--order", default="given", metavar="given|PATH|easy-first",
-        help="ETH check order: as given, an index file, or smallest cone first",
     )
     check.add_argument("--report", choices=["text", "json", "csv"], default="text")
     check.add_argument("--witness-dir", metavar="PATH")
@@ -175,22 +164,11 @@ def _clause_db_warning(message, category, filename, lineno, file=None, line=None
 
 
 def _cmd_check(args) -> int:
-    order = args.order
-    try:
-        if order == "given":
-            order = None
-        elif order != "easy-first":
-            with open(order) as fh:
-                order = _indices(fh.read().replace(",", " ").split())
-    except (OSError, ValueError) as exc:
-        print(f"japdr: bad arguments: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     options = TaskOptions(
         reuse_clauses=args.reuse_clauses == "on",
         clause_db=args.clause_db,
         per_prop_timeout_s=args.per_prop_timeout,
         total_timeout_s=args.total_timeout,
-        order=order,
     )
     circuit, props = _load(args.input)
     for i in args.etf or ():

@@ -72,7 +72,6 @@ from .circuit import (
     Literal,
     PropertyKind,
     PropertySpec,
-    cone_latches,
     eval_circuit,
     eval_literal,
     first_failures,
@@ -112,7 +111,6 @@ class TaskOptions:
     clause_db: str | None = None
     per_prop_timeout_s: float | None = None
     total_timeout_s: float | None = None
-    order: object = None  # None (given order), "easy-first", or explicit indices
 
 
 @dataclass(frozen=True)
@@ -131,13 +129,13 @@ class VerificationTask:
             value = getattr(opts, name)
             if value is not None and not value > 0:  # NaN too
                 raise ValueError(f"{name} must be positive")
-        order = opts.order
-        if order is not None and order != "easy-first":
-            eth = {p.index for p in self.eth_properties}
-            if sorted(order) != sorted(eth):
-                raise ValueError(
-                    f"order {list(order)} is not a permutation of {sorted(eth)}"
-                )
+        seen = set()
+        for p in self.properties:  # verdicts, traces and clause records are keyed by index
+            if p.index in seen or p.index < 0:
+                raise ValueError(f"property index {p.index} is repeated or negative")
+            if not 0 <= p.bad.var < self.circuit.num_vars:
+                raise ValueError(f"property {p.index}: {p.bad} is not in the circuit")
+            seen.add(p.index)
 
     @property
     def eth_properties(self) -> tuple[PropertySpec, ...]:
@@ -175,19 +173,6 @@ class RunReport:
     debugging_set: tuple[int, ...]
     conclusion: str
     totals: RunTotals
-
-
-def ordered_eth(task: VerificationTask) -> list[PropertySpec]:
-    """ETH properties in check order: given order, an explicit permutation,
-    or smallest cone of influence first."""
-    eth = list(task.eth_properties)
-    order = task.options.order
-    if order is None:
-        return eth
-    if order == "easy-first":
-        return sorted(eth, key=lambda p: (len(cone_latches(task.circuit, p.bad)), p.index))
-    by_index = {p.index: p for p in eth}
-    return [by_index[i] for i in order]
 
 
 def _check_one(
@@ -321,7 +306,7 @@ def run(task: VerificationTask) -> RunReport:
 
     The properties `first_failures` finds a trace for come first, each
     a group of its own that only replays it. Then each expected-to-hold
-    property is a group of its own, in `ordered_eth` order, except in
+    property is a group of its own, in the task's order, except in
     joint mode, where they form one group; each expected-to-fail
     property follows as a group of its own. A group of several is
     checked as its `aggregate_bad`: a counterexample decides the members
@@ -345,7 +330,7 @@ def run(task: VerificationTask) -> RunReport:
     for simulated in first_failures(circuit, task.eth_properties, task.properties):
         if total_deadline is not None and time.monotonic() >= total_deadline:
             break
-    pending = [p for p in ordered_eth(task) if p.index not in simulated]
+    pending = [p for p in task.eth_properties if p.index not in simulated]
     work = [[p] for p in task.properties if p.index in simulated]
     work += [pending] if task.mode is Mode.JOINT and pending else [[p] for p in pending]
     work += [[p] for p in task.etf_properties if p.index not in simulated]

@@ -16,7 +16,6 @@ from japdr.circuit import (
     PropertyKind,
     PropertySpec,
     TraceFrame,
-    cone_latches,
     eval_circuit,
     eval_literal,
     eval_transition,
@@ -84,12 +83,6 @@ def test_frame_satisfies_and_constraints():
     constrained = Circuit(c.num_inputs, c.latches, c.ands, c.bads, (Literal(2),))
     assert constraints_hold(constrained, frame((0, 0, 0), (0, 1)))
     assert not constraints_hold(constrained, frame((0, 0, 0), (0, 0)))
-
-
-def test_cone_latches_counter():
-    c, props = gen_counter(3)
-    assert cone_latches(c, props[0].bad) == set()  # req is an input
-    assert cone_latches(c, props[1].bad) == {0, 1, 2}
 
 
 def test_counterexample_depth():

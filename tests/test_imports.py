@@ -38,9 +38,9 @@ names `Circuit.reset_values` (its definition in `circuit` is no use), so
 whether a bad fires at reset is asked in one place.
 A tenth keeps one bit-parallel evaluator: `circuit.simulate` is the one
 reader of `Circuit.gate_table` that evaluates the circuit's values, and
-only the walks of another algebra read it besides (the ternary
-`Circuit.reset_values`, the structural `circuit.cone_latches` and the
-justification masks of `pdr.PdrEngine._lift`).
+only the two walks of another algebra read it besides (the ternary
+`Circuit.reset_values` and the justification masks of
+`pdr.PdrEngine._lift`).
 """
 
 import ast
@@ -684,9 +684,9 @@ def test_only_the_reset_query_reads_reset_values():
     assert attribute_readers(sources, "reset_values") == ["pdr._reset_inputs: reset_values"]
 
 
-def test_only_the_evaluator_and_three_other_walks_read_the_gate_table():
+def test_only_the_evaluator_and_two_other_walks_read_the_gate_table():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
     assert attribute_readers(sources, "gate_table") == [
-        "circuit.Circuit.reset_values: gate_table", "circuit.cone_latches: gate_table",
-        "circuit.simulate: gate_table", "pdr.PdrEngine._lift: gate_table",
+        "circuit.Circuit.reset_values: gate_table", "circuit.simulate: gate_table",
+        "pdr.PdrEngine._lift: gate_table",
     ]

@@ -27,7 +27,6 @@ from japdr.orchestrator import (
     VerdictStatus as S,
     VerificationTask,
     aggregate_bad,
-    ordered_eth,
     run,
 )
 from test_pdr import constraint_section_systems
@@ -259,20 +258,9 @@ def test_totals_report_the_clauses_the_engine_learned(tmp_path, monkeypatch):
     assert warm.totals.clauses_learned == sum(learned) == 0
 
 
-def test_ordering_options():
-    built = build_counter(4, thresholds=3)
-    task = VerificationTask(
-        built.circuit, built.props, Mode.JA, TaskOptions(order="easy-first")
-    )
-    assert sorted(p.index for p in ordered_eth(task)) == [0, 1, 2]
-    task = VerificationTask(
-        built.circuit, built.props, Mode.JA, TaskOptions(order=[2, 0, 1])
-    )
-    assert [p.index for p in ordered_eth(task)] == [2, 0, 1]
-    with pytest.raises(ValueError, match="permutation"):
-        VerificationTask(built.circuit, built.props, Mode.JA, TaskOptions(order=[0, 1]))
-    with pytest.raises(ValueError):
-        c, props = gen_counter(3)
+def test_a_negative_timeout_is_rejected():
+    c, props = gen_counter(3)
+    with pytest.raises(ValueError, match="total_timeout_s must be positive"):
         VerificationTask(c, tuple(props), Mode.JA, TaskOptions(total_timeout_s=-1))
 
 
@@ -281,6 +269,64 @@ def test_a_nan_timeout_is_rejected(name):
     c, props = gen_counter(3)
     with pytest.raises(ValueError, match=f"{name} must be positive"):
         VerificationTask(c, tuple(props), Mode.JA, TaskOptions(**{name: float("nan")}))
+
+
+def test_a_repeated_property_index_is_rejected():
+    # the two would share one verdict and one simulated trace
+    c, props = gen_counter(3)
+    twins = (props[0], PropertySpec(0, props[1].bad))
+    for mode in Mode:
+        with pytest.raises(ValueError, match="property index 0 is repeated"):
+            VerificationTask(c, twins, mode)
+
+
+def test_a_negative_property_index_is_rejected():
+    # the clause store would write an origin its own reader refuses
+    c, props = gen_counter(3)
+    with pytest.raises(ValueError, match="property index -1 is repeated or negative"):
+        VerificationTask(c, (PropertySpec(-1, props[0].bad), props[1]), Mode.JA)
+
+
+def test_a_bad_literal_outside_the_circuit_is_rejected():
+    c, props = gen_counter(3)
+    stray = PropertySpec(1, Literal(c.num_vars + 5))
+    with pytest.raises(ValueError, match="not in the circuit"):
+        VerificationTask(c, (props[0], stray), Mode.JA)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_property_indices_need_not_be_consecutive(mode):
+    c, props = gen_counter(3)
+    spaced = (PropertySpec(3, props[0].bad), PropertySpec(7, props[1].bad))
+    rep = run(VerificationTask(c, spaced, mode))
+    dense = run(VerificationTask(c, tuple(props), mode))
+    assert [v.property_index for v in rep.verdicts] == [3, 7]
+    assert [v.status for v in rep.verdicts] == [v.status for v in dense.verdicts]
+    assert rep.debugging_set == tuple({0: 3, 1: 7}[i] for i in dense.debugging_set)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_the_check_order_changes_no_verdict(tmp_path, mode):
+    # every check assumes the same context whichever runs first, and
+    # re-used clauses are certified: reversing the properties may change
+    # the work, never a status or the debugging set
+    systems = [
+        gen_random_circuit(random.Random(s), 2, 6, 30, 4, mutate=s % 2 == 1)
+        for s in range(30)
+    ]
+    thr = build_counter(9, thresholds=12)
+    systems.append((thr.circuit, thr.props))
+    for k, (circ, props) in enumerate(systems):
+        reports = []
+        for name, ordered in (("given", tuple(props)), ("reversed", tuple(props)[::-1])):
+            db = str(tmp_path / f"{k}-{name}.db") if mode is Mode.JA else None
+            opts = TaskOptions(reuse_clauses=True, clause_db=db)
+            reports.append(run(VerificationTask(circ, ordered, mode, opts)))
+        given, backwards = reports
+        assert [(v.property_index, v.status) for v in given.verdicts] == [
+            (v.property_index, v.status) for v in backwards.verdicts
+        ], k
+        assert given.debugging_set == backwards.debugging_set, k
 
 
 def test_a_clause_db_without_clause_reuse_is_rejected(tmp_path):

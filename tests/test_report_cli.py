@@ -205,30 +205,13 @@ def test_cli_check_etf_remarking(tmp_path, capsys):
     assert code == EXIT_FAILURES
 
 
-def test_cli_check_order_file(tmp_path, capsys):
-    order = tmp_path / "order.txt"
-    order.write_text("1,0\n")
-    code = main(
-        ["check", str(counter_file(tmp_path)), "--order", str(order),
-         "--reuse-clauses", "off", "--report", "json"]
-    )
-    doc = json.loads(capsys.readouterr().out)
-    assert code == EXIT_FAILURES
-    assert [r["index"] for r in doc["verdicts"]] == [0, 1]  # output stays sorted
-
-
 @pytest.mark.parametrize("token", ["+1", "0_1", "\u0661", "-0"])
-def test_cli_index_lists_and_order_files_take_ascii_digits_only(tmp_path, capsys, token):
+def test_cli_index_lists_take_ascii_digits_only(tmp_path, capsys, token):
     # `int` reads each of these as an index (1, 1, 1 and 0); the CLI, like
     # the file readers, takes ASCII digits only
     path = str(counter_file(tmp_path))
     assert main(["check", path, "--etf", token, "--reuse-clauses", "off"]) == EXIT_USAGE
     assert "bad index list" in capsys.readouterr().err
-    order = tmp_path / "order.txt"
-    order.write_text(f"{token},0\n", encoding="utf-8")
-    code = main(["check", path, "--order", str(order), "--reuse-clauses", "off"])
-    assert code == EXIT_USAGE
-    assert "bad property index" in capsys.readouterr().err
 
 
 def test_cli_check_unknown_exit(tmp_path, capsys):
@@ -441,6 +424,7 @@ def test_cli_missing_file_exit(tmp_path, capsys):
 def test_cli_usage_exit(capsys):
     assert main([]) == EXIT_USAGE
     assert main(["check"]) == EXIT_USAGE
+    assert main(["check", "absent.aag", "--order", "given"]) == EXIT_USAGE  # no such flag
     capsys.readouterr()
 
 
