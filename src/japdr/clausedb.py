@@ -50,7 +50,6 @@ class ClauseRecord:
     clause: tuple[int, ...]  # packed latch literals, sorted
     origin: int  # property whose proof produced the clause
     context: tuple[int, ...]  # property indices assumed during that proof
-    fingerprint: str  # canonical ASCII emission hash of the circuit
 
     def __post_init__(self):
         object.__setattr__(self, "clause", tuple(sorted(self.clause)))
@@ -80,25 +79,20 @@ def _unsigned(token: str, num_latches: int, where: str) -> int:
     return 2 * (abs(value) - 1) + (0 if value > 0 else 1)
 
 
-def append(records, path) -> None:
-    """Add records after whatever the file holds, as one section per
-    circuit in first-seen order; record order is kept, so appending a
-    load to a fresh path reproduces the file byte for byte. Blocks while
-    another writer holds the file's lock."""
+def append(records, path, fingerprint: str) -> None:
+    """Add records after whatever the file holds, as one section for the
+    circuit `fingerprint` names; record order is kept, so appending one
+    circuit's load to a fresh path reproduces its section byte for byte.
+    Blocks while another writer holds the file's lock."""
     records = list(records)
     if not records:
         return
-    groups: dict[str, list[ClauseRecord]] = {}
+    width = max(max(l >> 1 for l in rec.clause) for rec in records) + 1
+    lines = [f"{_HEADER} {fingerprint} {width}"]
     for rec in records:
-        groups.setdefault(rec.fingerprint, []).append(rec)
-    lines = []
-    for fingerprint, group in groups.items():
-        width = max(max(l >> 1 for l in rec.clause) for rec in group) + 1
-        lines.append(f"{_HEADER} {fingerprint} {width}")
-        for rec in group:
-            ctx = ",".join(str(i) for i in rec.context) if rec.context else "-"
-            lits = " ".join(_signed(l) for l in rec.clause)
-            lines.append(f"{ctx} {rec.origin} {lits}")
+        ctx = ",".join(str(i) for i in rec.context) if rec.context else "-"
+        lits = " ".join(_signed(l) for l in rec.clause)
+        lines.append(f"{ctx} {rec.origin} {lits}")
     with open(path, "ab+") as fh:
         # released when the file closes, after the write is flushed
         fcntl.flock(fh, fcntl.LOCK_EX)
@@ -158,7 +152,7 @@ def load(path, fingerprint: str) -> tuple[ClauseRecord, ...]:
             context = tuple(_digits(t, error) for t in parts[0].split(","))
         origin = _digits(parts[1], f"{where}: bad origin {parts[1]!r}")
         clause = tuple(_unsigned(t, section_width, where) for t in parts[2:])
-        out.append(ClauseRecord(clause, origin, context, section_fp))
+        out.append(ClauseRecord(clause, origin, context))
     return tuple(out)
 
 
@@ -202,23 +196,20 @@ def filter_invariant(
 def seeds_for_context(
     records,
     circuit: Circuit,
-    fingerprint: str,
     target: PropertySpec,
     constraint_props,
     *,
     stats: PdrStats | None = None,
 ) -> tuple[tuple[int, ...], ...]:
-    """Seed clauses for the check of `target` under `constraint_props`,
-    by the trust rule above: records of other circuits are ignored,
-    trusted ones kept less any clause false at reset, and the rest
-    passed through `filter_invariant`."""
+    """Seed clauses for the check of `target` under `constraint_props`
+    from records of `circuit`, by the trust rule above: trusted ones
+    kept less any clause false at reset, and the rest passed through
+    `filter_invariant`."""
     cover = {target.index, *(p.index for p in constraint_props)}
     init = circuit.init_state()
     trusted: list[tuple[int, ...]] = []
     rest: list[tuple[int, ...]] = []
     for rec in records:
-        if rec.fingerprint != fingerprint:
-            continue
         if not cover.issuperset(rec.context):
             rest.append(rec.clause)
         elif _holds_at_reset(rec.clause, init):
@@ -251,9 +242,7 @@ class ClauseStore:
     def seeds(self, target, ctx, stats) -> tuple[tuple[int, ...], ...]:
         if not self.records:
             return ()
-        return seeds_for_context(
-            self.records, self.circuit, self.fingerprint, target, ctx, stats=stats
-        )
+        return seeds_for_context(self.records, self.circuit, target, ctx, stats=stats)
 
     def harvest(self, target: PropertySpec, ctx, invariant) -> None:
         if not invariant:
@@ -261,10 +250,10 @@ class ClauseStore:
         context = tuple(sorted(p.index for p in ctx))
         new = []
         for clause in invariant:
-            rec = ClauseRecord(clause, target.index, context, self.fingerprint)
+            rec = ClauseRecord(clause, target.index, context)
             if (rec.clause, rec.context) not in self.known:
                 self.known.add((rec.clause, rec.context))
                 new.append(rec)
         self.records.extend(new)
         if self.path:
-            append(new, self.path)
+            append(new, self.path, self.fingerprint)

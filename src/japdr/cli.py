@@ -6,7 +6,7 @@ for a bounded counterexample, `oracle` brute-forces small systems.
 
 Exit codes follow the report contract: 0 clean, 10 failures to debug,
 30 an engine error on some property, 20 budget exhausted, 2 usage,
-3 unreadable input.
+3 unreadable input or unwritable output.
 """
 
 from __future__ import annotations
@@ -138,7 +138,6 @@ def _load(path):
 
 
 def _write_witnesses(directory, report) -> dict[int, str]:
-    os.makedirs(directory, exist_ok=True)
     paths = {}
     # an ETF check assumes every ETH property, so it is global once they all are
     eth = {p.index for p in report.task.eth_properties}
@@ -181,6 +180,8 @@ def _cmd_check(args) -> int:
     except ValueError as exc:
         print(f"japdr: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.witness_dir:  # before any check, like the clause store's file
+        os.makedirs(args.witness_dir, exist_ok=True)
     try:
         # the clause store is the only source of warnings during a run
         with warnings.catch_warnings():
@@ -246,6 +247,8 @@ def _cmd_bmc(args) -> int:
             return EXIT_USAGE
     target = props[args.prop]
     assumed = [props[i] for i in args.assume]
+    if args.witness_dir:
+        os.makedirs(args.witness_dir, exist_ok=True)
     t0 = time.monotonic()
     result = bmc(circuit, target, assumed, max_depth=args.depth, timeout_s=args.timeout)
     wall = time.monotonic() - t0
@@ -255,7 +258,6 @@ def _cmd_bmc(args) -> int:
             f"({result.sat_calls} SAT calls, {wall:.2f}s)"
         )
         if args.witness_dir:
-            os.makedirs(args.witness_dir, exist_ok=True)
             path = os.path.join(args.witness_dir, f"b{args.prop}.wit")
             with open(path, "wb") as fh:
                 fh.write(emit_witness(args.prop, result.cex, "sat"))
@@ -302,3 +304,6 @@ def main(argv=None) -> int:
         return handler(args)
     except SystemExit as exc:  # argparse and loader shortcuts
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except OSError as exc:  # an output path it cannot write
+        print(f"japdr: cannot write: {exc}", file=sys.stderr)
+        return EXIT_PARSE

@@ -1,9 +1,9 @@
 """Tseitin loading of circuits into the SAT solver.
 
-One StepEncoding is one combinational copy: every circuit variable maps to
-a solver literal. Latch leaves may be supplied (to chain copies, or to
-force reset values), and encoding may be restricted to the cone of a few
-root literals so a copy holds only the gates its queries read.
+One StepEncoding is one combinational copy, always cut to the cone of
+the root literals it is given, so a copy holds only the gates its
+queries read: every variable in that cone maps to a solver literal.
+Latch leaves may be supplied (to chain copies, or to force reset values).
 `constrained_step` is the copy every induction query steps from:
 constraint section and a set of clean properties asserted on its present
 state, over the cone of the latches, their next-state functions, those
@@ -46,13 +46,14 @@ class StepEncoding:
     """Solver image of one circuit copy.
 
     varmap[circuit var] is a solver literal (it can be negated: chained
-    latch leaves are the previous copy's next-state literals). Missing
-    entries only occur under cone restriction, or for the inner gates of
-    a collapsed mux (`ites`, set only by `Unroller`).
+    latch leaves are the previous copy's next-state literals) for every
+    variable in the cone of `cone_roots` (circuit literals or variables);
+    the cone walk steps over the inner gates of a collapsed mux (`ites`,
+    set only by `Unroller`).
     """
 
     def __init__(
-        self, solver: Solver, circuit: Circuit, latch_lits=None, cone_roots=None, ites=None
+        self, solver: Solver, circuit: Circuit, latch_lits=None, *, cone_roots, ites=None
     ):
         self.solver = solver
         self.circuit = circuit
@@ -67,10 +68,8 @@ class StepEncoding:
         leaves = list(circuit.input_vars)
         if latch_lits is None:
             leaves.extend(circuit.latch_vars)
-        gates = circuit.ands
-        if wanted is not None:
-            leaves = [var for var in leaves if var in wanted]
-            gates = [gate for gate in gates if gate.out in wanted]
+        leaves = [var for var in leaves if var in wanted]
+        gates = [gate for gate in circuit.ands if gate.out in wanted]
         # one block of fresh variables: leaves first, then gate outputs
         first = solver.new_vars(len(leaves) + len(gates))
         for i, var in enumerate(leaves):
@@ -102,8 +101,6 @@ class StepEncoding:
 
     @staticmethod
     def _cone_vars(circuit, roots, ites):
-        if roots is None:
-            return None
         first_gate = 1 + circuit.num_inputs + circuit.num_latches
         ands = circuit.ands
         seen: set[int] = set()

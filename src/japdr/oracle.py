@@ -36,23 +36,15 @@ class BruteResult:
 
 @dataclass(frozen=True)
 class ReachSet:
-    """Reachable latch states with shortest distance from reset.
-
-    Under projection (`projected_on` non-empty) a frame violating any of
-    those properties contributes only its self-loop, so traversal follows
-    property-clean frames exclusively; violating frames cannot add states.
-    """
+    """Reachable latch states, each packed into an int (latch 0 highest)
+    and mapped to its shortest distance from reset."""
 
     depths: dict[int, int]
-    projected_on: tuple[int, ...]
     num_latches: int
 
     def states(self) -> set[tuple[int, ...]]:
         n = self.num_latches
         return {_int_to_bits(s, n) for s in self.depths}
-
-    def __contains__(self, state) -> bool:
-        return _bits_to_int(tuple(state)) in self.depths
 
 
 def _bits_to_int(bits) -> int:
@@ -160,15 +152,12 @@ class ExplicitModel:
                     parent[t] = (s, x)
                     queue.append((t, depth + 1))
 
-    def reachable(self, props=None, depth_limit=None) -> ReachSet:
+    def reachable(self, props=None) -> ReachSet:
         """BFS over latch states; with `props` the traversal is projected:
-        only frames clean of every listed property may leave their state."""
-        depths = {}
-        for s, depth, _ in self._walk(self.prop_mask(props) if props else 0):
-            if depth_limit is not None and depth > depth_limit:
-                break
-            depths[s] = depth
-        return ReachSet(depths, tuple(p.index for p in props) if props else (), self.nl)
+        only frames clean of every listed property may leave their state,
+        so a frame violating one adds no state."""
+        walk = self._walk(self.prop_mask(props) if props else 0)
+        return ReachSet({s: depth for s, depth, _ in walk}, self.nl)
 
     def _search_cex(self, target_mask: int, clean_mask: int) -> Counterexample | None:
         """Shortest, lexicographically least trace whose non-final frames

@@ -199,7 +199,9 @@ def _check_one(
     The status is `holds` or `fails` once the check is decided, Unknown
     once the deadline passes (seeds are not looked up past it), and
     Error on an engine error: an invalid or spurious trace, or a proof
-    `check_property` could not certify."""
+    `check_property` could not certify. This is the one handler of
+    `Exhausted`, whether the seed filter, `check_property` or the check's
+    own start raised it."""
     t0 = time.monotonic()
     verdict = Verdict(target.index, VerdictStatus.UNKNOWN)
     try:
@@ -224,7 +226,7 @@ def _check_one(
                 raise PdrError(f"engine returned {kind} trace for property {target.index}")
             verdict.status, verdict.evidence = fails, cex
     except Exhausted:
-        pass  # the deadline ran out outside the engine
+        pass  # Unknown
     except PdrError as err:
         verdict.status, verdict.evidence = VerdictStatus.ERROR, str(err)
     verdict.wall_s = time.monotonic() - t0

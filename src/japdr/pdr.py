@@ -34,8 +34,8 @@ pass over the gate table finds the latches that justify the goal.
 
 A check's one `PdrStats` carries its deadline and every count. Every SAT
 query goes through `ask`, which counts it there and raises `Exhausted`
-(a `PdrError`) once the deadline passes; `check_property` reports that
-as an Exhausted outcome, `certify` and the seed filter let it through.
+(a `PdrError`) once the deadline passes; every caller lets `Exhausted`
+through to `orchestrator._check_one`.
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ def clause_holds(state, clause) -> bool:
 class PdrStatus(enum.Enum):
     HOLDS = "holds"
     FAILS = "fails"
-    EXHAUSTED = "exhausted"
 
 
 @dataclass
@@ -108,11 +107,11 @@ class PdrOutcome:
 
 @dataclass
 class ProofObligation:
+    """A cube to block; its level and queue order live in its heap entry."""
+
     cube: tuple[int, ...]
-    level: int
     succ: "ProofObligation | None"  # toward the bad frame
     inputs: tuple[int, ...]
-    seq: int = 0
 
 
 class _CexFound(Exception):
@@ -177,7 +176,7 @@ class PdrEngine:
     constraint section, the target and every constraint property clean,
     so no counterexample brushes a state that violates an assumed
     property before its final frame. The engine counts into `stats` (a
-    fresh record without one); past its deadline `run` reports Exhausted.
+    fresh record without one); past its deadline `run` raises `Exhausted`.
     """
 
     def __init__(
@@ -201,9 +200,7 @@ class PdrEngine:
         self._steps = steps or StepHolder()
 
         bad = Solver()
-        enc_bad = StepEncoding(
-            bad, circuit, cone_roots=[target.bad, *circuit.latch_vars]
-        )
+        enc_bad = StepEncoding(bad, circuit, cone_roots=[target.bad, *circuit.latch_vars])
         bad.add_clause([enc_bad.lit(target.bad)])
         self._bad = _Frames(enc_bad, 1)
         for clause in self._inf:
@@ -371,7 +368,7 @@ class PdrEngine:
                     state = bad.enc.read_latches(result)
                     inputs = bad.enc.read_inputs(result)
                     cube = self._lift_final(state, inputs)
-                    self._enqueue(ProofObligation(cube, self.frontier, None, inputs))
+                    self._enqueue(ProofObligation(cube, None, inputs), self.frontier)
                     self._discharge()
                 else:
                     self.frontier += 1
@@ -382,8 +379,6 @@ class PdrEngine:
                         return PdrOutcome(
                             PdrStatus.HOLDS, self.stats, invariant=invariant
                         )
-        except Exhausted:
-            return PdrOutcome(PdrStatus.EXHAUSTED, self.stats)
         except _CexFound as found:
             cex = self._reconstruct(found.ob)
             return PdrOutcome(PdrStatus.FAILS, self.stats, cex=cex)
@@ -391,12 +386,11 @@ class PdrEngine:
             if "_step" in self.__dict__:
                 self._step.retire()
 
-    def _enqueue(self, ob: ProofObligation) -> None:
+    def _enqueue(self, ob: ProofObligation, level: int) -> None:
         if self._cube_holds_init(ob.cube):
             raise _CexFound(ob)
         self._obseq += 1
-        ob.seq = self._obseq
-        heapq.heappush(self._obq, (ob.level, ob.seq, ob))
+        heapq.heappush(self._obq, (level, self._obseq, ob))
 
     def _is_blocked(self, cube, level: int) -> bool:
         cube_set = set(cube)
@@ -409,7 +403,6 @@ class PdrEngine:
     def _discharge(self) -> None:
         while self._obq:
             level, seq, ob = heapq.heappop(self._obq)
-            ob.level = level
             if self._is_blocked(ob.cube, level):
                 if level < self.frontier:
                     heapq.heappush(self._obq, (level + 1, seq, ob))
@@ -419,7 +412,7 @@ class PdrEngine:
                 state = self._step.enc.read_latches(result)
                 inputs = self._step.enc.read_inputs(result)
                 pred_cube = self._lift_pred(state, inputs, ob.cube)
-                self._enqueue(ProofObligation(pred_cube, level - 1, ob, inputs))
+                self._enqueue(ProofObligation(pred_cube, ob, inputs), level - 1)
                 heapq.heappush(self._obq, (level, seq, ob))
             else:
                 kept = self._core_cube(result, pairs, ob.cube)
@@ -479,37 +472,36 @@ def check_property(
     makes it a local one. Holds outcomes carry the strengthening clause
     set, Fails outcomes a counterexample whose final frame violates the
     target and whose earlier frames keep the constraint section, the
-    target and the context clean. Exhausted only ever reflects the
-    deadline, never an answer. `stats` and `steps` are those of
-    `PdrEngine`. Every Holds is certified on `certs` (without it, a fresh
-    holder). A bad that fires at reset is a one-frame Fails, and nothing
+    target and the context clean. Past the deadline it raises
+    `Exhausted`, and `stats` keeps the count. `stats` and `steps` are
+    those of `PdrEngine`. Every Holds is certified on `certs` (without
+    it, a fresh holder). A bad that fires at reset is a one-frame Fails, and nothing
     else is built. Seeds and target inductive as they stand are a Holds
     with the seeds, each once, as the invariant, and no engine is built.
     An engine proof must pass `certify`; a rejected one runs once more
-    without seeds, or is a `PdrError` if it used none. `seeds_used`
-    counts the seeds behind the outcome.
+    without seeds, or is a `PdrError` if it used none. The reset query
+    is asked once, before either try. `seeds_used` counts the seeds
+    behind the outcome.
     """
     seeds = _checked(circuit, target, constraint_props, seed_clauses, seeds=True)
     stats, steps, certs = stats or PdrStats(), steps or StepHolder(), certs or StepHolder()
     stats.frames_opened = 1
-    try:
-        inputs = _reset_inputs(circuit, target, stats)
-        if inputs is not None:
-            cex = Counterexample((TraceFrame(circuit.init_state(), inputs),), target.index)
-            return PdrOutcome(PdrStatus.FAILS, stats, cex=cex, seeds_used=len(seeds))
+    inputs = _reset_inputs(circuit, target, stats)
+    if inputs is not None:
+        cex = Counterexample((TraceFrame(circuit.init_state(), inputs),), target.index)
+        return PdrOutcome(PdrStatus.FAILS, stats, cex=cex, seeds_used=len(seeds))
+    while True:
         if _inductive(circuit, constraint_props, seeds, target, stats, certs):
             return PdrOutcome(PdrStatus.HOLDS, stats, seeds, seeds_used=len(seeds))
         out = PdrEngine(circuit, target, constraint_props, seeds, stats=stats, steps=steps).run()
-        if out.status is not PdrStatus.HOLDS or certify(
+        if out.status is PdrStatus.FAILS or certify(
             circuit, constraint_props, out.invariant, target, stats=stats, steps=certs
         ):
             out.seeds_used = len(seeds)
             return out
-    except Exhausted:
-        return PdrOutcome(PdrStatus.EXHAUSTED, stats, seeds_used=len(seeds))
-    if not seeds:
-        raise PdrError(f"certification rejected the proof of property {target.index}")
-    return check_property(circuit, target, constraint_props, stats=stats, steps=steps, certs=certs)
+        if not seeds:
+            raise PdrError(f"certification rejected the proof of property {target.index}")
+        seeds = ()
 
 
 def _checked(circuit: Circuit, target: PropertySpec, constraint_props, clauses, seeds=False):
@@ -655,6 +647,6 @@ class StepHolder:
         if nxt is None:
             enc = self._enc
             latches = [enc.next_lit(i) for i in range(enc.circuit.num_latches)]
-            nxt = StepEncoding(enc.solver, enc.circuit, latches, [target.bad])
+            nxt = StepEncoding(enc.solver, enc.circuit, latches, cone_roots=[target.bad])
             self._next_bad[target.bad.var] = nxt
         return nxt

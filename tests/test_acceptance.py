@@ -439,8 +439,8 @@ def test_criterion_6_format_fidelity(tmp_path):
     records = db_load(db, fp)
     assert records
     a, b = tmp_path / "rt_a.db", tmp_path / "rt_b.db"
-    db_append(records, a)
-    db_append(db_load(a, fp), b)
+    db_append(records, a, fp)
+    db_append(db_load(a, fp), b, fp)
     assert a.read_bytes() == b.read_bytes()
     print(
         "criterion 6 (format fidelity): PASS - 100x100 roundtrip simulations, "

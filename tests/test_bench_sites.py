@@ -3,9 +3,12 @@ site. A function renamed or deleted here must fail this test, not only a
 later bench run."""
 
 import importlib.util
+import inspect
 import os
 
 import japdr  # noqa: F401  (imports every layer module the tracer patches)
+from japdr.clausedb import seeds_for_context
+from japdr.encode import StepEncoding
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
 
@@ -20,3 +23,11 @@ def test_bench_tracer_wraps_every_site():
         assert tr.unwrapped_sites() == []
     finally:
         tr.remove()
+
+
+def test_tracer_reads_the_arguments_it_names_by_position():
+    # the tracer's counters read `StepEncoding.__init__`'s args[1] as the
+    # solver and `seeds_for_context`'s args[0] as the records offered;
+    # a reorder would skew `encode.vars` or `clausedb.seeds_offered`
+    assert list(inspect.signature(StepEncoding.__init__).parameters)[1] == "solver"
+    assert list(inspect.signature(seeds_for_context).parameters)[0] == "records"

@@ -31,24 +31,20 @@ OTHER_FP = "deadbeef" * 8
 
 
 def test_record_normalizes_on_construction():
-    rec = ClauseRecord((5, 1, 4), 0, (2, 1), OTHER_FP)
+    rec = ClauseRecord((5, 1, 4), 0, (2, 1))
     assert rec.clause == (1, 4, 5)
     assert rec.context == (1, 2)
     with pytest.raises(ValueError):
-        ClauseRecord((), 0, (), OTHER_FP)
+        ClauseRecord((), 0, ())
 
 
 def test_save_load_roundtrip_is_byte_stable(tmp_path):
     c, _ = gen_counter(3)
     fp = circuit_fingerprint(c)
-    recs = [
-        ClauseRecord((0, 3), 1, (0,), fp),
-        ClauseRecord((2,), 1, (), fp),
-        ClauseRecord((5, 1, 4), 0, (1, 0), OTHER_FP),
-    ]
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
-    append(recs, a)
+    append([ClauseRecord((0, 3), 1, (0,)), ClauseRecord((2,), 1, ())], a, fp)
+    append([ClauseRecord((5, 1, 4), 0, (1, 0))], a, OTHER_FP)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         here = load(a, fp)
@@ -60,7 +56,8 @@ def test_save_load_roundtrip_is_byte_stable(tmp_path):
         foreign = load(a, OTHER_FP)
         assert len(caught) == 1 and "skipped" in str(caught[0].message)
     assert [r.clause for r in foreign] == [(1, 4, 5)]
-    append(here + foreign, b)
+    append(here, b, fp)
+    append(foreign, b, OTHER_FP)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -68,8 +65,8 @@ def test_append_adds_a_section(tmp_path):
     c, _ = gen_counter(3)
     fp = circuit_fingerprint(c)
     path = tmp_path / "db.txt"
-    append([ClauseRecord((2,), 1, (), fp)], path)
-    append([ClauseRecord((2, 4), 0, (1,), fp)], path)
+    append([ClauseRecord((2,), 1, ())], path, fp)
+    append([ClauseRecord((2, 4), 0, (1,))], path, fp)
     recs = load(path, fp)
     assert [r.clause for r in recs] == [(2,), (2, 4)]
     assert recs[1].origin == 0
@@ -79,8 +76,8 @@ def torn_store(tmp_path, cut):
     """A store whose last record lost its final `cut` bytes, as a writer
     killed mid-append leaves it."""
     path = tmp_path / "torn.txt"
-    append([ClauseRecord((2,), 1, (), "aa")], path)
-    append([ClauseRecord((2, 3), 1, (0, 2), "aa"), ClauseRecord((1, 2, 7), 1, (0, 2), "aa")], path)
+    append([ClauseRecord((2,), 1, ())], path, "aa")
+    append([ClauseRecord((2, 3), 1, (0, 2)), ClauseRecord((1, 2, 7), 1, (0, 2))], path, "aa")
     data = path.read_bytes()
     assert data.endswith(b"0,2 1 -1 2 -4\n")
     path.write_bytes(data[:-cut])
@@ -99,7 +96,7 @@ def test_load_drops_a_torn_last_record_with_a_warning(tmp_path, cut):
 
 def test_append_after_a_torn_record_starts_a_clean_section(tmp_path):
     path = torn_store(tmp_path, 3)
-    append([ClauseRecord((4,), 0, (), "aa")], path)
+    append([ClauseRecord((4,), 0, ())], path, "aa")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         recs = load(path, "aa")
@@ -111,7 +108,7 @@ def test_append_waits_for_the_writer_holding_the_lock(tmp_path):
     with open(path, "ab") as holder:
         fcntl.flock(holder, fcntl.LOCK_EX)
         writer = threading.Thread(
-            target=append, args=([ClauseRecord((4, 5), 1, (0,), "aa")], path)
+            target=append, args=([ClauseRecord((4, 5), 1, (0,))], path, "aa")
         )
         writer.start()
         writer.join(timeout=0.5)
@@ -253,7 +250,6 @@ def test_seeds_trust_records_whose_context_the_check_covers(monkeypatch):
     # C is within D + {T}; only the other records meet the filter
     thr = build_counter(4, thresholds=3)
     c, (p0, p1, _) = thr.circuit, thr.props
-    fp = circuit_fingerprint(c)
     filtered = []
     real_filter = clausedb.filter_invariant
 
@@ -264,24 +260,17 @@ def test_seeds_trust_records_whose_context_the_check_covers(monkeypatch):
     monkeypatch.setattr(clausedb, "filter_invariant", counting)
     # none of these clauses is invariant; trust is all that seeds them
     covered = [
-        ClauseRecord((1,), 2, (0,), fp),  # the exact context
-        ClauseRecord((3,), 2, (0, 1), fp),  # names the target
-        ClauseRecord((5,), 0, (), fp),  # a global proof
-        ClauseRecord((0,), 2, (0, 1), fp),  # trusted, but false at reset
+        ClauseRecord((1,), 2, (0,)),  # the exact context
+        ClauseRecord((3,), 2, (0, 1)),  # names the target
+        ClauseRecord((5,), 0, ()),  # a global proof
+        ClauseRecord((0,), 2, (0, 1)),  # trusted, but false at reset
     ]
-    assert seeds_for_context(covered, c, fp, p1, [p0]) == ((1,), (3,), (5,))
+    assert seeds_for_context(covered, c, p1, [p0]) == ((1,), (3,), (5,))
     assert filtered == []
-    outside = ClauseRecord((7,), 1, (0, 2), fp)  # p2 is neither assumed nor the target
-    seeds = seeds_for_context([*covered, outside], c, fp, p1, [p0])
+    outside = ClauseRecord((7,), 1, (0, 2))  # p2 is neither assumed nor the target
+    seeds = seeds_for_context([*covered, outside], c, p1, [p0])
     assert filtered == [((7,),)]
     assert seeds == ((1,), (3,), (5,))  # the filter drops (7,)
-
-
-def test_seeds_skip_foreign_fingerprints():
-    c4, props4 = gen_counter(4)
-    fp = circuit_fingerprint(c4)
-    rec = ClauseRecord((1,), 1, (0,), OTHER_FP)
-    assert seeds_for_context([rec], c4, fp, props4[1], [props4[0]]) == ()
 
 
 def test_filter_deadline_is_a_hard_error():

@@ -218,9 +218,10 @@ def _circuits():
 
 def test_full_and_cone_copies_match_the_reference():
     for circuit in _circuits():
+        every = range(circuit.num_vars)  # a full copy roots every variable
         for roots in (None, [circuit.bads[0]], list(circuit.bads)):
             fast, ref = Solver(), Solver()
-            enc = StepEncoding(fast, circuit, cone_roots=roots)
+            enc = StepEncoding(fast, circuit, cone_roots=every if roots is None else roots)
             varmap = _ref_encode(ref, circuit, cone_roots=roots)
             assert enc.varmap == varmap
             assert _state(fast) == _state(ref)
@@ -319,7 +320,7 @@ def test_cone_step_answers_consecution_like_the_full_copy():
         props = props[: rng.randint(0, len(props))]
         cone, full = Solver(), Solver()
         enc_cone = constrained_step(cone, circuit, props)
-        enc_full = StepEncoding(full, circuit)
+        enc_full = StepEncoding(full, circuit, cone_roots=range(circuit.num_vars))
         for constr in circuit.constraints:
             full.add_clause([enc_full.lit(constr)])
         for prop in props:

@@ -428,8 +428,8 @@ def test_reuse_is_verdict_neutral_in_ja_mode(tmp_path, monkeypatch):
     offered = []
     real_seeds = clausedb.seeds_for_context
 
-    def recording(records, circuit, fingerprint, target, ctx, **kwargs):
-        seeds = real_seeds(records, circuit, fingerprint, target, ctx, **kwargs)
+    def recording(records, circuit, target, ctx, **kwargs):
+        seeds = real_seeds(records, circuit, target, ctx, **kwargs)
         offered.append((target, tuple(ctx), seeds))
         return seeds
 
@@ -477,9 +477,10 @@ def test_a_rejected_seeded_proof_reruns_once_without_seeds(tmp_path, monkeypatch
     thr = build_counter(5, thresholds=6)
     db = tmp_path / "clauses.db"
     clause = pdr.check_property(thr.circuit, thr.props[1]).invariant[0]
-    append([ClauseRecord(clause, 1, (), circuit_fingerprint(thr.circuit))], str(db))
-    checks, engines, rejected = [], [], []
+    append([ClauseRecord(clause, 1, ())], str(db), circuit_fingerprint(thr.circuit))
+    checks, engines, rejected, reset_queries = [], [], [], []
     real_check, real_certify = orchestrator.check_property, pdr.certify
+    real_reset = pdr._reset_inputs
     engine_init = pdr.PdrEngine.__init__
 
     def recording_check(circuit, target, ctx, seeds=(), **kwargs):
@@ -496,14 +497,22 @@ def test_a_rejected_seeded_proof_reruns_once_without_seeds(tmp_path, monkeypatch
             return False
         return real_certify(*args, **kwargs)
 
+    def recording_reset(circuit, target, stats):
+        reset_queries.append(target.index)
+        return real_reset(circuit, target, stats)
+
     monkeypatch.setattr(orchestrator, "check_property", recording_check)
     monkeypatch.setattr(pdr.PdrEngine, "__init__", recording_engine)
     monkeypatch.setattr(pdr, "certify", reject_first_seeded)
+    monkeypatch.setattr(pdr, "_reset_inputs", recording_reset)
     opts = TaskOptions(reuse_clauses=True, clause_db=str(db))
     rep = run(VerificationTask(thr.circuit, thr.props, Mode.SEPARATE_GLOBAL, opts))
     assert len(rejected) == 1
     i = rejected[0]
     assert checks.count(i) == 1
+    # one reset query before the seeded try, one in the retry's certify;
+    # the retry does not ask it again before its engine runs
+    assert reset_queries.count(i) == 2
     n = engines.index((i, 0))
     assert engines[n - 1][0] == i and engines[n - 1][1] > 0
     v = verdict_for(rep, i)
@@ -552,7 +561,7 @@ def test_no_seed_lookup_once_the_deadline_has_passed(tmp_path, monkeypatch):
     real_seeds = clausedb.seeds_for_context
 
     def counting(*args, **kwargs):
-        lookups.append(args[3].index)
+        lookups.append(args[2].index)
         return real_seeds(*args, **kwargs)
 
     monkeypatch.setattr(clausedb, "seeds_for_context", counting)
@@ -598,8 +607,7 @@ def test_a_stored_record_the_reset_state_violates_is_not_seeded(tmp_path):
     # is trusted; a clause false at reset must still never reach an engine
     thr = build_counter(5, thresholds=4)
     db = tmp_path / "clauses.db"
-    fingerprint = circuit_fingerprint(thr.circuit)
-    append([ClauseRecord((0,), 0, (0, 2, 3), fingerprint)], str(db))
+    append([ClauseRecord((0,), 0, (0, 2, 3))], str(db), circuit_fingerprint(thr.circuit))
     opts = TaskOptions(reuse_clauses=True, clause_db=str(db))
     rep = run(VerificationTask(thr.circuit, thr.props, Mode.JA, opts))
     assert all(v.status is S.HOLDS_GLOBAL for v in rep.verdicts)
@@ -615,7 +623,7 @@ def test_a_record_past_the_circuit_latches_is_dropped_alone(tmp_path):
     task = VerificationTask(thr.circuit, thr.props, Mode.SEPARATE_GLOBAL, opts)
     run(task)
     warm = run(task)
-    append([ClauseRecord((2 * n + 1,), 0, (), circuit_fingerprint(thr.circuit))], db)
+    append([ClauseRecord((2 * n + 1,), 0, ())], db, circuit_fingerprint(thr.circuit))
     with pytest.warns(UserWarning, match=f"1 records past the circuit's {n} latches dropped"):
         rep = run(task)
     assert sum(v.seeds_used for v in warm.verdicts) == 50
@@ -820,7 +828,7 @@ def test_a_joint_aggregate_never_takes_seeds_meant_for_its_index(tmp_path, monke
         )
         db = tmp_path / f"{seed}.db"
         clause = (pdr.latch_literal(latch, init[latch]),)
-        append([ClauseRecord(clause, 2, (2,), circuit_fingerprint(c))], str(db))
+        append([ClauseRecord(clause, 2, (2,))], str(db), circuit_fingerprint(c))
         calls.clear()
         opts = TaskOptions(reuse_clauses=True, clause_db=str(db))
         rep = run(VerificationTask(c, props, Mode.JOINT, opts))

@@ -18,6 +18,7 @@ from japdr.circuit import (
 )
 from japdr.oracle import CheckMode, ExplicitModel
 from japdr.pdr import (
+    Exhausted,
     PdrEngine,
     PdrError,
     PdrStats,
@@ -205,11 +206,14 @@ def test_sound_seeds_do_not_change_the_verdict():
     assert out.status is PdrStatus.HOLDS
 
 
-def test_timeout_reports_exhausted():
+def test_timeout_raises_exhausted():
+    # the deadline cuts the check mid-run; the stats it was given keep
+    # the SAT calls it made
     c, props = gen_counter(14)
-    out = check_property(c, props[1], stats=PdrStats(deadline=time.monotonic() + 1e-4))
-    assert out.status is PdrStatus.EXHAUSTED
-    assert out.invariant is None and out.cex is None
+    stats = PdrStats(deadline=time.monotonic() + 0.2)
+    with pytest.raises(Exhausted):
+        check_property(c, props[1], stats=stats)
+    assert stats.sat_calls > 0
 
 
 def test_certify_rejects_non_inductive_strengthening():
@@ -542,7 +546,8 @@ def test_shared_step_solver_answers_like_a_fresh_one():
                     stats=PdrStats(deadline=time.monotonic() - 1.0),
                 )
                 frames = eng._step
-                assert eng.run().status is PdrStatus.EXHAUSTED
+                with pytest.raises(Exhausted):
+                    eng.run()
                 for act in (frames.inf_act, *frames.acts[1:]):
                     assert unsat_of(frames.solver, [act])
                 cut += 1

@@ -228,7 +228,7 @@ def test_cli_check_unknown_exit(tmp_path, capsys):
 
 def test_cli_prints_clause_store_warnings_as_single_lines(tmp_path, capsys):
     db = tmp_path / "clauses.db"
-    append([ClauseRecord((0,), 0, (), "f" * 64)], db)
+    append([ClauseRecord((0,), 0, ())], db, "f" * 64)
     with open(db, "a") as fh:
         fh.write("- 0 1")  # a record a killed writer left without its newline
     code = main(
@@ -279,6 +279,41 @@ def test_cli_refuses_an_unwritable_clause_db_before_any_check(tmp_path, capsys):
     assert code == EXIT_PARSE and out == ""
     err = err.splitlines()
     assert len(err) == 1 and err[0].startswith("japdr: clause db: ")
+
+
+def _refused_output(capsys, code):
+    """The exit of a command refused over an output path: one line on
+    stderr, no traceback, nothing on stdout."""
+    out, err = capsys.readouterr()
+    assert code == EXIT_PARSE and out == ""
+    err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith("japdr: ")
+
+
+def test_cli_refuses_a_witness_dir_it_cannot_make_before_any_check(
+    tmp_path, capsys, monkeypatch
+):
+    path = counter_file(tmp_path)
+    blocker = tmp_path / "f"
+    blocker.touch()
+    runs = []
+    monkeypatch.setattr(cli, "run", runs.append)
+    code = main(["check", str(path), "--witness-dir", str(blocker)])
+    _refused_output(capsys, code)
+    assert runs == []
+
+
+def test_cli_bmc_refuses_a_witness_dir_it_cannot_make(tmp_path, capsys):
+    path = counter_file(tmp_path)
+    blocker = tmp_path / "f"
+    blocker.touch()
+    args = ["bmc", str(path), "--prop", "0", "--depth", "2", "--witness-dir", str(blocker)]
+    _refused_output(capsys, main(args))
+
+
+def test_cli_gen_refuses_an_output_it_cannot_write(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.aag"
+    _refused_output(capsys, main(["gen-counter", "--bits", "3", "-o", str(out)]))
 
 
 def test_cli_refuses_a_clause_db_with_clause_reuse_off(tmp_path, capsys):
@@ -632,7 +667,7 @@ def test_cli_prints_a_dropped_out_of_range_record_as_one_line(tmp_path, capsys):
     circuit, _ = parse_file(path)
     n = circuit.num_latches
     db = tmp_path / "clauses.db"
-    append([ClauseRecord((2 * n,), 0, (), circuit_fingerprint(circuit))], db)
+    append([ClauseRecord((2 * n,), 0, ())], db, circuit_fingerprint(circuit))
     code = main(["check", str(path), "--clause-db", str(db)])
     err = capsys.readouterr().err.splitlines()
     assert code == EXIT_FAILURES
